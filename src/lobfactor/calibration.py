@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
@@ -41,6 +42,10 @@ _MOOD_SCENARIOS = frozenset({3, 5, 6, 7})
 
 class CalibrationError(RuntimeError):
     """No usable combo survived evaluation."""
+
+
+class LedgerError(ValueError):
+    """A combo ledger line other than the last cannot be read."""
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,7 @@ class ComboMetrics:
     n_degenerate: int
     n_pooled: int
     unstable: bool
-    returns: np.ndarray | None = None  # pooled, only when collect_series
-    volumes: np.ndarray | None = None
+    stylized: StylizedFactReport | None = None  # None when unstable or undefined
 
 
 @dataclass
@@ -159,24 +163,18 @@ def trial_path_index(path_seed: int, trial_index: int, n_paths: int) -> int:
     return int(np.random.default_rng([path_seed, trial_index]).integers(0, n_paths))
 
 
-def evaluate_combo(
+def trial_series(
     config: SimulationConfig,
     n_trials: int,
     base_seed: int,
-    refs: list[PointCloud],
     paths: list[TransactionPath],
     path_seed: int = 7701,
-    collect_series: bool = False,
-    combo: Combo | None = None,
-) -> ComboMetrics:
-    """Run shared-seed trials of one configuration and score the pooled tail.
+) -> tuple[list[np.ndarray], list[np.ndarray], int]:
+    """Bar returns and per-minute volumes of each shared-seed trial that
+    traded, and the number of trials with zero executed trades.
 
-    Trials with zero executed trades are dropped and counted; a combo is
-    unstable when they exceed half of n_trials or the pooled series is
-    degenerate, and carries no metrics in that case.
+    Per-minute volumes align with the return of the interval they close.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
     returns_parts = []
     volume_parts = []
     n_degenerate = 0
@@ -189,8 +187,31 @@ def evaluate_combo(
         path = paths[trial_path_index(path_seed, i, len(paths))]
         bars = assign_calendar_time(out, path, cfg.p0, day_id=f"seed{cfg.seed}")
         returns_parts.append(log_returns(bars))
-        if collect_series:
-            volume_parts.append(np.asarray(bar_volumes(out, path)[1:], dtype=float))
+        volume_parts.append(np.asarray(bar_volumes(out, path)[1:], dtype=float))
+    return returns_parts, volume_parts, n_degenerate
+
+
+def evaluate_combo(
+    config: SimulationConfig,
+    n_trials: int,
+    base_seed: int,
+    refs: list[PointCloud],
+    paths: list[TransactionPath],
+    path_seed: int = 7701,
+    combo: Combo | None = None,
+) -> ComboMetrics:
+    """Run shared-seed trials of one configuration and score the pooled tail.
+
+    Trials with zero executed trades are dropped and counted; a combo is
+    unstable when they exceed half of n_trials or the pooled series is
+    degenerate, and carries no metrics in that case. A stable combo also
+    carries the stylized facts of its pooled returns and volumes, or None
+    where they are undefined.
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    returns_parts, volume_parts, n_degenerate = trial_series(
+        config, n_trials, base_seed, paths, path_seed)
     if combo is None:
         pop = config.population
         combo = Combo(cash=pop.cash, lambda_c=pop.lambda_c, lambda_m=pop.lambda_m,
@@ -212,6 +233,10 @@ def evaluate_combo(
         cloud = build_tail_cloud(abs_std)
     except DegenerateSeriesError:
         return unusable()
+    try:
+        stylized = stylized_facts(pooled, volumes=np.concatenate(volume_parts))
+    except DegenerateSeriesError:
+        stylized = None
     ot_values = [ot_distance(cloud, ref) for ref in refs]
     return ComboMetrics(
         combo=combo,
@@ -222,9 +247,8 @@ def evaluate_combo(
         n_trials=n_trials,
         n_degenerate=n_degenerate,
         n_pooled=pooled.size,
-        returns=pooled if collect_series else None,
-        volumes=np.concatenate(volume_parts) if collect_series and volume_parts else None,
         unstable=False,
+        stylized=stylized,
     )
 
 
@@ -233,19 +257,37 @@ def _evaluate_task(args) -> ComboMetrics:
 
 
 class ComboLedger:
-    """Append-only JSONL record of finished combos, keyed for safe resume."""
+    """Append-only JSONL record of finished combos, keyed for safe resume.
+
+    A run killed mid-append leaves a cut-off last line: it is dropped from
+    the file, so its combo is evaluated again. A line written before the
+    ledger held stylized facts counts as not done.
+    """
 
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path else None
         self._done: dict[tuple, dict] = {}
         if self.path and self.path.exists():
-            with open(self.path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
+            lines = self.path.read_bytes().splitlines(keepends=True)
+            kept = 0  # bytes of the lines read so far
+            for line_no, line in enumerate(lines, start=1):
+                try:
+                    rec = json.loads(line) if line.strip() else {}
+                except ValueError:
+                    if line_no < len(lines):
+                        raise LedgerError(
+                            f"{self.path}: line {line_no} is not a ledger record") from None
+                    self._drop_cut_off_line(kept, line_no)
+                    break
+                kept += len(line)
+                if "stylized" in rec:
                     self._done[self._key(rec)] = rec
+
+    def _drop_cut_off_line(self, offset: int, line_no: int) -> None:
+        with open(self.path, "r+b") as fh:
+            fh.truncate(offset)
+        print(f"warning: {self.path}: dropped cut-off line {line_no}; "
+              "its combo will be evaluated again", file=sys.stderr)
 
     @staticmethod
     def _key(rec: dict) -> tuple:
@@ -268,6 +310,11 @@ class ComboLedger:
             "n_degenerate": metrics.n_degenerate,
             "n_pooled": metrics.n_pooled,
             "unstable": metrics.unstable,
+            "stylized": None if metrics.stylized is None else {
+                "kurtosis": metrics.stylized.kurtosis,
+                "vol_volume_corr": metrics.stylized.vol_volume_corr,
+                "abs_autocorr": metrics.stylized.abs_autocorr,
+            },
         }
         self._done[self._key(rec)] = rec
         if self.path:
@@ -280,10 +327,15 @@ class ComboLedger:
             cash=CashSpec(kind=c["cash_kind"], c_max=c["c_max"], c_min=c["c_min"], beta=c["beta"]),
             lambda_c=c["lambda_c"], lambda_m=c["lambda_m"], nu=c["nu"], alpha=c["alpha"],
         )
+        facts = rec["stylized"]
+        stylized = None if facts is None else StylizedFactReport(
+            kurtosis=facts["kurtosis"], vol_volume_corr=facts["vol_volume_corr"],
+            abs_autocorr=dict(sorted((int(lag), v) for lag, v in facts["abs_autocorr"].items())),
+        )
         return ComboMetrics(
             combo=combo, hill=rec["hill"], k_used=rec["k_used"], mean_ot=rec["mean_ot"],
             ot_std=rec["ot_std"], n_trials=rec["n_trials"], n_degenerate=rec["n_degenerate"],
-            n_pooled=rec["n_pooled"], unstable=rec["unstable"],
+            n_pooled=rec["n_pooled"], unstable=rec["unstable"], stylized=stylized,
         )
 
 
@@ -317,7 +369,7 @@ def calibrate(
         else:
             pending.append((idx, combo))
     tasks = [
-        (build_config(base, combo), n_trials, base_seed, refs, paths, path_seed, False, combo)
+        (build_config(base, combo), n_trials, base_seed, refs, paths, path_seed, combo)
         for _, combo in pending
     ]
     if workers > 1 and tasks:
@@ -353,27 +405,12 @@ def make_student_t_refs(
 @dataclass
 class ScenarioReport:
     calibration: CalibrationResult
-    stylized: StylizedFactReport
+    stylized: StylizedFactReport | None
 
 
-def scenario_stylized_facts(
-    result: CalibrationResult,
-    n_trials: int,
-    paths: list[TransactionPath],
-    base: SimulationConfig | None = None,
-    base_seed: int = 1000,
-    path_seed: int = 7701,
-) -> StylizedFactReport:
-    """Stylized facts at a scenario's best combo, on pooled returns and volumes.
-
-    Per-minute volumes align with the return of the interval they close.
-    """
-    base = base or SimulationConfig()
-    metrics = evaluate_combo(
-        build_config(base, result.best.combo), n_trials, base_seed, refs=[],
-        paths=paths, path_seed=path_seed, collect_series=True, combo=result.best.combo,
-    )
-    return stylized_facts(metrics.returns, volumes=metrics.volumes)
+def scenario_stylized_facts(result: CalibrationResult) -> StylizedFactReport | None:
+    """Stylized facts at a scenario's best combo, from its calibration pass."""
+    return result.best.stylized
 
 
 def experiment_suite(
@@ -396,10 +433,8 @@ def experiment_suite(
             base=base, base_seed=base_seed, path_seed=path_seed, ledger=ledger,
             workers=workers,
         )
-        stylized = scenario_stylized_facts(
-            result, n_trials, paths, base=base, base_seed=base_seed, path_seed=path_seed,
-        )
-        reports[scenario_no] = ScenarioReport(calibration=result, stylized=stylized)
+        reports[scenario_no] = ScenarioReport(calibration=result,
+                                              stylized=scenario_stylized_facts(result))
     out: dict = {"scenarios": reports}
     if {0, 1, 2, 4} <= set(scenarios):
         hills = {n: reports[n].calibration.best.hill for n in (0, 1, 2, 4)}
@@ -412,43 +447,32 @@ def experiment_suite(
     return out
 
 
-def sweep_lambda_c(
-    grid: ParameterGrid,
-    n_trials: int,
-    paths: list[TransactionPath],
-    base: SimulationConfig | None = None,
-    base_seed: int = 1000,
-    path_seed: int = 7701,
-) -> list[dict]:
+def sweep_lambda_c(grid: ParameterGrid, per_combo: list[ComboMetrics]) -> list[dict]:
     """Hill index versus chartist intensity for the chartist scenarios.
 
-    For each nonzero lambda_c: pooled Hill per alpha for scenario 2 (uniform
-    cash) and scenario 4 (Pareto cash), plus the additive prediction built
-    per alpha from scenarios 0, 1, 2; each series reported as mean and std
-    across the alpha grid. Degenerate-unstable combos drop out of the
-    aggregation.
+    Aggregates the per-combo results of calibrating scenarios 0, 1, 2 and 4
+    and simulates nothing. For each nonzero lambda_c: Hill per alpha for
+    scenario 2 (uniform cash) and scenario 4 (Pareto cash), plus the
+    additive prediction built per alpha from scenarios 0, 1, 2; each series
+    reported as mean and std across the alpha grid. Unstable combos drop out
+    of the aggregation.
     """
-    base = base or SimulationConfig()
     uniform = next(c for c in grid.cash_options if c.kind == "uniform")
     pareto = next(c for c in grid.cash_options if c.kind == "pareto")
+    hill_of = {m.combo.digest(): m.hill for m in per_combo}  # None when unstable
 
-    def pooled_hill(cash: CashSpec, lambda_c: float, alpha: float) -> float | None:
-        combo = Combo(cash=cash, lambda_c=lambda_c, lambda_m=0.0, nu=0.0, alpha=alpha)
-        try:
-            metrics = evaluate_combo(
-                build_config(base, combo), n_trials, base_seed, refs=[], paths=paths,
-                path_seed=path_seed, combo=combo,
-            )
-        except CalibrationError:
-            return None
-        return metrics.hill  # None when unstable
+    def hills(cash: CashSpec, lambda_c: float) -> dict[float, float | None]:
+        return {
+            a: hill_of[Combo(cash=cash, lambda_c=lambda_c, lambda_m=0.0, nu=0.0, alpha=a).digest()]
+            for a in grid.alpha
+        }
 
-    z0 = {a: pooled_hill(uniform, 0.0, a) for a in grid.alpha}
-    z1 = {a: pooled_hill(pareto, 0.0, a) for a in grid.alpha}
+    z0 = hills(uniform, 0.0)
+    z1 = hills(pareto, 0.0)
     rows = []
     for lc in [v for v in grid.lambda_c if v > 0]:
-        z2 = {a: pooled_hill(uniform, lc, a) for a in grid.alpha}
-        z4 = {a: pooled_hill(pareto, lc, a) for a in grid.alpha}
+        z2 = hills(uniform, lc)
+        z4 = hills(pareto, lc)
         theo = [
             theoretical_hill(z0[a], z1[a], z2[a])
             for a in grid.alpha

@@ -26,6 +26,7 @@ from .agents import CashSpec, PopulationConfig
 from .calibration import (
     CalibrationError,
     ComboLedger,
+    LedgerError,
     ParameterGrid,
     experiment_suite,
     make_student_t_refs,
@@ -514,7 +515,10 @@ def cmd_experiment(args) -> int:
     ledger_path = out_dir / "ledger.jsonl"
     if ledger_path.exists() and not args.resume:
         ledger_path.unlink()
-    ledger = ComboLedger(ledger_path)
+    try:
+        ledger = ComboLedger(ledger_path)
+    except LedgerError as exc:
+        raise DataError(str(exc)) from exc
 
     suite = experiment_suite(
         grid, trials, refs, paths, scenarios=scenarios, base=base,
@@ -536,9 +540,11 @@ def cmd_experiment(args) -> int:
     table4_path = out_dir / "table4.csv"
     rows = []
     for n in scenarios:
-        facts = suite["scenarios"][n].stylized
-        rows.append((n, _fmt(facts.kurtosis), _fmt(facts.vol_volume_corr),
-                     *(_fmt(facts.abs_autocorr.get(lag)) for lag in (1, 10, 20, 30))))
+        facts = suite["scenarios"][n].stylized  # None where the facts are undefined
+        cells = (None,) * 6 if facts is None else (
+            facts.kurtosis, facts.vol_volume_corr,
+            *(facts.abs_autocorr.get(lag) for lag in (1, 10, 20, 30)))
+        rows.append((n, *map(_fmt, cells)))
     _write_csv(table4_path, TABLE4_COLUMNS, rows)
     outputs.append(table4_path.name)
 
@@ -551,8 +557,8 @@ def cmd_experiment(args) -> int:
         outputs.append(synergy_path.name)
 
         fig5_path = out_dir / "fig5.csv"
-        sweep = sweep_lambda_c(grid, trials, paths, base=base, base_seed=base_seed,
-                               path_seed=path_seed)
+        sweep = sweep_lambda_c(grid, [m for n in (0, 1, 2, 4)
+                                      for m in suite["scenarios"][n].calibration.per_combo])
         _write_csv(fig5_path, FIG5_COLUMNS,
                    [(_fmt(r["lambda_c"]), r["series"], _fmt(r["hill_mean"]),
                      _fmt(r["hill_std"]), r["n_points"]) for r in sweep])

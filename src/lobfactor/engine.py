@@ -5,9 +5,9 @@ Each step: one uniformly chosen agent forecasts and may submit one order
 orders expire, then every agent reconsiders its mood sequentially in a
 fresh random order against live camp counts. Each trial owns one master
 generator seeded from the config seed; all randomness is pre-drawn from it
-in a fixed order (population, then agent choices, then noise, then mood
-permutations, then mood uniforms), so a (config, seed) pair fully pins the
-output.
+in a fixed order (population, then agent choices, then noise, then, only
+when nu > 0, mood permutations and mood uniforms), so a (config, seed) pair
+fully pins the output.
 """
 
 from __future__ import annotations
@@ -159,16 +159,19 @@ class Engine:
         t_sim = cfg.t_sim
         rng = self.rng
 
-        # fixed pre-draw order; unused rows (e.g. mood rows when nu = 0) still
-        # consume from the stream so the layout never depends on branching
+        # fixed pre-draw order; the mood rows come last and are drawn only
+        # when nu > 0, so skipping them leaves every earlier draw unchanged
+        mood_on = pop.nu > 0.0
         choices = rng.integers(0, n, t_sim)
         eps = rng.standard_normal(t_sim) * pop.sigma_n
-        mood_perms = rng.permuted(np.tile(np.arange(n), (t_sim, 1)), axis=1)
-        mood_unifs = rng.random((t_sim, n))
+        if mood_on:
+            mood_perms = rng.permuted(np.tile(np.arange(n), (t_sim, 1)), axis=1)
+            mood_unifs = rng.random((t_sim, n))
 
-        exec_ok = np.array(
-            [not in_no_exec_window(t, cfg.no_exec_windows) for t in range(1, t_sim + 1)]
-        )
+        steps = np.arange(1, t_sim + 1)
+        exec_ok = np.ones(t_sim, dtype=bool)
+        for lo, hi in cfg.no_exec_windows:
+            exec_ok &= (steps < lo) | (steps > hi)
 
         book = self.book
         agents = self.agents
@@ -176,7 +179,6 @@ class Engine:
         ticks: list[TickRecord] = []
         all_trades: list[Trade] = []
         optimists_rate: list[float] = []
-        mood_on = pop.nu > 0.0
 
         for t in range(1, t_sim + 1):
             agent = agents[choices[t - 1]]

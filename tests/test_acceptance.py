@@ -49,12 +49,11 @@ def reference_paths() -> list[TransactionPath]:
     return [synthetic_reference_path(rng, shape=shapes[i % 2]) for i in range(6)]
 
 
-def pooled_metrics(cash_kind: str, lambda_c: float, alpha: float, paths,
-                   collect_series: bool = False):
+def pooled_metrics(cash_kind: str, lambda_c: float, alpha: float, paths):
     combo = Combo(cash=CashSpec(kind=cash_kind), lambda_c=lambda_c, lambda_m=0.0,
                   nu=0.0, alpha=alpha)
     return evaluate_combo(build_config(SimulationConfig(), combo), 20, 1000, refs=[],
-                          paths=paths, collect_series=collect_series, combo=combo)
+                          paths=paths, combo=combo)
 
 
 def test_c1_hill_recovery_on_exact_pareto_tails():
@@ -120,8 +119,7 @@ def test_c5_combined_components_beat_additive_prediction(reference_paths):
 
 
 def test_c6_stylized_facts_with_gaussian_control(reference_paths):
-    m = pooled_metrics("uniform", 2.5, 0.25, reference_paths, collect_series=True)
-    facts = stylized_facts(m.returns, volumes=m.volumes)
+    facts = pooled_metrics("uniform", 2.5, 0.25, reference_paths).stylized
     assert facts.kurtosis > 0.0
     assert facts.abs_autocorr[1] > 0.0
     control = stylized_facts(np.random.default_rng(123).standard_normal(100_000))

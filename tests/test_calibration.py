@@ -12,6 +12,7 @@ from lobfactor.calibration import (
     Combo,
     ComboLedger,
     ComboMetrics,
+    LedgerError,
     ParameterGrid,
     ScenarioSpec,
     build_config,
@@ -22,9 +23,17 @@ from lobfactor.calibration import (
     make_student_t_refs,
     sweep_lambda_c,
     trial_path_index,
+    trial_series,
 )
 from lobfactor.engine import SimulationConfig
-from lobfactor.metrics import build_tail_cloud, default_tail_k, standardize
+from lobfactor.metrics import (
+    DegenerateSeriesError,
+    StylizedFactReport,
+    build_tail_cloud,
+    default_tail_k,
+    standardize,
+    stylized_facts,
+)
 from lobfactor.timegrid import MINUTES_PER_DAY, TransactionPath, synthetic_reference_path
 
 import lobfactor.calibration as calibration_mod
@@ -148,16 +157,34 @@ class TestEvaluateCombo:
 
     def test_pooled_size_and_tail_k(self, paths):
         cfg = small_base()
-        m = evaluate_combo(cfg, 3, 50, refs=[], paths=paths, collect_series=True)
+        m = evaluate_combo(cfg, 3, 50, refs=[], paths=paths)
+        returns, volumes, n_degenerate = trial_series(cfg, 3, 50, paths)
+        assert n_degenerate == m.n_degenerate
         assert m.n_pooled == (3 - m.n_degenerate) * (MINUTES_PER_DAY - 1)
         assert m.k_used == default_tail_k(m.n_pooled)
-        assert m.returns.size == m.n_pooled
-        assert m.volumes.size == m.n_pooled
+        assert sum(r.size for r in returns) == m.n_pooled
+        assert sum(v.size for v in volumes) == m.n_pooled
+
+    def test_stylized_facts_of_pooled_series(self, paths):
+        cfg = small_base()
+        m = evaluate_combo(cfg, 3, 50, refs=[], paths=paths)
+        returns, volumes, _ = trial_series(cfg, 3, 50, paths)
+        assert m.stylized == stylized_facts(np.concatenate(returns),
+                                            volumes=np.concatenate(volumes))
+
+    def test_undefined_stylized_facts_keep_combo_stable(self, paths, monkeypatch):
+        def degenerate(returns, volumes=None):
+            raise DegenerateSeriesError("zero-variance input to correlation")
+
+        monkeypatch.setattr(calibration_mod, "stylized_facts", degenerate)
+        m = evaluate_combo(small_base(), 3, 50, refs=[], paths=paths)
+        assert not m.unstable and m.hill is not None
+        assert m.stylized is None
 
     def test_self_reference_gives_zero_ot(self, paths):
         cfg = small_base()
-        m = evaluate_combo(cfg, 3, 50, refs=[], paths=paths, collect_series=True)
-        own = build_tail_cloud(np.abs(standardize(m.returns)))
+        returns, _, _ = trial_series(cfg, 3, 50, paths)
+        own = build_tail_cloud(np.abs(standardize(np.concatenate(returns))))
         again = evaluate_combo(cfg, 3, 50, refs=[own], paths=paths)
         assert again.mean_ot == 0.0
 
@@ -187,9 +214,11 @@ class TestEvaluateCombo:
 
 
 def _fake_metrics(combo: Combo, mean_ot: float, hill: float, unstable: bool = False):
+    stylized = None if unstable else StylizedFactReport(
+        kurtosis=hill, vol_volume_corr=0.1, abs_autocorr={1: 0.2, 10: 0.1})
     return ComboMetrics(combo=combo, hill=None if unstable else hill, k_used=10,
                         mean_ot=None if unstable else mean_ot, ot_std=0.0, n_trials=2,
-                        n_degenerate=0, n_pooled=100, unstable=unstable)
+                        n_degenerate=0, n_pooled=100, unstable=unstable, stylized=stylized)
 
 
 class TestCalibrate:
@@ -198,7 +227,7 @@ class TestCalibrate:
 
     def _patched(self, monkeypatch, score):
         def fake_evaluate(config, n_trials, base_seed, refs, paths, path_seed=7701,
-                          collect_series=False, combo=None):
+                          combo=None):
             return score(combo)
 
         monkeypatch.setattr(calibration_mod, "evaluate_combo", fake_evaluate)
@@ -291,6 +320,52 @@ class TestLedger:
         assert resumed.best.combo == full.best.combo
         assert resumed.best.mean_ot == full.best.mean_ot
 
+    def test_stylized_facts_round_trip(self, tmp_path, paths):
+        refs = make_student_t_refs(m_refs=2, n_samples=2000)
+        grid = ParameterGrid(lambda_c=(0.0,), lambda_m=(0.0,), nu=(0.0,), alpha=(0.1, 0.3))
+        ledger_file = tmp_path / "ledger.jsonl"
+        fresh = calibrate(ScenarioSpec.from_number(0), grid, 2, refs, paths, base=small_base(),
+                          ledger=ComboLedger(ledger_file))
+        reloaded = ComboLedger(ledger_file)
+        for m in fresh.per_combo:
+            rec = reloaded.lookup(0, m.combo, 1000, 2)
+            assert reloaded.to_metrics(rec) == m
+
+    def test_line_without_stylized_facts_is_evaluated_again(self, tmp_path, paths):
+        refs = make_student_t_refs(m_refs=2, n_samples=2000)
+        grid = ParameterGrid(lambda_c=(0.0,), lambda_m=(0.0,), nu=(0.0,), alpha=(0.1, 0.3))
+        ledger_file = tmp_path / "ledger.jsonl"
+        calibrate(ScenarioSpec.from_number(0), grid, 2, refs, paths, base=small_base(),
+                  ledger=ComboLedger(ledger_file))
+        records = [json.loads(line) for line in ledger_file.read_text().splitlines()]
+        del records[0]["stylized"]  # a line written before the field existed
+        ledger_file.write_text("".join(json.dumps(r) + "\n" for r in records))
+        ledger = ComboLedger(ledger_file)
+        first, second = enumerate_combos(ScenarioSpec.from_number(0), grid)
+        assert ledger.lookup(0, first, 1000, 2) is None
+        assert ledger.lookup(0, second, 1000, 2) is not None
+
+    def test_unreadable_line_before_the_last_raises(self, tmp_path):
+        ledger_file = tmp_path / "ledger.jsonl"
+        ledger_file.write_text('{"scenario": 0\n{}\n')
+        with pytest.raises(LedgerError):
+            ComboLedger(ledger_file)
+
+    def test_cut_off_last_line_is_dropped_from_the_file(self, tmp_path, capsys):
+        ledger_file = tmp_path / "ledger.jsonl"
+        combos = [Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0, nu=0.0,
+                        alpha=a) for a in (0.1, 0.2)]
+        writer = ComboLedger(ledger_file)
+        for combo in combos:
+            writer.record(0, 1000, _fake_metrics(combo, mean_ot=1.0, hill=3.0))
+        whole = ledger_file.read_text().splitlines(keepends=True)
+        ledger_file.write_text(whole[0] + whole[1][:-20])
+        ledger = ComboLedger(ledger_file)
+        assert ledger.lookup(0, combos[0], 1000, 2) is not None
+        assert ledger.lookup(0, combos[1], 1000, 2) is None
+        assert ledger_file.read_text() == whole[0]
+        assert "cut-off line 2" in capsys.readouterr().err
+
 
 class TestStudentTRefs:
     def test_shapes_and_labels(self):
@@ -317,14 +392,9 @@ class TestExperimentSuite:
         hills = {(False, 0.0): 4.0, (True, 0.0): 3.8, (False, 2.5): 3.1, (True, 2.5): 2.8}
 
         def fake_evaluate(config, n_trials, base_seed, refs, paths, path_seed=7701,
-                          collect_series=False, combo=None):
+                          combo=None):
             h = hills[(combo.cash.kind == "pareto", combo.lambda_c)]
-            m = _fake_metrics(combo, mean_ot=combo.alpha, hill=h)
-            if collect_series:
-                rng = np.random.default_rng(1)
-                m.returns = rng.standard_normal(200)
-                m.volumes = np.abs(rng.standard_normal(200))
-            return m
+            return _fake_metrics(combo, mean_ot=combo.alpha, hill=h)
 
         monkeypatch.setattr(calibration_mod, "evaluate_combo", fake_evaluate)
         grid = ParameterGrid(lambda_c=(0.0, 2.5), lambda_m=(0.0,), nu=(0.0,),
@@ -337,17 +407,13 @@ class TestExperimentSuite:
         assert set(suite["scenarios"]) == {0, 1, 2, 4}
         report = suite["scenarios"][2]
         assert report.calibration.best.combo.lambda_c == 2.5
-        assert report.stylized.kurtosis is not None
+        assert report.stylized == report.calibration.best.stylized
+        assert report.stylized.kurtosis == 3.1
 
     def test_no_synergy_without_quartet(self, monkeypatch, paths):
         def fake_evaluate(config, n_trials, base_seed, refs, paths, path_seed=7701,
-                          collect_series=False, combo=None):
-            m = _fake_metrics(combo, mean_ot=combo.alpha, hill=3.0)
-            if collect_series:
-                rng = np.random.default_rng(1)
-                m.returns = rng.standard_normal(200)
-                m.volumes = np.abs(rng.standard_normal(200))
-            return m
+                          combo=None):
+            return _fake_metrics(combo, mean_ot=combo.alpha, hill=3.0)
 
         monkeypatch.setattr(calibration_mod, "evaluate_combo", fake_evaluate)
         grid = ParameterGrid(lambda_c=(0.0, 2.5), lambda_m=(0.0,), nu=(0.0,),
@@ -356,20 +422,22 @@ class TestExperimentSuite:
         assert "synergy" not in suite
 
 
+def quartet_per_combo(grid: ParameterGrid, score) -> list[ComboMetrics]:
+    """Per-combo results of scenarios 0, 1, 2 and 4, each scored by ``score``."""
+    return [score(combo) for n in (0, 1, 2, 4)
+            for combo in enumerate_combos(ScenarioSpec.from_number(n), grid)]
+
+
 class TestSweepLambdaC:
-    def _patch_hills(self, monkeypatch):
-        def fake_evaluate(config, n_trials, base_seed, refs, paths, path_seed=7701,
-                          collect_series=False, combo=None):
-            # hill falls with lambda_c, offset by cash kind and alpha
-            base = 4.0 - 0.4 * combo.lambda_c - (0.5 if combo.cash.kind == "pareto" else 0.0)
-            return _fake_metrics(combo, mean_ot=1.0, hill=base + combo.alpha)
+    @staticmethod
+    def _hill_falls_with_lambda_c(combo):
+        # hill falls with lambda_c, offset by cash kind and alpha
+        base = 4.0 - 0.4 * combo.lambda_c - (0.5 if combo.cash.kind == "pareto" else 0.0)
+        return _fake_metrics(combo, mean_ot=1.0, hill=base + combo.alpha)
 
-        monkeypatch.setattr(calibration_mod, "evaluate_combo", fake_evaluate)
-
-    def test_row_structure_and_values(self, monkeypatch, paths):
-        self._patch_hills(monkeypatch)
+    def test_row_structure_and_values(self):
         grid = ParameterGrid(lambda_c=(0.0, 1.5, 2.5), alpha=(0.1, 0.3))
-        rows = sweep_lambda_c(grid, 2, paths)
+        rows = sweep_lambda_c(grid, quartet_per_combo(grid, self._hill_falls_with_lambda_c))
         assert [(r["lambda_c"], r["series"]) for r in rows] == [
             (1.5, "sim2"), (1.5, "sim4"), (1.5, "theoretical"),
             (2.5, "sim2"), (2.5, "sim4"), (2.5, "theoretical"),
@@ -382,16 +450,14 @@ class TestSweepLambdaC:
         assert by[(2.5, "theoretical")]["hill_mean"] == pytest.approx(3.5 - 1.0 + 0.2)
         assert all(r["n_points"] == 2 for r in rows)
 
-    def test_unstable_points_drop_from_aggregate(self, monkeypatch, paths):
-        def fake_evaluate(config, n_trials, base_seed, refs, paths, path_seed=7701,
-                          collect_series=False, combo=None):
+    def test_unstable_points_drop_from_aggregate(self):
+        def score(combo):
             if combo.cash.kind == "uniform" and combo.lambda_c > 0 and combo.alpha == 0.1:
                 return _fake_metrics(combo, 0.0, 0.0, unstable=True)
             return _fake_metrics(combo, mean_ot=1.0, hill=3.0)
 
-        monkeypatch.setattr(calibration_mod, "evaluate_combo", fake_evaluate)
         grid = ParameterGrid(lambda_c=(0.0, 2.0), alpha=(0.1, 0.3))
-        rows = sweep_lambda_c(grid, 2, paths)
+        rows = sweep_lambda_c(grid, quartet_per_combo(grid, score))
         by = {(r["lambda_c"], r["series"]): r for r in rows}
         assert by[(2.0, "sim2")]["n_points"] == 1
         assert by[(2.0, "theoretical")]["n_points"] == 1

@@ -26,6 +26,7 @@ from lobfactor.cli import (
     parse_scenarios,
     resolve_config,
 )
+from lobfactor.metrics import DegenerateSeriesError
 from lobfactor.timegrid import MINUTES_PER_DAY, read_bars_csv
 
 
@@ -301,23 +302,53 @@ class TestExperiment:
 
     def test_resume_skips_finished_combos(self, sim_config, tmp_path, monkeypatch):
         out = tmp_path / "exp"
-        main(["experiment", "--config", sim_config, "--scenarios", "0",
-              "--out", str(out)])
+        assert main(["experiment", "--config", sim_config, "--scenarios", "0,1,2,4",
+                     "--out", str(out)]) == EXIT_OK
+        names = ("table2.csv", "table4.csv", "fig5.csv", "synergy.csv")
+        first = {name: (out / name).read_bytes() for name in names}
+
+        def guarded(config):
+            raise AssertionError("trial simulated on resume of a finished run")
+
+        monkeypatch.setattr(calibration_mod, "run", guarded)
+        assert main(["experiment", "--config", sim_config, "--scenarios", "0,1,2,4",
+                     "--out", str(out), "--resume"]) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in names} == first
+
+    def test_resume_drops_cut_off_ledger_line(self, sim_config, tmp_path, capsys):
+        out = tmp_path / "exp"
+        main(["experiment", "--config", sim_config, "--scenarios", "0", "--out", str(out)])
         first = (out / "table2.csv").read_bytes()
-
-        real = calibration_mod.evaluate_combo
-
-        def guarded(config, n_trials, base_seed, refs, paths, path_seed=7701,
-                    collect_series=False, combo=None):
-            if not collect_series:  # stylized-fact reruns are not ledgered
-                raise AssertionError("combo re-evaluated despite ledger entry")
-            return real(config, n_trials, base_seed, refs, paths, path_seed,
-                        collect_series, combo)
-
-        monkeypatch.setattr(calibration_mod, "evaluate_combo", guarded)
+        ledger = out / "ledger.jsonl"
+        lines = ledger.read_text().splitlines()
+        ledger.write_bytes(ledger.read_bytes()[:-30])
+        capsys.readouterr()
         assert main(["experiment", "--config", sim_config, "--scenarios", "0",
                      "--out", str(out), "--resume"]) == EXIT_OK
+        assert "cut-off line" in capsys.readouterr().err
         assert (out / "table2.csv").read_bytes() == first
+        assert ledger.read_text().splitlines() == lines
+
+    def test_unreadable_ledger_line_is_data_error(self, sim_config, tmp_path, capsys):
+        out = tmp_path / "exp"
+        main(["experiment", "--config", sim_config, "--scenarios", "0", "--out", str(out)])
+        ledger = out / "ledger.jsonl"
+        ledger.write_text("{not json\n" + ledger.read_text())
+        assert main(["experiment", "--config", sim_config, "--scenarios", "0",
+                     "--out", str(out), "--resume"]) == EXIT_DATA
+        assert "line 1" in capsys.readouterr().err
+
+    def test_undefined_stylized_facts_leave_blank_cells(self, sim_config, tmp_path,
+                                                        monkeypatch):
+        def degenerate(returns, volumes=None):
+            raise DegenerateSeriesError("zero-variance input to correlation")
+
+        monkeypatch.setattr(calibration_mod, "stylized_facts", degenerate)
+        out = tmp_path / "exp"
+        for extra in ([], ["--resume"]):
+            assert main(["experiment", "--config", sim_config, "--scenarios", "0",
+                         "--out", str(out), *extra]) == EXIT_OK
+            assert (out / "table4.csv").read_text().splitlines()[1] == "0,,,,,,"
 
     def test_fresh_run_discards_stale_ledger(self, sim_config, tmp_path):
         out = tmp_path / "exp"
