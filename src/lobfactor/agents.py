@@ -120,7 +120,7 @@ def init_population(config: PopulationConfig, rng: np.random.Generator) -> list[
         u = rng.random(n)
         while (zero := u == 0.0).any():  # open-interval contract
             u[zero] = rng.random(int(zero.sum()))
-        cash = config.cash.c_min * u ** (-1.0 / config.cash.beta)
+        cash = sample_pareto(config.cash.c_min, config.cash.beta, u)
     else:
         raise ValueError(f"unknown cash kind {config.cash.kind!r}")
 
@@ -217,22 +217,3 @@ def decide_order(
         return None
     return Order(order_id, agent.agent_id, side, limit, volume, step, step + params.tau)
 
-
-def update_mood(
-    state: AgentState,
-    n_opt: int,
-    n_pes: int,
-    n_total: int,
-    nu: float,
-    u: float,
-) -> AgentState:
-    """One conformity draw: flip toward the opposite camp with probability
-    nu * (opposite camp size) / n_total. All-optimist and all-pessimist
-    states are absorbing. Mutates and returns the state."""
-    if state.mood is Mood.PESSIMISTIC:
-        if u < nu * n_opt / n_total:
-            state.mood = Mood.OPTIMISTIC
-    else:
-        if u < nu * n_pes / n_total:
-            state.mood = Mood.PESSIMISTIC
-    return state

@@ -259,13 +259,15 @@ def _evaluate_task(args) -> ComboMetrics:
 class ComboLedger:
     """Append-only JSONL record of finished combos, keyed for safe resume.
 
-    A run killed mid-append leaves a cut-off last line: it is dropped from
-    the file, so its combo is evaluated again. A line written before the
-    ledger held stylized facts counts as not done.
+    A line counts as not done unless it carries this ledger's run digest
+    (the CLI's digest of the resolved config and input files) and stylized
+    facts. A run killed mid-append leaves a cut-off last line: it is dropped
+    from the file, so its combo is evaluated again.
     """
 
-    def __init__(self, path: str | Path | None):
+    def __init__(self, path: str | Path | None, run_digest: str = ""):
         self.path = Path(path) if path else None
+        self.run_digest = run_digest
         self._done: dict[tuple, dict] = {}
         if self.path and self.path.exists():
             lines = self.path.read_bytes().splitlines(keepends=True)
@@ -280,7 +282,7 @@ class ComboLedger:
                     self._drop_cut_off_line(kept, line_no)
                     break
                 kept += len(line)
-                if "stylized" in rec:
+                if "stylized" in rec and rec.get("run_digest") == run_digest:
                     self._done[self._key(rec)] = rec
 
     def _drop_cut_off_line(self, offset: int, line_no: int) -> None:
@@ -302,6 +304,7 @@ class ComboLedger:
             "combo_digest": metrics.combo.digest(),
             "base_seed": base_seed,
             "n_trials": metrics.n_trials,
+            "run_digest": self.run_digest,
             "combo": metrics.combo.key(),
             "hill": metrics.hill,
             "k_used": metrics.k_used,

@@ -16,24 +16,25 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .agents import CashSpec, PopulationConfig
 from .calibration import (
     CalibrationError,
     ComboLedger,
     LedgerError,
     ParameterGrid,
+    ScenarioSpec,
+    enumerate_combos,
     experiment_suite,
     make_student_t_refs,
     sweep_lambda_c,
     trial_path_index,
 )
-from .engine import SimulationConfig, run, write_ticks_csv
+from .engine import ConfigurationError, SimulationConfig, run, validate_config, write_ticks_csv
 from .metrics import (
     DegenerateSeriesError,
     build_tail_cloud,
@@ -45,7 +46,6 @@ from .metrics import (
 from .timegrid import (
     TransactionPath,
     assign_calendar_time,
-    log_returns,
     read_count_paths_csv,
     synthetic_reference_path,
     write_bars_csv,
@@ -67,41 +67,18 @@ class DataError(ValueError):
     pass
 
 
+def _json(value):
+    """A dataclass default as a JSON value: tuples become lists."""
+    return json.loads(json.dumps(value))
+
+
 DEFAULT_CONFIG: dict = {
-    "simulation": {
-        "seed": 0,
-        "t_sim": 2110,
-        "p0": 300.0,
-        "fundamental_price": 300.0,
-        "tick_size": 1e-4,
-        "v_max": 50,
-        "sigma_sq_order": 1e-4,
-        "no_exec_windows": [[1, 100], [1100, 1110]],
-        "population": {
-            "n_agents": 200,
-            "lambda_f": 10.0,
-            "lambda_c": 0.0,
-            "lambda_m": 0.0,
-            "lambda_n": 1.0,
-            "sigma_n": 0.01,
-            "nu": 0.0,
-            "alpha": 0.1,
-            "w_max": 50,
-            "tau_f": 200,
-            "p_optimist_init": 0.5,
-            "cash": {"kind": "uniform", "c_max": 30_000.0, "c_min": 5_000.0, "beta": 1.5},
-        },
-    },
+    "simulation": _json(asdict(SimulationConfig())),
     "experiment": {
         "trials": 20,
         "base_seed": 1000,
         "path_seed": 7701,
-        "grid": {
-            "lambda_c": [0.0, 1.5, 1.75, 2.0, 2.25, 2.5],
-            "lambda_m": [0.0, 1e-5, 2e-5, 3e-5, 4e-5, 5e-5],
-            "nu": [0.3, 0.5, 0.7],
-            "alpha": [0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
-        },
+        "grid": _json({k: v for k, v in asdict(ParameterGrid()).items() if k != "cash_options"}),
         "refs": {"count": 18, "n_samples": 30_000, "df": 3.0, "seed": 777},
         "paths": {"count": 6, "seed": 4242, "mean_total": 30_000},
     },
@@ -161,53 +138,79 @@ def config_digest(resolved: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def simulation_config(resolved: dict) -> SimulationConfig:
-    sim = resolved["simulation"]
-    pop = sim["population"]
-    cash = pop["cash"]
+def run_digest(resolved: dict, refs_files: list[str] | None, paths_file: str | None) -> str:
+    """sha256 of the resolved config's digest and the bytes of each input
+    file: what a ledger line must match to be reused on resume."""
+    def file_digest(file: str) -> str:
+        return hashlib.sha256(Path(file).read_bytes()).hexdigest()
+
+    inputs = {"config": config_digest(resolved),
+              "refs": [file_digest(file) for file in refs_files or []],
+              "paths": file_digest(paths_file) if paths_file else None}
+    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+
+
+def _build(cls, section: dict, path: str, **given):
+    """A `cls` from a resolved config section, each value converted to the
+    type of the field's default; fields in `given` are passed as they are."""
+    default = cls()
+    values = {f.name: _convert(getattr(default, f.name), section[f.name], f"{path}.{f.name}")
+              for f in fields(cls) if f.name not in given}
+    return cls(**values, **given)
+
+
+def _convert(default, value, path: str):
+    """`value` as the type of `default`: dataclasses field by field, tuples
+    element by element."""
+    if is_dataclass(default):
+        return _build(type(default), value, path)
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"config field {path} must be a list, got {value!r}")
+        return tuple(_convert(default[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     try:
-        config = SimulationConfig(
-            population=PopulationConfig(
-                n_agents=int(pop["n_agents"]),
-                lambda_f=float(pop["lambda_f"]),
-                lambda_c=float(pop["lambda_c"]),
-                lambda_m=float(pop["lambda_m"]),
-                lambda_n=float(pop["lambda_n"]),
-                sigma_n=float(pop["sigma_n"]),
-                nu=float(pop["nu"]),
-                alpha=float(pop["alpha"]),
-                cash=CashSpec(kind=cash["kind"], c_max=float(cash["c_max"]),
-                              c_min=float(cash["c_min"]), beta=float(cash["beta"])),
-                w_max=int(pop["w_max"]),
-                tau_f=int(pop["tau_f"]),
-                p_optimist_init=float(pop["p_optimist_init"]),
-            ),
-            t_sim=int(sim["t_sim"]),
-            no_exec_windows=tuple(tuple(w) for w in sim["no_exec_windows"]),
-            p0=float(sim["p0"]),
-            fundamental_price=float(sim["fundamental_price"]),
-            tick_size=float(sim["tick_size"]),
-            v_max=int(sim["v_max"]),
-            sigma_sq_order=float(sim["sigma_sq_order"]),
-            seed=int(sim["seed"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid simulation config: {exc}") from exc
+        converted = type(default)(value)
+        if isinstance(value, float) and converted != value:
+            raise ValueError  # a fraction cut off, a number made text, or NaN
+        return converted
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config field {path} must be of type {type(default).__name__}, "
+                          f"got {value!r}") from None
+
+
+def _validated(config: SimulationConfig, path: str) -> SimulationConfig:
+    try:
+        validate_config(config)
+    except ConfigurationError as exc:
+        raise ConfigError(f"invalid {path}: {exc}") from None
     return config
 
 
+def simulation_config(resolved: dict) -> SimulationConfig:
+    return _validated(_build(SimulationConfig, resolved["simulation"], "simulation"),
+                      "simulation config")
+
+
 def parameter_grid(resolved: dict) -> ParameterGrid:
-    grid = resolved["experiment"]["grid"]
-    cash = resolved["simulation"]["population"]["cash"]
-    common = {"c_max": float(cash["c_max"]), "c_min": float(cash["c_min"]),
-              "beta": float(cash["beta"])}
-    return ParameterGrid(
-        cash_options=(CashSpec(kind="uniform", **common), CashSpec(kind="pareto", **common)),
-        lambda_c=tuple(float(v) for v in grid["lambda_c"]),
-        lambda_m=tuple(float(v) for v in grid["lambda_m"]),
-        nu=tuple(float(v) for v in grid["nu"]),
-        alpha=tuple(float(v) for v in grid["alpha"]),
-    )
+    """The search grid; cash options share the simulation's cash bounds, and
+    every axis value must make a valid simulation config."""
+    base = simulation_config(resolved)
+    cash = base.population.cash
+    grid = _build(ParameterGrid, resolved["experiment"]["grid"], "experiment.grid",
+                  cash_options=(replace(cash, kind="uniform"), replace(cash, kind="pareto")))
+    for axis in resolved["experiment"]["grid"]:
+        for value in getattr(grid, axis):
+            population = replace(base.population, **{axis: value})
+            _validated(replace(base, population=population), f"experiment.grid.{axis}")
+    return grid
+
+
+def _whole(section: dict, key: str, path: str, minimum: int = 0) -> int:
+    """section[key] as an integer no less than `minimum`."""
+    value = _convert(0, section[key], f"{path}.{key}")
+    if value < minimum:
+        raise ConfigError(f"config field {path}.{key} must be >= {minimum}, got {value}")
+    return value
 
 
 def load_paths(resolved: dict, paths_file: str | None) -> list[TransactionPath]:
@@ -218,12 +221,17 @@ def load_paths(resolved: dict, paths_file: str | None) -> list[TransactionPath]:
         except (ValueError, OSError) as exc:
             raise DataError(f"paths file {paths_file}: {exc}") from exc
     spec = resolved["experiment"]["paths"]
-    rng = np.random.default_rng(int(spec["seed"]))
-    shapes = ["uniform", "ushape"]
-    return [
-        synthetic_reference_path(rng, shape=shapes[i % 2], mean_total=float(spec["mean_total"]))
-        for i in range(int(spec["count"]))
-    ]
+    count = _whole(spec, "count", "experiment.paths", minimum=1)
+    try:
+        mean_total = float(spec["mean_total"])
+        if not mean_total >= 1:  # a day must be able to hold a transaction
+            raise ValueError(f"mean_total must be >= 1, got {spec['mean_total']!r}")
+        rng = np.random.default_rng(int(spec["seed"]))
+        shapes = ["uniform", "ushape"]
+        return [synthetic_reference_path(rng, shape=shapes[i % 2], mean_total=mean_total)
+                for i in range(count)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid experiment.paths: {exc}") from None
 
 
 def read_bar_price_rows(file) -> list[np.ndarray]:
@@ -282,8 +290,12 @@ def load_refs(resolved: dict, refs_files: list[str] | None):
                 raise DataError(f"refs file {file}: {exc}") from exc
         return clouds
     spec = resolved["experiment"]["refs"]
-    return make_student_t_refs(m_refs=int(spec["count"]), n_samples=int(spec["n_samples"]),
-                               df=float(spec["df"]), refs_seed=int(spec["seed"]))
+    count = _whole(spec, "count", "experiment.refs", minimum=1)
+    try:
+        return make_student_t_refs(m_refs=count, n_samples=int(spec["n_samples"]),
+                                   df=float(spec["df"]), refs_seed=int(spec["seed"]))
+    except (TypeError, ValueError, OverflowError) as exc:  # DegenerateSeriesError included
+        raise ConfigError(f"invalid experiment.refs: {exc}") from None
 
 
 @dataclass
@@ -386,11 +398,12 @@ def cmd_simulate(args) -> int:
         print(json.dumps(resolved, indent=2, sort_keys=True))
         return EXIT_OK
     config = simulation_config(resolved)
+    paths = load_paths(resolved, args.paths)
+    path_seed = _whole(resolved["experiment"], "path_seed", "experiment")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     output = run(config)
-    paths = load_paths(resolved, args.paths)
-    path = paths[trial_path_index(int(resolved["experiment"]["path_seed"]), 0, len(paths))]
+    path = paths[trial_path_index(path_seed, 0, len(paths))]
 
     ticks_path = out_dir / "ticks.csv"
     write_ticks_csv(output.ticks, ticks_path)
@@ -500,15 +513,19 @@ def cmd_experiment(args) -> int:
         print(json.dumps(resolved, indent=2, sort_keys=True))
         return EXIT_OK
     scenarios = parse_scenarios(args.scenarios)
-    trials = int(resolved["experiment"]["trials"])
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    exp = resolved["experiment"]
+    trials = _whole(exp, "trials", "experiment", minimum=1)
+    base_seed = _whole(exp, "base_seed", "experiment")
+    path_seed = _whole(exp, "path_seed", "experiment")
     base = simulation_config(resolved)
     grid = parameter_grid(resolved)
+    for n in scenarios:
+        if not enumerate_combos(ScenarioSpec.from_number(n), grid):
+            raise ConfigError(f"the grid holds no combo for scenario {n}")
     paths = load_paths(resolved, args.paths)
     refs = load_refs(resolved, args.refs)
-    base_seed = int(resolved["experiment"]["base_seed"])
-    path_seed = int(resolved["experiment"]["path_seed"])
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -516,7 +533,7 @@ def cmd_experiment(args) -> int:
     if ledger_path.exists() and not args.resume:
         ledger_path.unlink()
     try:
-        ledger = ComboLedger(ledger_path)
+        ledger = ComboLedger(ledger_path, run_digest(resolved, args.refs, args.paths))
     except LedgerError as exc:
         raise DataError(str(exc)) from exc
 

@@ -13,7 +13,8 @@ fully pins the output.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -72,7 +73,13 @@ class SimulationOutput:
 
 def validate_config(config: SimulationConfig) -> None:
     pop = config.population
+    for part in (config, pop, pop.cash):
+        for f in fields(part):
+            value = getattr(part, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
     checks = [
+        (config.seed >= 0, "seed must be >= 0"),
         (config.t_sim >= 1, "t_sim must be >= 1"),
         (config.p0 > 0, "p0 must be positive"),
         (config.fundamental_price > 0, "fundamental_price must be positive"),
@@ -95,9 +102,9 @@ def validate_config(config: SimulationConfig) -> None:
     for ok, msg in checks:
         if not ok:
             raise ConfigurationError(msg)
-    for lo, hi in config.no_exec_windows:
-        if not (1 <= lo <= hi):
-            raise ConfigurationError(f"bad no-exec window ({lo}, {hi})")
+    for window in config.no_exec_windows:
+        if len(window) != 2 or not 1 <= window[0] <= window[1]:
+            raise ConfigurationError(f"bad no-exec window {window}")
 
 
 def in_no_exec_window(step: int, windows) -> bool:

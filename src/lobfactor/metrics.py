@@ -145,12 +145,6 @@ def ot_distance(a: PointCloud, b: PointCloud) -> float:
     return cost_units / (n_a * n_b)
 
 
-def mean_ot(syn: PointCloud, refs: list[PointCloud]) -> float:
-    if not refs:
-        raise ValueError("need at least one reference cloud")
-    return float(np.mean([ot_distance(syn, ref) for ref in refs]))
-
-
 def theoretical_hill(z0: float, z1: float, z2: float) -> float:
     """Additive two-component prediction: z0 minus each component's solo drop."""
     return z1 + z2 - z0

@@ -107,13 +107,10 @@ def bar_volumes(sim, path: TransactionPath) -> tuple[int, ...]:
     trades = sim.trades
     if not trades:
         raise DegenerateTrialError("trial produced no trades")
-    idx = bar_indices(path, len(trades))
-    vols = []
-    prev = 0
-    for i in idx:
-        vols.append(sum(t.volume for t in trades[prev:i]))
-        prev = max(prev, i)
-    return tuple(vols)
+    # a minute's trades end at its index, or at the furthest earlier one
+    ends = np.maximum.accumulate(bar_indices(path, len(trades)))
+    shares_before = np.cumsum([0] + [t.volume for t in trades])
+    return tuple(np.diff(shares_before[ends], prepend=0).tolist())
 
 
 def log_returns(bars: BarSeries) -> np.ndarray:

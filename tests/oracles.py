@@ -1,5 +1,9 @@
 """Reference implementations used only to check production code.
 
+update_mood is the per-agent conformity rule that the engine applies inline
+in its mood pass. bar_volumes_loop sums each minute's trades one by one,
+where timegrid.bar_volumes differences a cumulative sum.
+
 vertex_ot enumerates transport-polytope vertices: with uniform per-side
 marginals, every vertex is a northwest-corner solution under some pair of
 row/column orderings, and the allocation pattern (which step moves how
@@ -10,6 +14,39 @@ cost is vectorized over orderings.
 from itertools import permutations
 
 import numpy as np
+
+from lobfactor.agents import AgentState, Mood
+
+
+def update_mood(
+    state: AgentState,
+    n_opt: int,
+    n_pes: int,
+    n_total: int,
+    nu: float,
+    u: float,
+) -> AgentState:
+    """One conformity draw: flip toward the opposite camp with probability
+    nu * (opposite camp size) / n_total. All-optimist and all-pessimist
+    states are absorbing. Mutates and returns the state."""
+    if state.mood is Mood.PESSIMISTIC:
+        if u < nu * n_opt / n_total:
+            state.mood = Mood.OPTIMISTIC
+    else:
+        if u < nu * n_pes / n_total:
+            state.mood = Mood.PESSIMISTIC
+    return state
+
+
+def bar_volumes_loop(trades, indices) -> tuple[int, ...]:
+    """Shares traded in each minute: the trades after the furthest earlier
+    index, up to this minute's index."""
+    vols = []
+    prev = 0
+    for i in indices:
+        vols.append(sum(t.volume for t in trades[prev:i]))
+        prev = max(prev, i)
+    return tuple(vols)
 
 
 def nw_allocation_pattern(n_a: int, n_b: int):

@@ -20,9 +20,9 @@ from lobfactor.agents import (
     predict_price,
     predict_return,
     sample_pareto,
-    update_mood,
 )
 from lobfactor.orderbook import Side
+from oracles import update_mood
 
 
 def make_agent(

@@ -345,6 +345,18 @@ class TestLedger:
         assert ledger.lookup(0, first, 1000, 2) is None
         assert ledger.lookup(0, second, 1000, 2) is not None
 
+    def test_line_of_another_run_digest_is_evaluated_again(self, tmp_path):
+        ledger_file = tmp_path / "ledger.jsonl"
+        combo = Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0, nu=0.0,
+                      alpha=0.1)
+        ComboLedger(ledger_file, "run-a").record(0, 1000, _fake_metrics(combo, 1.0, 3.0))
+        assert ComboLedger(ledger_file, "run-a").lookup(0, combo, 1000, 2) is not None
+        assert ComboLedger(ledger_file, "run-b").lookup(0, combo, 1000, 2) is None
+        record = json.loads(ledger_file.read_text())
+        del record["run_digest"]  # a line written before the ledger held run digests
+        ledger_file.write_text(json.dumps(record) + "\n")
+        assert ComboLedger(ledger_file).lookup(0, combo, 1000, 2) is None
+
     def test_unreadable_line_before_the_last_raises(self, tmp_path):
         ledger_file = tmp_path / "ledger.jsonl"
         ledger_file.write_text('{"scenario": 0\n{}\n')

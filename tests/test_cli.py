@@ -1,5 +1,7 @@
 """CLI behavior: config resolution, subcommands, exit codes, artifacts."""
 
+import copy
+import dataclasses
 import json
 import math
 import shutil
@@ -8,8 +10,11 @@ import subprocess
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lobfactor.calibration as calibration_mod
+from lobfactor.calibration import ParameterGrid
 from lobfactor.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -23,9 +28,13 @@ from lobfactor.cli import (
     ConfigError,
     config_digest,
     main,
+    parameter_grid,
     parse_scenarios,
     resolve_config,
+    run_digest,
+    simulation_config,
 )
+from lobfactor.engine import SimulationConfig
 from lobfactor.metrics import DegenerateSeriesError
 from lobfactor.timegrid import MINUTES_PER_DAY, read_bars_csv
 
@@ -121,6 +130,90 @@ class TestConfigResolution:
         b = resolve_config(None, None, "simulate")
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(resolve_config(None, 1, "simulate"))
+
+
+def _replaceable_nodes(doc, path=()):
+    """Paths of every value in a config document that is not a section."""
+    if not isinstance(doc, (dict, list)):
+        return [path]
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    nodes = [path] if isinstance(doc, list) else []
+    return nodes + [p for key, value in items for p in _replaceable_nodes(value, (*path, key))]
+
+
+BUILT_NODES = [p for p in _replaceable_nodes(DEFAULT_CONFIG)
+               if p[0] == "simulation" or p[:2] == ("experiment", "grid")]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=2),
+    max_leaves=6,
+)
+
+
+class TestBuildConfig:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(BUILT_NODES), JSON_VALUES), min_size=1, max_size=3))
+    def test_mutated_default_builds_or_raises_config_error(self, mutations):
+        doc = copy.deepcopy(DEFAULT_CONFIG)
+        for path, value in sorted(mutations, key=lambda m: -len(m[0])):  # children first
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        for build in (simulation_config, parameter_grid):
+            try:
+                build(doc)
+            except ConfigError:
+                pass
+
+    def test_defaults_round_trip_to_the_dataclasses(self):
+        resolved = resolve_config(None, None, "experiment")
+        assert simulation_config(resolved) == SimulationConfig()
+        grid = parameter_grid(resolved)
+        assert dataclasses.replace(grid, cash_options=()) == dataclasses.replace(
+            ParameterGrid(), cash_options=())
+
+    @pytest.mark.parametrize("document, extra", [
+        ('{"simulation": {"population": {"n_agents": 0}}}', []),
+        ('{"simulation": {"no_exec_windows": [[1]]}}', []),
+        ('{"simulation": {"population": {"cash": {"kind": "lognormal"}}}}', []),
+        ('{"simulation": {"p0": 1e309}}', []),
+        ('{"simulation": {"fundamental_price": 1e309}}', []),
+        ('{"simulation": {"tick_size": 1e309}}', []),
+        ('{"simulation": {"sigma_sq_order": 1e309}}', []),
+        ('{"simulation": {"t_sim": "long"}}', []),
+        ('{"simulation": {"population": {"n_agents": 30.5}}}', []),
+        ('{"experiment": {"grid": {"alpha": 0.1}}}', []),
+        ('{"experiment": {"grid": {"alpha": []}}}', []),
+        ('{"experiment": {"grid": {"alpha": [-0.1]}}}', []),
+        ('{"experiment": {"refs": {"count": 0}}}', []),
+        ('{"experiment": {"refs": {"df": 0}}}', []),
+        ('{"experiment": {"paths": {"count": 0}}}', []),
+        ('{"experiment": {"paths": {"mean_total": 0}}}', []),
+        ('{"experiment": {"base_seed": -1}}', []),
+        ("{}", ["--workers", "0"]),
+    ])
+    def test_bad_config_exits_before_writing(self, document, extra, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(document)
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(config), "--scenarios", "0",
+                     "--trials", "1", "--out", str(out), *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_run_digest_covers_config_and_input_files(self, tmp_path):
+        resolved = resolve_config(None, None, "experiment")
+        data = tmp_path / "input.csv"
+        data.write_text("1\n")
+        first = run_digest(resolved, None, str(data))
+        assert run_digest(resolved, None, str(data)) == first
+        assert run_digest(resolved, [str(data)], None) != first  # same bytes, other role
+        assert run_digest(resolve_config(None, 5, "experiment"), None, str(data)) != first
+        data.write_text("2\n")
+        assert run_digest(resolved, None, str(data)) != first
 
 
 class TestParseScenarios:
@@ -314,6 +407,22 @@ class TestExperiment:
         assert main(["experiment", "--config", sim_config, "--scenarios", "0,1,2,4",
                      "--out", str(out), "--resume"]) == EXIT_OK
         assert {name: (out / name).read_bytes() for name in names} == first
+
+    def test_resume_under_changed_config_simulates_again(self, sim_config, tmp_path):
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", sim_config, "--scenarios", "0",
+                     "--out", str(out)]) == EXIT_OK
+        old = (out / "table2.csv").read_bytes()
+        with open(sim_config) as fh:
+            document = json.load(fh)
+        document["simulation"]["t_sim"] = 350
+        changed = write_json(tmp_path / "changed.json", document)
+        assert main(["experiment", "--config", changed, "--scenarios", "0",
+                     "--out", str(out), "--resume"]) == EXIT_OK
+        fresh = tmp_path / "fresh"
+        assert main(["experiment", "--config", changed, "--scenarios", "0",
+                     "--out", str(fresh)]) == EXIT_OK
+        assert (out / "table2.csv").read_bytes() == (fresh / "table2.csv").read_bytes() != old
 
     def test_resume_drops_cut_off_ledger_line(self, sim_config, tmp_path, capsys):
         out = tmp_path / "exp"

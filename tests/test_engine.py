@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lobfactor.agents import CashSpec, Mood, PopulationConfig, init_population, update_mood
+from lobfactor.agents import CashSpec, Mood, PopulationConfig, init_population
 from lobfactor.engine import (
     ConfigurationError,
     Engine,
@@ -15,6 +15,7 @@ from lobfactor.engine import (
     write_ticks_csv,
 )
 from lobfactor.orderbook import Side
+from oracles import update_mood
 
 
 def small_config(seed: int = 0, **pop_kwargs) -> SimulationConfig:
@@ -39,6 +40,12 @@ class TestValidation:
         dict(sigma_sq_order=0.0),
         dict(no_exec_windows=((0, 10),)),
         dict(no_exec_windows=((50, 40),)),
+        dict(no_exec_windows=((1,),)),
+        dict(p0=float("inf")),
+        dict(fundamental_price=float("inf")),
+        dict(tick_size=float("nan")),
+        dict(sigma_sq_order=float("inf")),
+        dict(seed=-1),
     ])
     def test_bad_engine_fields_rejected(self, patch):
         with pytest.raises(ConfigurationError):
@@ -50,6 +57,7 @@ class TestValidation:
         dict(alpha=0.0),
         dict(lambda_f=-1.0),
         dict(cash=CashSpec(kind="normal")),
+        dict(cash=CashSpec(c_max=float("inf"))),
     ])
     def test_bad_population_fields_rejected(self, patch):
         with pytest.raises(ConfigurationError):

@@ -11,7 +11,11 @@ import json
 
 import pytest
 
-from lobfactor.cli import EXIT_OK, SEED_ENV_VAR, main
+from lobfactor.cli import EXIT_OK, SEED_ENV_VAR, config_digest, main, resolve_config
+
+# the resolved default config: manifests of default runs stay comparable
+DEFAULT_CONFIG_DIGEST = "a610a9702f42686c4e1233ff040eabe866198d3c0588b7e5b27b8f940d3879af"
+PRINT_CONFIG_DIGEST = "813573029782e6e5a7bef859625d8e85de9f807bcf7ac636d4905d6914c6f859"
 
 SMALL_SIMULATION = {
     "t_sim": 300,
@@ -71,6 +75,13 @@ def digests(out_dir, names) -> dict[str, str]:
 def write_config(path, document) -> str:
     path.write_text(json.dumps(document))
     return str(path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "metrics", "experiment"])
+def test_default_config_matches_golden_digests(command, capsys):
+    assert config_digest(resolve_config(None, None, command)) == DEFAULT_CONFIG_DIGEST
+    assert main([command, "--print-config"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PRINT_CONFIG_DIGEST
 
 
 @pytest.mark.parametrize("scenario", sorted(SIMULATE_DIGESTS))

@@ -11,7 +11,6 @@ from lobfactor.metrics import (
     build_tail_cloud,
     default_tail_k,
     hill_index,
-    mean_ot,
     ot_distance,
     standardize,
     stylized_facts,
@@ -199,32 +198,6 @@ class TestOtDistance:
         xa, xb = rng.random(n_a) * 3, rng.random(n_b) * 3
         got = ot_distance(PointCloud(xa.reshape(-1, 1)), PointCloud(xb.reshape(-1, 1)))
         assert got == pytest.approx(linprog_ot(xa, xb), abs=1e-8)
-
-
-class TestMeanOt:
-    def test_self_reference_zero(self):
-        cloud = build_tail_cloud(pareto_grid(3.0, 200), k=10)
-        assert mean_ot(cloud, [cloud]) == 0.0
-
-    def test_two_reference_average(self):
-        rng = np.random.default_rng(9)
-        syn = PointCloud(rng.random((5, 1)))
-        r1 = PointCloud(rng.random((5, 1)))
-        r2 = PointCloud(rng.random((6, 1)))
-        a, b = ot_distance(syn, r1), ot_distance(syn, r2)
-        assert mean_ot(syn, [r1, r2]) == pytest.approx((a + b) / 2)
-
-    def test_loop_oracle_over_many_refs(self):
-        rng = np.random.default_rng(10)
-        syn = build_tail_cloud(pareto_grid(2.8, 400), k=20)
-        refs = [build_tail_cloud(rng.pareto(3.0, size=300) + 1e-9, k=15, source_id=str(m))
-                for m in range(18)]
-        expected = sum(ot_distance(syn, r) for r in refs) / 18
-        assert mean_ot(syn, refs) == pytest.approx(expected, abs=1e-15)
-
-    def test_empty_refs_rejected(self):
-        with pytest.raises(ValueError):
-            mean_ot(PointCloud([[0.0]]), [])
 
 
 class TestTheoreticalHill:

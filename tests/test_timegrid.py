@@ -24,6 +24,7 @@ from lobfactor.timegrid import (
     synthetic_reference_path,
     write_bars_csv,
 )
+from oracles import bar_volumes_loop
 
 
 class FakeSim:
@@ -152,6 +153,24 @@ class TestAssignCalendarTime:
         # indices [0, 0, 1, 1, 3, 3, 10, 10, ...]: volumes 1, then 2+3, then 4..10
         assert vols[:7] == (0, 0, 1, 0, 5, 0, sum(range(4, 11)))
         assert sum(vols) == sum(t.volume for t in sim.trades)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_trades=st.integers(1, 400),
+           counts=st.lists(st.integers(0, 3), min_size=MINUTES_PER_DAY,
+                           max_size=MINUTES_PER_DAY).filter(any))
+    def test_bar_volumes_match_loop_reference(self, n_trades, counts):
+        sim = make_sim(n_trades)
+        path = scaled_path_from_counts(counts)
+        vols = bar_volumes(sim, path)
+        assert vols == bar_volumes_loop(sim.trades, bar_indices(path, n_trades))
+        assert all(type(v) is int for v in vols)
+
+    def test_bar_volumes_ignore_an_index_that_steps_back(self):
+        # fractions may dip by up to 1e-12, which can pull an index back by one
+        sim = make_sim(1)
+        path = TransactionPath(pad_fractions([0.5, 0.5 - 1e-13]))
+        assert bar_indices(path, 1)[:3] == [1, 0, 1]
+        assert bar_volumes(sim, path) == bar_volumes_loop(sim.trades, bar_indices(path, 1))
 
 
 class TestLogReturns:
