@@ -36,11 +36,6 @@ class CashSpec:
     c_min: float = 5_000.0
     beta: float = 1.5
 
-    def mean(self) -> float:
-        if self.kind == "uniform":
-            return self.c_max / 2.0
-        return self.beta * self.c_min / (self.beta - 1.0)
-
 
 @dataclass
 class PopulationConfig:

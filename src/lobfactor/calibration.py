@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -259,10 +260,11 @@ def _evaluate_task(args) -> ComboMetrics:
 class ComboLedger:
     """Append-only JSONL record of finished combos, keyed for safe resume.
 
-    A line counts as not done unless it carries this ledger's run digest
-    (the CLI's digest of the resolved config and input files) and stylized
-    facts. A run killed mid-append leaves a cut-off last line: it is dropped
-    from the file, so its combo is evaluated again.
+    A line counts as done only if it carries this ledger's run digest (the
+    CLI's digest of the resolved config and input files) and stylized facts.
+    On open, every other line is dropped and the file rewritten to hold only
+    the done lines. A run killed mid-append leaves a cut-off last line: it is
+    dropped too, with a warning, so its combo is evaluated again.
     """
 
     def __init__(self, path: str | Path | None, run_digest: str = ""):
@@ -271,7 +273,7 @@ class ComboLedger:
         self._done: dict[tuple, dict] = {}
         if self.path and self.path.exists():
             lines = self.path.read_bytes().splitlines(keepends=True)
-            kept = 0  # bytes of the lines read so far
+            kept = []
             for line_no, line in enumerate(lines, start=1):
                 try:
                     rec = json.loads(line) if line.strip() else {}
@@ -279,17 +281,16 @@ class ComboLedger:
                     if line_no < len(lines):
                         raise LedgerError(
                             f"{self.path}: line {line_no} is not a ledger record") from None
-                    self._drop_cut_off_line(kept, line_no)
+                    print(f"warning: {self.path}: dropped cut-off line {line_no}; "
+                          "its combo will be evaluated again", file=sys.stderr)
                     break
-                kept += len(line)
                 if "stylized" in rec and rec.get("run_digest") == run_digest:
                     self._done[self._key(rec)] = rec
-
-    def _drop_cut_off_line(self, offset: int, line_no: int) -> None:
-        with open(self.path, "r+b") as fh:
-            fh.truncate(offset)
-        print(f"warning: {self.path}: dropped cut-off line {line_no}; "
-              "its combo will be evaluated again", file=sys.stderr)
+                    kept.append(line)
+            if len(kept) < len(lines):
+                tmp = self.path.with_name(self.path.name + ".tmp")
+                tmp.write_bytes(b"".join(kept))
+                os.replace(tmp, self.path)
 
     @staticmethod
     def _key(rec: dict) -> tuple:

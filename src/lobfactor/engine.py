@@ -107,10 +107,6 @@ def validate_config(config: SimulationConfig) -> None:
             raise ConfigurationError(f"bad no-exec window {window}")
 
 
-def in_no_exec_window(step: int, windows) -> bool:
-    return any(lo <= step <= hi for lo, hi in windows)
-
-
 class Engine:
     """One trial's mutable state; exposed to per-step callbacks for inspection."""
 
@@ -125,7 +121,6 @@ class Engine:
         # that releases cancel additions exactly
         self._comm_ticks = [0] * config.population.n_agents
         self._order_owner: dict[int, tuple[Order, Agent]] = {}
-        self._expiry_buckets: dict[int, list[tuple[Order, Agent]]] = {}
         self._next_order_id = 1
 
     def _sync_committed(self, agent: Agent) -> None:
@@ -222,15 +217,9 @@ class Engine:
                                 0, trade.volume, self.n_opt,
                             ))
                         all_trades.extend(trades)
-                    if order.volume > 0:
-                        self._expiry_buckets.setdefault(order.expiry_step, []).append(
-                            (order, agent)
-                        )
 
-            for order, owner in self._expiry_buckets.pop(t, ()):
-                if order.volume > 0:
-                    self._release(owner, order, order.volume)
-            book.expire(t)
+            for order, volume in book.expire(t):
+                self._release(agents[order.agent_id], order, volume)
 
             if mood_on and 0 < self.n_opt < n:
                 n_opt = self.n_opt
@@ -264,13 +253,6 @@ class Engine:
 def run(config: SimulationConfig, on_step: Callable | None = None) -> SimulationOutput:
     """Run one trial. Byte-identical outputs for identical (config, seed)."""
     return Engine(config).run(on_step=on_step)
-
-
-def daily_mood_change_rate(optimists_rate: list[float]) -> float:
-    """Spread of the optimist share over a run: max minus min."""
-    if not optimists_rate:
-        raise ValueError("optimists_rate is empty")
-    return max(optimists_rate) - min(optimists_rate)
 
 
 TICKS_CSV_COLUMNS = (

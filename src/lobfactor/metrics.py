@@ -101,13 +101,6 @@ def build_tail_cloud(abs_returns, k: int | None = None, source_id: str = "") -> 
     return PointCloud(tail_log_ratios(x, k).reshape(-1, 1), source_id=source_id)
 
 
-def subsample(cloud: PointCloud, size: int, rng: np.random.Generator) -> PointCloud:
-    if size > cloud.size:
-        raise ValueError(f"cannot take {size} of {cloud.size} points without replacement")
-    idx = rng.choice(cloud.size, size=size, replace=False)
-    return PointCloud(cloud.points[idx], source_id=cloud.source_id)
-
-
 def ot_distance(a: PointCloud, b: PointCloud) -> float:
     """Exact OT cost between uniform empirical measures, squared-distance ground cost.
 

@@ -34,8 +34,8 @@ def align_to_tick(price: float, tick: float) -> float:
     """
     if not math.isfinite(price):
         raise ValueError(f"price must be finite, got {price!r}")
-    dtick = Decimal(repr(tick))
-    n = (Decimal(repr(price)) / dtick).to_integral_value(rounding=ROUND_HALF_UP)
+    dtick = Decimal(repr(float(tick)))
+    n = (Decimal(repr(float(price))) / dtick).to_integral_value(rounding=ROUND_HALF_UP)
     return float(n * dtick)
 
 
@@ -180,24 +180,26 @@ class Book:
             self._rest(order, ticks)
         return trades
 
-    def expire(self, step: int) -> int:
-        """Drop every resting order whose expiry_step is <= step. Returns the count."""
-        removed = 0
+    def expire(self, step: int) -> list[tuple[Order, int]]:
+        """Drop every resting order whose expiry_step is <= step.
+
+        Returns each dropped order with the volume it still had, in
+        (expiry_step, order_id) order; the order's own volume is zeroed.
+        """
+        dropped = []
         heap = self._expiry_heap
         while heap and heap[0][0] <= step:
             _, order_id = heapq.heappop(heap)
-            order = self._orders.get(order_id)
-            if order is None or order.volume == 0:
-                continue  # already fully filled
+            order = self._orders[order_id]
+            if order.volume == 0:
+                continue  # fully filled while resting
             levels = self.bids if order.side is Side.BUY else self.asks
             ticks = self._ticks(order.limit_price)
-            queue = levels.get(ticks)
-            if queue is None or order not in queue:
-                continue
+            queue = levels[ticks]
             queue.remove(order)
             if not queue:
                 del levels[ticks]
             self.expired_volume[order.side] += order.volume
+            dropped.append((order, order.volume))
             order.volume = 0
-            removed += 1
-        return removed
+        return dropped

@@ -176,20 +176,3 @@ def write_bars_csv(bars_list: list[BarSeries], path) -> None:
         for bars in bars_list:
             writer.writerow([bars.day_id] + [repr(float(p)) for p in bars.mid_prices])
 
-
-def read_bars_csv(path) -> list[BarSeries]:
-    out = []
-    with open(path, newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if row_no == 1 and row and row[0] == "day_id":
-                continue
-            if len(row) != MINUTES_PER_DAY + 1:
-                raise ValueError(f"{path}: row {row_no} has {len(row)} columns, expected {MINUTES_PER_DAY + 1}")
-            try:
-                prices = tuple(float(c) for c in row[1:])
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row_no}: non-numeric price ({exc})") from None
-            out.append(BarSeries(prices, day_id=row[0]))
-    if not out:
-        raise ValueError(f"{path}: no bar rows found")
-    return out

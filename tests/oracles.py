@@ -1,8 +1,12 @@
 """Reference implementations used only to check production code.
 
 update_mood is the per-agent conformity rule that the engine applies inline
-in its mood pass. bar_volumes_loop sums each minute's trades one by one,
-where timegrid.bar_volumes differences a cumulative sum.
+in its mood pass. in_no_exec_window is the step-by-step form of the windows
+the engine turns into one boolean mask: no trade may carry a step inside a
+window. daily_mood_change_rate is the optimist share's spread over a day
+(max minus min), the statistic of the mood-band check. bar_volumes_loop sums
+each minute's trades one by one, where timegrid.bar_volumes differences a
+cumulative sum.
 
 vertex_ot enumerates transport-polytope vertices: with uniform per-side
 marginals, every vertex is a northwest-corner solution under some pair of
@@ -36,6 +40,17 @@ def update_mood(
         if u < nu * n_pes / n_total:
             state.mood = Mood.PESSIMISTIC
     return state
+
+
+def in_no_exec_window(step: int, windows) -> bool:
+    return any(lo <= step <= hi for lo, hi in windows)
+
+
+def daily_mood_change_rate(optimists_rate: list[float]) -> float:
+    """Spread of the optimist share over a run: max minus min."""
+    if not optimists_rate:
+        raise ValueError("optimists_rate is empty")
+    return max(optimists_rate) - min(optimists_rate)
 
 
 def bar_volumes_loop(trades, indices) -> tuple[int, ...]:

@@ -350,12 +350,16 @@ class TestLedger:
         combo = Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0, nu=0.0,
                       alpha=0.1)
         ComboLedger(ledger_file, "run-a").record(0, 1000, _fake_metrics(combo, 1.0, 3.0))
+        line = ledger_file.read_text()
         assert ComboLedger(ledger_file, "run-a").lookup(0, combo, 1000, 2) is not None
+        assert ledger_file.read_text() == line
         assert ComboLedger(ledger_file, "run-b").lookup(0, combo, 1000, 2) is None
-        record = json.loads(ledger_file.read_text())
+        assert ledger_file.read_text() == ""  # rewritten without run-a's line
+        record = json.loads(line)
         del record["run_digest"]  # a line written before the ledger held run digests
         ledger_file.write_text(json.dumps(record) + "\n")
         assert ComboLedger(ledger_file).lookup(0, combo, 1000, 2) is None
+        assert ledger_file.read_text() == ""
 
     def test_unreadable_line_before_the_last_raises(self, tmp_path):
         ledger_file = tmp_path / "ledger.jsonl"

@@ -1,11 +1,15 @@
 """CLI behavior: config resolution, subcommands, exit codes, artifacts."""
 
 import copy
+import csv
 import dataclasses
 import json
 import math
-import shutil
+import os
 import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -30,13 +34,14 @@ from lobfactor.cli import (
     main,
     parameter_grid,
     parse_scenarios,
+    read_bar_price_rows,
     resolve_config,
     run_digest,
     simulation_config,
 )
 from lobfactor.engine import SimulationConfig
 from lobfactor.metrics import DegenerateSeriesError
-from lobfactor.timegrid import MINUTES_PER_DAY, read_bars_csv
+from lobfactor.timegrid import BARS_CSV_HEADER, MINUTES_PER_DAY
 
 
 @pytest.fixture(autouse=True)
@@ -270,10 +275,12 @@ class TestSimulate:
     def test_bars_round_trip_through_strict_reader(self, sim_config, tmp_path):
         out = tmp_path / "run"
         main(["simulate", "--config", sim_config, "--seed", "7", "--out", str(out)])
-        bars_list = read_bars_csv(out / "bars.csv")
-        assert len(bars_list) == 1
-        assert len(bars_list[0].mid_prices) == MINUTES_PER_DAY
-        assert bars_list[0].day_id == "seed7"
+        with open(out / "bars.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert tuple(header) == BARS_CSV_HEADER
+        assert [row[0] for row in rows] == ["seed7"]
+        prices = read_bar_price_rows(out / "bars.csv")
+        assert [p.size for p in prices] == [MINUTES_PER_DAY]
 
     def test_env_seed_changes_output(self, sim_config, tmp_path, monkeypatch):
         out_a = tmp_path / "a"
@@ -423,6 +430,8 @@ class TestExperiment:
         assert main(["experiment", "--config", changed, "--scenarios", "0",
                      "--out", str(fresh)]) == EXIT_OK
         assert (out / "table2.csv").read_bytes() == (fresh / "table2.csv").read_bytes() != old
+        # the other config's lines are gone from the resumed ledger
+        assert (out / "ledger.jsonl").read_bytes() == (fresh / "ledger.jsonl").read_bytes()
 
     def test_resume_drops_cut_off_ledger_line(self, sim_config, tmp_path, capsys):
         out = tmp_path / "exp"
@@ -517,9 +526,14 @@ class TestExperiment:
 
 
 class TestConsoleScript:
-    @pytest.mark.skipif(shutil.which("lobfactor") is None,
-                        reason="console script not installed")
     def test_version_runs(self):
-        proc = subprocess.run(["lobfactor", "--version"], capture_output=True, text=True)
+        root = Path(__file__).resolve().parents[1]
+        pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+        assert pyproject["project"]["scripts"]["lobfactor"] == "lobfactor.cli:main"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "lobfactor.cli", "--version"],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "lobfactor" in proc.stdout

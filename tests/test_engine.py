@@ -8,14 +8,12 @@ from lobfactor.engine import (
     ConfigurationError,
     Engine,
     SimulationConfig,
-    daily_mood_change_rate,
-    in_no_exec_window,
     run,
     validate_config,
     write_ticks_csv,
 )
 from lobfactor.orderbook import Side
-from oracles import update_mood
+from oracles import daily_mood_change_rate, in_no_exec_window, update_mood
 
 
 def small_config(seed: int = 0, **pop_kwargs) -> SimulationConfig:

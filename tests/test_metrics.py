@@ -14,7 +14,6 @@ from lobfactor.metrics import (
     ot_distance,
     standardize,
     stylized_facts,
-    subsample,
     tail_log_ratios,
     theoretical_hill,
 )
@@ -121,34 +120,6 @@ class TestTailCloud:
         a = build_tail_cloud(x, k=15)
         b = build_tail_cloud(x + 1.0, k=15)
         assert not np.allclose(a.points, b.points)
-
-
-class TestSubsample:
-    def test_full_size_is_same_multiset(self):
-        cloud = PointCloud(np.arange(8, dtype=float).reshape(-1, 1))
-        out = subsample(cloud, 8, np.random.default_rng(0))
-        assert sorted(out.points[:, 0]) == sorted(cloud.points[:, 0])
-
-    def test_single_element_from_input(self):
-        cloud = PointCloud(np.array([[1.0], [2.0], [3.0]]))
-        out = subsample(cloud, 1, np.random.default_rng(1))
-        assert out.points[0, 0] in {1.0, 2.0, 3.0}
-
-    def test_oversample_rejected(self):
-        cloud = PointCloud(np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            subsample(cloud, 2, np.random.default_rng(0))
-
-    def test_inclusion_uniformity(self):
-        cloud = PointCloud(np.arange(5, dtype=float).reshape(-1, 1))
-        rng = np.random.default_rng(42)
-        reps = 100_000
-        hits = np.zeros(5)
-        for _ in range(reps):
-            out = subsample(cloud, 2, rng)
-            for v in out.points[:, 0]:
-                hits[int(v)] += 1
-        assert hits / reps == pytest.approx([0.4] * 5, abs=0.01)
 
 
 class TestOtDistance:

@@ -7,6 +7,7 @@ reference matcher built on linear scans over a flat order list.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,11 +70,12 @@ class NaiveBook:
         return out
 
     def expire(self, step):
+        """(order_id, residual volume) of each dropped order, in submission order."""
         gone = [o for o in self.resting if o.expiry_step <= step]
         for o in gone:
             self.expired[o.side] += o.volume
             self.resting.remove(o)
-        return len(gone)
+        return [(o.order_id, o.volume) for o in gone]
 
 
 def mk(order_id, side, price, vol, step=1, expiry=10_000):
@@ -86,6 +88,11 @@ def test_align_tie_rounds_up():
 
 def test_align_nearest_down():
     assert align_to_tick(299.99992, 1e-4) == align_oracle(299.99992, 1e-4) == 299.9999
+
+
+def test_align_accepts_numpy_scalars():
+    assert align_to_tick(np.float64(300.0), 1e-4) == 300.0
+    assert align_to_tick(np.float64(300.00005), np.float64(1e-4)) == 300.0001
 
 
 def test_align_non_finite_rejected():
@@ -135,7 +142,7 @@ def test_expiry_removes_stale_orders():
     b = Book(tick=TICK)
     b.submit(mk(1, Side.BUY, 299.0, 5, step=1, expiry=5))
     b.submit(mk(2, Side.BUY, 298.0, 7, step=1, expiry=9))
-    assert b.expire(5) == 1
+    assert [(o.order_id, v) for o, v in b.expire(5)] == [(1, 5)]
     assert b.expired_volume[Side.BUY] == 5
     assert b.resting_volume(Side.BUY) == 7
 
@@ -144,7 +151,7 @@ def test_partial_fill_then_expiry_counts_residual():
     b = Book(tick=TICK)
     b.submit(mk(1, Side.SELL, 300.0, 10, step=1, expiry=4))
     b.submit(mk(2, Side.BUY, 300.0, 4, step=2))
-    assert b.expire(4) == 1
+    assert [(o.order_id, v) for o, v in b.expire(4)] == [(1, 6)]
     assert b.executed_volume[Side.SELL] == 4
     assert b.expired_volume[Side.SELL] == 6
 
@@ -191,7 +198,7 @@ def test_random_streams_match_naive_oracle(stream):
         trades = b.submit(Order(step, 0, side, price, vol, step, step + life), enabled)
         ref_trades = ref.submit(Order(step, 0, side, price, vol, step, step + life), enabled)
         assert [(t.buy_order_id, t.sell_order_id, t.price, t.volume) for t in trades] == ref_trades
-        assert b.expire(step) == ref.expire(step)
+        assert [(o.order_id, v) for o, v in b.expire(step)] == ref.expire(step)
         # volume conservation per side, at all times
         for s in (Side.BUY, Side.SELL):
             assert b.submitted_volume[s] == (

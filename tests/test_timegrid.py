@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lobfactor.cli import DataError, read_bar_price_rows
 from lobfactor.orderbook import Trade
 from lobfactor.timegrid import (
+    BARS_CSV_HEADER,
     MINUTES_PER_DAY,
     BarSeries,
     DegenerateDayError,
@@ -18,7 +20,6 @@ from lobfactor.timegrid import (
     bar_indices,
     bar_volumes,
     log_returns,
-    read_bars_csv,
     read_count_paths_csv,
     scaled_path_from_counts,
     synthetic_reference_path,
@@ -227,16 +228,18 @@ class TestCsvIO:
         ]
         out = tmp_path / "bars.csv"
         write_bars_csv(bars, out)
-        back = read_bars_csv(out)
-        assert [b.day_id for b in back] == ["a", "b"]
-        assert back[0].mid_prices == bars[0].mid_prices
-        assert back[1].mid_prices == bars[1].mid_prices
+        back = read_bar_price_rows(out)
+        assert [tuple(prices) for prices in back] == [b.mid_prices for b in bars]
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert tuple(rows[0]) == BARS_CSV_HEADER
+        assert [row[0] for row in rows[1:]] == ["a", "b"]
 
     def test_bars_wrong_width_names_row(self, tmp_path):
         out = tmp_path / "bad.csv"
         out.write_text("day_id,m001\nx,1.0\n")
-        with pytest.raises(ValueError, match="row 2"):
-            read_bars_csv(out)
+        with pytest.raises(DataError, match="row 2"):
+            read_bar_price_rows(out)
 
     def test_counts_read(self, tmp_path):
         out = tmp_path / "counts.csv"
