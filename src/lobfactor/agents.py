@@ -13,18 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .orderbook import Order, Side, align_to_tick
 
 RETURN_HORIZON_CLAMP = 10.0  # bound on tau * r_hat inside exp()
-
-
-class Mood(Enum):
-    OPTIMISTIC = "optimistic"
-    PESSIMISTIC = "pessimistic"
 
 
 @dataclass
@@ -68,10 +62,11 @@ class AgentParams:
 class AgentState:
     cash: float
     shares: int
-    mood: Mood
-    # cash/shares pledged to resting orders; keeps fills from ever driving
-    # holdings negative while several orders are live
-    committed_cash: float = 0.0
+    optimistic: bool
+    # cash (in whole ticks, so releases cancel additions exactly) and shares
+    # pledged to resting orders; keeps fills from ever driving holdings
+    # negative while several orders are live
+    committed_ticks: int = 0
     committed_shares: int = 0
 
 
@@ -136,7 +131,7 @@ def init_population(config: PopulationConfig, rng: np.random.Generator) -> list[
         state = AgentState(
             cash=float(cash[j]),
             shares=int(shares[j]),
-            mood=Mood.OPTIMISTIC if optimist[j] else Mood.PESSIMISTIC,
+            optimistic=bool(optimist[j]),
         )
         agents.append(Agent(j, params, state))
     return agents
@@ -160,7 +155,7 @@ def predict_return(
     if params.w_c > 0.0:
         acc += params.w_c / params.tau * math.log(p_t / p_lag)
     if params.w_m > 0.0:
-        acc += params.w_m * (1.0 if state.mood is Mood.OPTIMISTIC else -1.0)
+        acc += params.w_m * (1.0 if state.optimistic else -1.0)
     if params.w_n > 0.0:
         acc += params.w_n * eps
     return acc / total
@@ -200,7 +195,7 @@ def decide_order(
     pi_star = math.log(p_hat / p_t) / (params.alpha_j * sigma_sq * p_t)
     delta = round(pi_star) - state.shares
     if delta > 0:
-        affordable = int((state.cash - state.committed_cash) / limit)
+        affordable = int((state.cash - state.committed_ticks * tick) / limit)
         volume = min(delta, v_max, affordable)
         side = Side.BUY
     elif delta < 0:

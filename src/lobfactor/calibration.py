@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -129,8 +130,9 @@ def enumerate_combos(scenario: ScenarioSpec, grid: ParameterGrid) -> list[Combo]
     """Cartesian product over searched dimensions; off components pinned.
 
     Zero entries in the lambda grids encode "component off", so an on flag
-    enumerates only the nonzero values and an off flag pins zero. Mood off
-    also pins nu to zero since no mood update can matter.
+    enumerates only the nonzero values and an off flag pins zero. With the
+    mood component off, nu is pinned to zero too, since no mood update can
+    matter.
     """
     cash_opts = [c for c in grid.cash_options if c.kind == "pareto"] if scenario.pareto_cash \
         else [c for c in grid.cash_options if c.kind == "uniform"]
@@ -264,7 +266,8 @@ class ComboLedger:
     CLI's digest of the resolved config and input files) and stylized facts.
     On open, every other line is dropped and the file rewritten to hold only
     the done lines. A run killed mid-append leaves a cut-off last line: it is
-    dropped too, with a warning, so its combo is evaluated again.
+    dropped too, with a warning, so its combo is evaluated again; that
+    includes a line cut just before its newline.
     """
 
     def __init__(self, path: str | Path | None, run_digest: str = ""):
@@ -278,9 +281,11 @@ class ComboLedger:
                 try:
                     rec = json.loads(line) if line.strip() else {}
                 except ValueError:
+                    rec = None
+                # a last line without its newline is an unfinished append
+                if rec is None or not line.endswith(b"\n"):
                     if line_no < len(lines):
-                        raise LedgerError(
-                            f"{self.path}: line {line_no} is not a ledger record") from None
+                        raise LedgerError(f"{self.path}: line {line_no} is not a ledger record")
                     print(f"warning: {self.path}: dropped cut-off line {line_no}; "
                           "its combo will be evaluated again", file=sys.stderr)
                     break
@@ -376,14 +381,14 @@ def calibrate(
         (build_config(base, combo), n_trials, base_seed, refs, paths, path_seed, combo)
         for _, combo in pending
     ]
-    if workers > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fresh = list(pool.map(_evaluate_task, tasks))
-    else:
-        fresh = [ _evaluate_task(t) for t in tasks ]
-    for (idx, _), metrics in zip(pending, fresh):
-        results[idx] = metrics
-        ledger.record(scenario.scenario_no, base_seed, metrics)
+    # each result is recorded as it arrives, in enumeration order, so an
+    # interrupted run keeps every combo finished before the interruption
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 and tasks
+          else nullcontext()) as pool:
+        fresh = pool.map(_evaluate_task, tasks) if pool else map(_evaluate_task, tasks)
+        for (idx, _), metrics in zip(pending, fresh):
+            results[idx] = metrics
+            ledger.record(scenario.scenario_no, base_seed, metrics)
     usable = [(i, m) for i, m in enumerate(results) if not m.unstable]
     if not usable:
         raise CalibrationError(f"scenario {scenario.scenario_no}: every combo unstable")

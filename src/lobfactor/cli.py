@@ -34,7 +34,7 @@ from .calibration import (
     sweep_lambda_c,
     trial_path_index,
 )
-from .engine import ConfigurationError, SimulationConfig, run, validate_config, write_ticks_csv
+from .engine import ConfigurationError, SimulationConfig, TickRecord, run, validate_config
 from .metrics import (
     DegenerateSeriesError,
     build_tail_cloud,
@@ -44,11 +44,12 @@ from .metrics import (
     stylized_facts,
 )
 from .timegrid import (
+    MINUTES_PER_DAY,
+    BarSeries,
     TransactionPath,
     assign_calendar_time,
     read_count_paths_csv,
     synthetic_reference_path,
-    write_bars_csv,
 )
 
 EXIT_OK = 0
@@ -374,22 +375,37 @@ TABLE4_COLUMNS = ("scenario", "kurtosis", "vol_volume_corr",
 SYNERGY_COLUMNS = ("observed_hill_4", "theoretical_hill_4", "observed_lower")
 FIG5_COLUMNS = ("lambda_c", "series", "hill_mean", "hill_std", "n_points")
 SERIES_COLUMNS = ("step", "mid_price", "log_return", "optimists_rate")
+TICKS_CSV_COLUMNS = ("step", "event", "market_price", "mid_price", "best_bid", "best_ask",
+                     "order_volume", "exec_volume", "n_optimists")
+BARS_CSV_HEADER = ("day_id",) + tuple(f"m{m:03d}" for m in range(1, MINUTES_PER_DAY + 1))
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], rows) -> None:
+def _write_csv(path, columns: tuple[str, ...], rows) -> None:
+    """One header row, then the rows; csv writes None as an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+        writer.writerows(rows)
 
 
 def _fmt(value) -> object:
-    if value is None:
-        return None
-    if isinstance(value, float):
-        return repr(float(value))
-    return value
+    """A float (numpy scalars included) as its shortest round-trip text;
+    anything else as it is."""
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def write_ticks_csv(ticks: list[TickRecord], path) -> None:
+    """Stable column order and shortest round-trip floats, so equal runs
+    serialize to identical bytes."""
+    _write_csv(path, TICKS_CSV_COLUMNS, (
+        (r.step, r.event, _fmt(r.market_price), _fmt(r.mid_price), _fmt(r.best_bid),
+         _fmt(r.best_ask), r.order_volume, r.exec_volume, r.n_optimists)
+        for r in ticks))
+
+
+def write_bars_csv(bars_list: list[BarSeries], path) -> None:
+    _write_csv(path, BARS_CSV_HEADER,
+               ((bars.day_id, *map(_fmt, bars.mid_prices)) for bars in bars_list))
 
 
 def cmd_simulate(args) -> int:

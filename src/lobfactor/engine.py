@@ -12,7 +12,6 @@ fully pins the output.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -22,7 +21,6 @@ import numpy as np
 from .agents import (
     Agent,
     AgentState,
-    Mood,
     PopulationConfig,
     decide_order,
     init_population,
@@ -116,43 +114,32 @@ class Engine:
         self.rng = np.random.default_rng(config.seed)
         self.agents: list[Agent] = init_population(config.population, self.rng)
         self.book = Book(tick=config.tick_size)
-        self.n_opt = sum(a.state.mood is Mood.OPTIMISTIC for a in self.agents)
-        # commitments for live buy orders, in integer (tick x volume) units so
-        # that releases cancel additions exactly
-        self._comm_ticks = [0] * config.population.n_agents
-        self._order_owner: dict[int, tuple[Order, Agent]] = {}
-        self._next_order_id = 1
+        self.n_opt = sum(a.state.optimistic for a in self.agents)
 
-    def _sync_committed(self, agent: Agent) -> None:
-        agent.state.committed_cash = self._comm_ticks[agent.agent_id] * self.config.tick_size
-
-    def _limit_ticks(self, order: Order) -> int:
-        return int(round(order.limit_price / self.config.tick_size))
-
-    def _commit(self, agent: Agent, order: Order) -> None:
+    def _escrow(self, order: Order, volume: int) -> None:
+        """Pledge (volume > 0) or release (volume < 0) the escrow of that many
+        shares of an order: its owner's cash at the limit price, in whole
+        ticks, for a buy; its owner's shares for a sell."""
+        state = self.agents[order.agent_id].state
         if order.side is Side.BUY:
-            self._comm_ticks[agent.agent_id] += order.volume * self._limit_ticks(order)
-            self._sync_committed(agent)
+            state.committed_ticks += volume * self.book.ticks(order.limit_price)
         else:
-            agent.state.committed_shares += order.volume
-
-    def _release(self, agent: Agent, order: Order, volume: int) -> None:
-        if order.side is Side.BUY:
-            self._comm_ticks[agent.agent_id] -= volume * self._limit_ticks(order)
-            self._sync_committed(agent)
-        else:
-            agent.state.committed_shares -= volume
+            state.committed_shares += volume
 
     def _settle(self, trade: Trade) -> None:
-        buy_order, buyer = self._order_owner[trade.buy_order_id]
-        sell_order, seller = self._order_owner[trade.sell_order_id]
+        buy_order = self.book.orders[trade.buy_order_id]
+        sell_order = self.book.orders[trade.sell_order_id]
+        buyer = self.agents[buy_order.agent_id].state
+        seller = self.agents[sell_order.agent_id].state
         cost = trade.price * trade.volume
-        buyer.state.cash -= cost
-        buyer.state.shares += trade.volume
-        self._release(buyer, buy_order, trade.volume)
-        seller.state.cash += cost
-        seller.state.shares -= trade.volume
-        self._release(seller, sell_order, trade.volume)
+        # the buyer's cash moves first: the float order matters when one
+        # agent is on both sides
+        buyer.cash -= cost
+        buyer.shares += trade.volume
+        self._escrow(buy_order, -trade.volume)
+        seller.cash += cost
+        seller.shares -= trade.volume
+        self._escrow(sell_order, -trade.volume)
 
     def run(self, on_step: Callable | None = None) -> SimulationOutput:
         cfg = self.config
@@ -194,13 +181,11 @@ class Engine:
                 p_hat = predict_price(p_t, params.tau, r_hat)
                 order = decide_order(
                     agent, p_t, p_hat, t, cfg.sigma_sq_order, cfg.v_max,
-                    cfg.tick_size, self._next_order_id,
+                    cfg.tick_size, len(book.orders) + 1,
                 )
                 if order is not None:
-                    self._next_order_id += 1
                     submitted_volume = order.volume
-                    self._order_owner[order.order_id] = (order, agent)
-                    self._commit(agent, order)
+                    self._escrow(order, order.volume)
                     ticks.append(TickRecord(
                         t, "OrderPlaced", book.last_trade_price, book.mid_price(cfg.p0),
                         book.best_bid(), book.best_ask(), submitted_volume, 0, self.n_opt,
@@ -219,21 +204,21 @@ class Engine:
                         all_trades.extend(trades)
 
             for order, volume in book.expire(t):
-                self._release(agents[order.agent_id], order, volume)
+                self._escrow(order, -volume)
 
             if mood_on and 0 < self.n_opt < n:
                 n_opt = self.n_opt
                 nu = pop.nu
-                urow = mood_unifs[t - 1]
+                urow = mood_unifs[t - 1].tolist()
                 for k in mood_perms[t - 1].tolist():
                     state = agents[k].state
-                    if state.mood is Mood.PESSIMISTIC:
-                        if urow[k] < nu * n_opt / n:
-                            state.mood = Mood.OPTIMISTIC
-                            n_opt += 1
-                    elif urow[k] < nu * (n - n_opt) / n:
-                        state.mood = Mood.PESSIMISTIC
-                        n_opt -= 1
+                    if state.optimistic:
+                        if urow[k] < nu * (n - n_opt) / n:
+                            state.optimistic = False
+                            n_opt -= 1
+                    elif urow[k] < nu * n_opt / n:
+                        state.optimistic = True
+                        n_opt += 1
                 self.n_opt = n_opt
 
             price_hist.append(book.mid_price(cfg.p0))
@@ -253,31 +238,3 @@ class Engine:
 def run(config: SimulationConfig, on_step: Callable | None = None) -> SimulationOutput:
     """Run one trial. Byte-identical outputs for identical (config, seed)."""
     return Engine(config).run(on_step=on_step)
-
-
-TICKS_CSV_COLUMNS = (
-    "step", "event", "market_price", "mid_price", "best_bid", "best_ask",
-    "order_volume", "exec_volume", "n_optimists",
-)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_ticks_csv(ticks: list[TickRecord], path) -> None:
-    """Stable column order and shortest-roundtrip float formatting, so equal
-    runs serialize to identical bytes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TICKS_CSV_COLUMNS)
-        for r in ticks:
-            writer.writerow([
-                r.step, r.event, _cell(r.market_price), _cell(r.mid_price),
-                _cell(r.best_bid), _cell(r.best_ask), r.order_volume,
-                r.exec_volume, r.n_optimists,
-            ])

@@ -72,14 +72,15 @@ class Book:
         self._bid_levels: list[int] = []  # max-heap via negation
         self._ask_levels: list[int] = []  # min-heap
         self._expiry_heap: list[tuple[int, int]] = []  # (expiry_step, order_id)
-        self._orders: dict[int, Order] = {}
+        self.orders: dict[int, Order] = {}  # every submitted order, by id
         # running per-side totals; volume conservation means
         # submitted == executed + expired + resting at all times
         self.submitted_volume = {Side.BUY: 0, Side.SELL: 0}
         self.executed_volume = {Side.BUY: 0, Side.SELL: 0}
         self.expired_volume = {Side.BUY: 0, Side.SELL: 0}
 
-    def _ticks(self, price: float) -> int:
+    def ticks(self, price: float) -> int:
+        """A price on the tick grid as its whole number of ticks."""
         return int(round(price / self.tick))
 
     def best_bid(self) -> float | None:
@@ -133,13 +134,13 @@ class Book:
         crossing. Trades execute at the resting order's price, FIFO within a
         level. Returns the trades in execution sequence.
         """
-        if order.order_id in self._orders:
+        if order.order_id in self.orders:
             raise DuplicateOrderError(f"order_id {order.order_id} already submitted")
         if order.volume < 1:
             raise ValueError(f"order volume must be >= 1, got {order.volume}")
-        self._orders[order.order_id] = order
+        self.orders[order.order_id] = order
         self.submitted_volume[order.side] += order.volume
-        ticks = self._ticks(order.limit_price)
+        ticks = self.ticks(order.limit_price)
 
         trades: list[Trade] = []
         if execution_enabled:
@@ -190,11 +191,11 @@ class Book:
         heap = self._expiry_heap
         while heap and heap[0][0] <= step:
             _, order_id = heapq.heappop(heap)
-            order = self._orders[order_id]
+            order = self.orders[order_id]
             if order.volume == 0:
                 continue  # fully filled while resting
             levels = self.bids if order.side is Side.BUY else self.asks
-            ticks = self._ticks(order.limit_price)
+            ticks = self.ticks(order.limit_price)
             queue = levels[ticks]
             queue.remove(order)
             if not queue:

@@ -164,15 +164,3 @@ def _is_int(cell: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-BARS_CSV_HEADER = ("day_id",) + tuple(f"m{m:03d}" for m in range(1, MINUTES_PER_DAY + 1))
-
-
-def write_bars_csv(bars_list: list[BarSeries], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BARS_CSV_HEADER)
-        for bars in bars_list:
-            writer.writerow([bars.day_id] + [repr(float(p)) for p in bars.mid_prices])
-

@@ -1,7 +1,7 @@
 """Reference implementations used only to check production code.
 
 update_mood is the per-agent conformity rule that the engine applies inline
-in its mood pass. in_no_exec_window is the step-by-step form of the windows
+in its mood pass: it flips an agent's optimistic bool. in_no_exec_window is the step-by-step form of the windows
 the engine turns into one boolean mask: no trade may carry a step inside a
 window. daily_mood_change_rate is the optimist share's spread over a day
 (max minus min), the statistic of the mood-band check. bar_volumes_loop sums
@@ -19,7 +19,7 @@ from itertools import permutations
 
 import numpy as np
 
-from lobfactor.agents import AgentState, Mood
+from lobfactor.agents import AgentState
 
 
 def update_mood(
@@ -33,12 +33,12 @@ def update_mood(
     """One conformity draw: flip toward the opposite camp with probability
     nu * (opposite camp size) / n_total. All-optimist and all-pessimist
     states are absorbing. Mutates and returns the state."""
-    if state.mood is Mood.PESSIMISTIC:
-        if u < nu * n_opt / n_total:
-            state.mood = Mood.OPTIMISTIC
-    else:
+    if state.optimistic:
         if u < nu * n_pes / n_total:
-            state.mood = Mood.PESSIMISTIC
+            state.optimistic = False
+    else:
+        if u < nu * n_opt / n_total:
+            state.optimistic = True
     return state
 
 

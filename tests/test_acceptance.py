@@ -20,9 +20,9 @@ from oracles import vertex_ot
 
 from lobfactor.agents import CashSpec, sample_pareto
 from lobfactor.calibration import Combo, build_config, evaluate_combo
-from lobfactor.cli import MANIFEST_SCHEMA, TABLE2_COLUMNS
+from lobfactor.cli import MANIFEST_SCHEMA, TABLE2_COLUMNS, write_ticks_csv
 from lobfactor.cli import main as cli_main
-from lobfactor.engine import SimulationConfig, run, write_ticks_csv
+from lobfactor.engine import SimulationConfig, run
 from lobfactor.metrics import (
     PointCloud,
     hill_index,
@@ -157,7 +157,8 @@ def test_c7_determinism_and_conservation(tmp_path):
             assert shares == totals["shares"]
             for agent in engine.agents:
                 assert agent.state.cash >= -1e-9
-                assert -1e-9 <= agent.state.committed_cash <= agent.state.cash + 1e-9
+                escrow = agent.state.committed_ticks * engine.config.tick_size
+                assert 0 <= escrow <= agent.state.cash + 1e-9
                 assert 0 <= agent.state.committed_shares <= agent.state.shares
 
         run(trial_config, on_step=check)

@@ -12,7 +12,6 @@ from lobfactor.agents import (
     AgentParams,
     AgentState,
     CashSpec,
-    Mood,
     PopulationConfig,
     decide_order,
     horizon,
@@ -26,12 +25,12 @@ from oracles import update_mood
 
 
 def make_agent(
-    alpha_j=0.1, tau=100, cash=1e12, shares=0, mood=Mood.OPTIMISTIC,
+    alpha_j=0.1, tau=100, cash=1e12, shares=0, optimistic=True,
     w_f=0.0, w_c=0.0, w_m=0.0, w_n=0.0, tau_f=200,
-    committed_cash=0.0, committed_shares=0,
+    committed_ticks=0, committed_shares=0,
 ):
     params = AgentParams(w_f, w_c, w_m, w_n, tau, tau_f, alpha_j)
-    state = AgentState(cash, shares, mood, committed_cash, committed_shares)
+    state = AgentState(cash, shares, optimistic, committed_ticks, committed_shares)
     return Agent(0, params, state)
 
 
@@ -90,7 +89,7 @@ def test_init_population_draw_statistics():
     w_f = np.array([a.params.w_f for a in agents])
     assert abs(w_f.mean() - 10.0) < 0.2
     assert all(a.params.w_c == 0.0 for a in agents[:100])
-    frac_opt = np.mean([a.state.mood is Mood.OPTIMISTIC for a in agents])
+    frac_opt = np.mean([a.state.optimistic for a in agents])
     assert abs(frac_opt - 0.5) < 0.01
     cash = np.array([a.state.cash for a in agents])
     assert cash.min() > 0.0 and cash.max() < 30_000.0
@@ -119,9 +118,9 @@ def test_fundamental_only_forecast():
 
 
 def test_mood_only_forecast_is_plus_minus_one():
-    a = make_agent(w_m=2.5, mood=Mood.OPTIMISTIC)
+    a = make_agent(w_m=2.5, optimistic=True)
     assert predict_return(a.params, a.state, 300.0, 300.0, 300.0, 0.0) == 1.0
-    a.state.mood = Mood.PESSIMISTIC
+    a.state.optimistic = False
     assert predict_return(a.params, a.state, 300.0, 300.0, 300.0, 0.0) == -1.0
 
 
@@ -172,7 +171,7 @@ def test_desired_holding_arithmetic():
 
 
 def test_buy_capped_by_uncommitted_cash():
-    a = make_agent(alpha_j=0.1, cash=1000.0, committed_cash=400.0)
+    a = make_agent(alpha_j=0.1, cash=1000.0, committed_ticks=4_000_000)  # 400.0 at tick 1e-4
     order = decide_order(a, 300.0, 330.0, 1, 1e-4, 50, 1e-4, 1)
     assert order.side is Side.BUY
     assert order.volume == int(600.0 / order.limit_price)
@@ -201,22 +200,22 @@ def test_tiny_gap_or_no_funds_abstains():
 @settings(max_examples=200)
 @given(
     cash=st.floats(0, 50_000), shares=st.integers(0, 200),
-    committed_cash=st.floats(0, 20_000), committed_shares=st.integers(0, 100),
+    committed_ticks=st.integers(0, 200_000_000), committed_shares=st.integers(0, 100),
     p_hat=st.floats(10.0, 3000.0), alpha_j=st.floats(0.01, 5.0),
 )
-def test_orders_never_overdraw(cash, shares, committed_cash, committed_shares, p_hat, alpha_j):
-    committed_cash = min(committed_cash, cash)
+def test_orders_never_overdraw(cash, shares, committed_ticks, committed_shares, p_hat, alpha_j):
+    committed_ticks = min(committed_ticks, int(cash / 1e-4))
     committed_shares = min(committed_shares, shares)
     a = make_agent(
         alpha_j=alpha_j, cash=cash, shares=shares,
-        committed_cash=committed_cash, committed_shares=committed_shares,
+        committed_ticks=committed_ticks, committed_shares=committed_shares,
     )
     order = decide_order(a, 300.0, p_hat, 1, 1e-4, 50, 1e-4, 1)
     if order is None:
         return
     assert 1 <= order.volume <= 50
     if order.side is Side.BUY:
-        assert order.volume * order.limit_price <= cash - committed_cash + 1e-9
+        assert order.volume * order.limit_price <= cash - committed_ticks * 1e-4 + 1e-9
     else:
         assert order.volume <= shares - committed_shares
 
@@ -228,24 +227,24 @@ def test_mood_flip_frequency_matches_probability():
     flips = 0
     trials = 100_000
     for u in rng.random(trials):
-        s = AgentState(0.0, 0, Mood.PESSIMISTIC)
+        s = AgentState(0.0, 0, optimistic=False)
         update_mood(s, 150, 50, 200, 0.5, float(u))
-        flips += s.mood is Mood.OPTIMISTIC
+        flips += s.optimistic
     assert flips / trials == pytest.approx(0.375, abs=0.005)
 
 
 def test_consensus_states_absorb():
-    s = AgentState(0.0, 0, Mood.OPTIMISTIC)
+    s = AgentState(0.0, 0, optimistic=True)
     for u in np.linspace(0.0, 0.999, 50):
         update_mood(s, 200, 0, 200, 0.7, float(u))
-        assert s.mood is Mood.OPTIMISTIC
-    s = AgentState(0.0, 0, Mood.PESSIMISTIC)
+        assert s.optimistic
+    s = AgentState(0.0, 0, optimistic=False)
     for u in np.linspace(0.0, 0.999, 50):
         update_mood(s, 0, 200, 200, 0.7, float(u))
-        assert s.mood is Mood.PESSIMISTIC
+        assert not s.optimistic
 
 
 def test_zero_nu_freezes_moods():
-    s = AgentState(0.0, 0, Mood.PESSIMISTIC)
+    s = AgentState(0.0, 0, optimistic=False)
     update_mood(s, 199, 1, 200, 0.0, 0.0)
-    assert s.mood is Mood.PESSIMISTIC
+    assert not s.optimistic

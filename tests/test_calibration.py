@@ -264,6 +264,26 @@ class TestCalibrate:
         with pytest.raises(CalibrationError):
             calibrate(ScenarioSpec.from_number(0), self.GRID, 2, refs=[], paths=paths)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_at_combo_k_keeps_the_k_minus_1_before_it(self, monkeypatch, tmp_path,
+                                                               paths, workers):
+        grid = dataclasses.replace(self.GRID, alpha=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3))
+        k = 4
+
+        def score(c):
+            if c.alpha == grid.alpha[k - 1]:
+                raise RuntimeError(f"combo {k} failed")
+            return _fake_metrics(c, mean_ot=1.0, hill=3.0)
+
+        # the pool forks, so its workers see the patched evaluate_combo too
+        self._patched(monkeypatch, score)
+        ledger_file = tmp_path / "ledger.jsonl"
+        with pytest.raises(RuntimeError, match=f"combo {k} failed"):
+            calibrate(ScenarioSpec.from_number(0), grid, 2, refs=[], paths=paths,
+                      ledger=ComboLedger(ledger_file), workers=workers)
+        lines = ledger_file.read_text().splitlines()
+        assert [json.loads(line)["combo"]["alpha"] for line in lines] == list(grid.alpha[:k - 1])
+
 
 class TestLedger:
     def test_resume_skips_finished_combos(self, tmp_path, paths):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import lobfactor.calibration as calibration_mod
 from lobfactor.calibration import ParameterGrid
 from lobfactor.cli import (
+    BARS_CSV_HEADER,
     DEFAULT_CONFIG,
     EXIT_CONFIG,
     EXIT_DATA,
@@ -41,7 +42,7 @@ from lobfactor.cli import (
 )
 from lobfactor.engine import SimulationConfig
 from lobfactor.metrics import DegenerateSeriesError
-from lobfactor.timegrid import BARS_CSV_HEADER, MINUTES_PER_DAY
+from lobfactor.timegrid import MINUTES_PER_DAY
 
 
 @pytest.fixture(autouse=True)
@@ -447,6 +448,27 @@ class TestExperiment:
         assert (out / "table2.csv").read_bytes() == first
         assert ledger.read_text().splitlines() == lines
 
+    def test_resume_drops_an_append_cut_before_its_newline(self, sim_config, tmp_path,
+                                                           capsys):
+        # three combos, so the resume appends more than one line after the cut one
+        with open(sim_config) as fh:
+            document = json.load(fh)
+        document["experiment"]["grid"]["alpha"] = [0.1, 0.2, 0.3]
+        config = write_json(tmp_path / "three.json", document)
+        fresh = tmp_path / "fresh"
+        assert main(["experiment", "--config", config, "--scenarios", "0",
+                     "--out", str(fresh)]) == EXIT_OK
+        whole = (fresh / "ledger.jsonl").read_bytes()
+        out = tmp_path / "exp"
+        out.mkdir()
+        (out / "ledger.jsonl").write_bytes(whole[:whole.index(b"\n")])
+        capsys.readouterr()
+        for _ in range(2):
+            assert main(["experiment", "--config", config, "--scenarios", "0",
+                         "--out", str(out), "--resume"]) == EXIT_OK
+        assert "cut-off line 1" in capsys.readouterr().err
+        assert (out / "ledger.jsonl").read_bytes() == whole
+
     def test_unreadable_ledger_line_is_data_error(self, sim_config, tmp_path, capsys):
         out = tmp_path / "exp"
         main(["experiment", "--config", sim_config, "--scenarios", "0", "--out", str(out)])
@@ -486,6 +508,16 @@ class TestExperiment:
         assert fig5[0] == "lambda_c,series,hill_mean,hill_std,n_points"
         assert len(fig5) == 1 + 3  # one nonzero lambda_c, three series
         assert {line.split(",")[1] for line in fig5[1:]} == {"sim2", "sim4", "theoretical"}
+
+    def test_two_workers_write_the_same_bytes_as_one(self, sim_config, tmp_path):
+        names = ("table2.csv", "table4.csv", "fig5.csv", "synergy.csv", "ledger.jsonl")
+        written = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            assert main(["experiment", "--config", sim_config, "--scenarios", "0,1,2,4",
+                         "--workers", workers, "--out", str(out)]) == EXIT_OK
+            written.append({name: (out / name).read_bytes() for name in names})
+        assert written[0] == written[1]
 
     def test_invalid_scenarios_exit_config(self, sim_config, tmp_path, capsys):
         assert main(["experiment", "--config", sim_config, "--scenarios", "9",

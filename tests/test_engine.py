@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from lobfactor.agents import CashSpec, Mood, PopulationConfig, init_population
+from lobfactor.agents import CashSpec, PopulationConfig, init_population
+from lobfactor.cli import write_ticks_csv
 from lobfactor.engine import (
     ConfigurationError,
     Engine,
     SimulationConfig,
     run,
     validate_config,
-    write_ticks_csv,
 )
 from lobfactor.orderbook import Side
 from oracles import daily_mood_change_rate, in_no_exec_window, update_mood
@@ -149,13 +149,13 @@ class TestConservation:
             for s in states:
                 assert s.cash >= -1e-9
                 assert s.shares >= 0
-                assert -1e-9 <= s.committed_cash <= s.cash + 1e-9
+                assert 0 <= s.committed_ticks * eng.config.tick_size <= s.cash + 1e-9
                 assert 0 <= s.committed_shares <= s.shares
             # escrow mirrors the book exactly
-            bid_ticks = sum(o.volume * eng._limit_ticks(o)
+            bid_ticks = sum(o.volume * eng.book.ticks(o.limit_price)
                             for o in eng.book.iter_orders(Side.BUY))
             ask_volume = sum(o.volume for o in eng.book.iter_orders(Side.SELL))
-            assert bid_ticks == sum(eng._comm_ticks)
+            assert bid_ticks == sum(s.committed_ticks for s in states)
             assert ask_volume == sum(s.committed_shares for s in states)
 
         engine.run(on_step=check)
@@ -167,7 +167,7 @@ class TestMoodDynamics:
         out = run(cfg)
         assert len(set(out.optimists_rate)) == 1
         counts = sum(1 for a in init_population(cfg.population, np.random.default_rng(cfg.seed))
-                     if a.state.mood is Mood.OPTIMISTIC)
+                     if a.state.optimistic)
         assert out.optimists_rate[0] == counts / cfg.population.n_agents
 
     def test_consensus_absorbs(self):
@@ -198,11 +198,11 @@ class TestMoodDynamics:
         states = [a.state for a in agents]
         expected = []
         for t in range(1, cfg.t_sim + 1):
-            n_opt = sum(s.mood is Mood.OPTIMISTIC for s in states)
+            n_opt = sum(s.optimistic for s in states)
             if 0 < n_opt < n:
                 for k in perms[t - 1]:
                     update_mood(states[k], n_opt, n - n_opt, n, pop.nu, unifs[t - 1][k])
-                    n_opt = sum(s.mood is Mood.OPTIMISTIC for s in states)
+                    n_opt = sum(s.optimistic for s in states)
             expected.append(n_opt / n)
         assert out.optimists_rate == expected
 

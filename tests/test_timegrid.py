@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobfactor.cli import DataError, read_bar_price_rows
+from lobfactor.cli import BARS_CSV_HEADER, DataError, read_bar_price_rows, write_bars_csv
 from lobfactor.orderbook import Trade
 from lobfactor.timegrid import (
-    BARS_CSV_HEADER,
     MINUTES_PER_DAY,
     BarSeries,
     DegenerateDayError,
@@ -23,7 +22,6 @@ from lobfactor.timegrid import (
     read_count_paths_csv,
     scaled_path_from_counts,
     synthetic_reference_path,
-    write_bars_csv,
 )
 from oracles import bar_volumes_loop
 
