@@ -282,8 +282,9 @@ class ComboLedger:
                     rec = json.loads(line) if line.strip() else {}
                 except ValueError:
                     rec = None
-                # a last line without its newline is an unfinished append
-                if rec is None or not line.endswith(b"\n"):
+                # a line that is no JSON object is unreadable; a last line
+                # without its newline is an unfinished append
+                if not isinstance(rec, dict) or not line.endswith(b"\n"):
                     if line_no < len(lines):
                         raise LedgerError(f"{self.path}: line {line_no} is not a ledger record")
                     print(f"warning: {self.path}: dropped cut-off line {line_no}; "

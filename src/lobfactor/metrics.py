@@ -10,6 +10,7 @@ reference clouds by exact optimal transport with squared-distance cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,11 @@ class PointCloud:
         if not np.all(np.isfinite(pts)):
             raise ValueError("cloud coordinates must be finite")
         object.__setattr__(self, "points", pts)
+
+    @cached_property
+    def sorted_coords(self) -> np.ndarray:
+        """The 1-D coordinates in ascending order, sorted once per cloud."""
+        return np.sort(self.points[:, 0])
 
     @property
     def size(self) -> int:
@@ -105,37 +111,29 @@ def ot_distance(a: PointCloud, b: PointCloud) -> float:
     """Exact OT cost between uniform empirical measures, squared-distance ground cost.
 
     One-dimensional clouds only: the monotone (sorted) coupling is optimal
-    for convex costs, realized here by northwest-corner marching over
-    integer masses (each of the K points on one side carries L units, each
-    of the L points on the other carries K units), so no tolerance is lost
-    to fractional arithmetic.
+    for convex costs. It is the northwest-corner coupling over integer
+    masses (each of the K points on one side carries L units, each of the
+    L points on the other carries K units), so no tolerance is lost to
+    fractional arithmetic. The coupling's segments lie between the merged
+    breakpoints i*L and j*K on the common mass axis; each segment moves its
+    length between the points whose mass intervals hold it, and the terms
+    are accumulated left to right, the order of a march over the corner.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.dim != 1:
         raise NotImplementedError("only 1-D clouds are supported")
-    xa = np.sort(a.points[:, 0])
-    xb = np.sort(b.points[:, 0])
+    xa, xb = a.sorted_coords, b.sorted_coords
     n_a, n_b = xa.size, xb.size
     if n_a == n_b:
         d = xa - xb
         return float(np.dot(d, d)) / n_a
-    cost_units = 0.0
-    i = j = 0
-    rem_a, rem_b = n_b, n_a  # units left at the current point of each side
-    while i < n_a and j < n_b:
-        moved = rem_a if rem_a <= rem_b else rem_b
-        d = xa[i] - xb[j]
-        cost_units += moved * d * d
-        rem_a -= moved
-        rem_b -= moved
-        if rem_a == 0:
-            i += 1
-            rem_a = n_b
-        if rem_b == 0:
-            j += 1
-            rem_b = n_a
-    return cost_units / (n_a * n_b)
+    cuts = np.sort(np.concatenate((np.arange(n_a + 1) * n_b, np.arange(n_b + 1) * n_a)))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    start = cuts[:-1]
+    d = xa[start // n_b] - xb[start // n_a]
+    # cumsum adds strictly left to right; np.sum's pairwise order would move bits
+    return np.cumsum((np.diff(cuts) * d) * d)[-1] / (n_a * n_b)
 
 
 def theoretical_hill(z0: float, z1: float, z2: float) -> float:

@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from functools import lru_cache
 
 
 class Side(Enum):
@@ -25,6 +26,16 @@ class DuplicateOrderError(ValueError):
     """An order_id was submitted twice to the same book."""
 
 
+@lru_cache(maxsize=None)
+def _tick_fraction(tick: float) -> tuple[int, int] | None:
+    """The tick's shortest repr as an exact fraction (m, den), or None where
+    the fast path does not hold: a subnormal tick's repr can sit far from its
+    binary value, and past 1e300 the product r * tick can overflow."""
+    if not 1e-300 < abs(tick) < 1e300:
+        return None
+    return Decimal(repr(tick)).as_integer_ratio()
+
+
 def align_to_tick(price: float, tick: float) -> float:
     """Snap a raw price to the nearest multiple of the tick size.
 
@@ -34,8 +45,22 @@ def align_to_tick(price: float, tick: float) -> float:
     """
     if not math.isfinite(price):
         raise ValueError(f"price must be finite, got {price!r}")
-    dtick = Decimal(repr(float(tick)))
-    n = (Decimal(repr(float(price))) / dtick).to_integral_value(rounding=ROUND_HALF_UP)
+    price, tick = float(price), float(tick)
+    # Fast path: q = price / tick on floats is within a few ulps of the
+    # decimal ratio (about 3.3e-16 * |q|, at most 2.2e-8 below 2**26, 45
+    # times inside the 1e-6 window), so any q that far from a half tick
+    # rounds like the decimal ratio does, and int / int true division gives
+    # the correctly rounded float of the decimal product r * tick. Near-ties,
+    # ratios past 2**26 and results of zero (whose sign Decimal keeps) take
+    # the Decimal path, which settles every tie.
+    frac = _tick_fraction(tick)
+    q = price / tick
+    if frac is not None and abs(q) < 2**26:
+        r = math.floor(q + 0.5)
+        if r and abs(q - r) < 0.5 - 1e-6:
+            return r * frac[0] / frac[1]
+    dtick = Decimal(repr(tick))
+    n = (Decimal(repr(price)) / dtick).to_integral_value(rounding=ROUND_HALF_UP)
     return float(n * dtick)
 
 
@@ -107,11 +132,6 @@ class Book:
     def resting_volume(self, side: Side) -> int:
         levels = self.bids if side is Side.BUY else self.asks
         return sum(o.volume for q in levels.values() for o in q)
-
-    def iter_orders(self, side: Side):
-        levels = self.bids if side is Side.BUY else self.asks
-        for queue in levels.values():
-            yield from queue
 
     def _rest(self, order: Order, ticks: int) -> None:
         if order.side is Side.BUY:

@@ -8,6 +8,10 @@ window. daily_mood_change_rate is the optimist share's spread over a day
 each minute's trades one by one, where timegrid.bar_volumes differences a
 cumulative sum.
 
+ot_distance_loop marches over the northwest corner one step at a time;
+metrics.ot_distance computes the same coupling over the merged breakpoints,
+and the two must agree bit for bit.
+
 vertex_ot enumerates transport-polytope vertices: with uniform per-side
 marginals, every vertex is a northwest-corner solution under some pair of
 row/column orderings, and the allocation pattern (which step moves how
@@ -81,6 +85,23 @@ def nw_allocation_pattern(n_a: int, n_b: int):
             j += 1
             rem_b = n_a
     return path
+
+
+def ot_distance_loop(xa, xb):
+    """metrics.ot_distance as a march over the northwest corner: sort both
+    sides, then add each step's moved units times the squared gap, one step
+    at a time. Equal sizes pair the sorted points directly."""
+    xa = np.sort(np.asarray(xa, dtype=float))
+    xb = np.sort(np.asarray(xb, dtype=float))
+    n_a, n_b = xa.size, xb.size
+    if n_a == n_b:
+        d = xa - xb
+        return float(np.dot(d, d)) / n_a
+    cost_units = 0.0
+    for i, j, moved in nw_allocation_pattern(n_a, n_b):
+        d = xa[i] - xb[j]
+        cost_units += moved * d * d
+    return cost_units / (n_a * n_b)
 
 
 def vertex_ot(xa, xb) -> float:

@@ -387,6 +387,24 @@ class TestLedger:
         with pytest.raises(LedgerError):
             ComboLedger(ledger_file)
 
+    def test_json_line_that_is_not_an_object_before_the_last_raises(self, tmp_path):
+        ledger_file = tmp_path / "ledger.jsonl"
+        ledger_file.write_text("5\n{}\n")
+        with pytest.raises(LedgerError, match="line 1"):
+            ComboLedger(ledger_file, "x")
+
+    def test_json_last_line_that_is_not_an_object_is_dropped(self, tmp_path, capsys):
+        ledger_file = tmp_path / "ledger.jsonl"
+        combo = Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0, nu=0.0,
+                      alpha=0.1)
+        ComboLedger(ledger_file, "x").record(0, 1000, _fake_metrics(combo, 1.0, 3.0))
+        line = ledger_file.read_text()
+        ledger_file.write_text(line + '["scenario", 0]\n')
+        ledger = ComboLedger(ledger_file, "x")
+        assert ledger.lookup(0, combo, 1000, 2) is not None
+        assert ledger_file.read_text() == line
+        assert "cut-off line 2" in capsys.readouterr().err
+
     def test_cut_off_last_line_is_dropped_from_the_file(self, tmp_path, capsys):
         ledger_file = tmp_path / "ledger.jsonl"
         combos = [Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0, nu=0.0,

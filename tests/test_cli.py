@@ -312,6 +312,21 @@ class TestMetrics:
         assert report["mean_ot"] == 0.0
         assert report["per_ref_ot"][0]["ref"] == bars
 
+    def test_tail_cloud_rows_keep_the_nonincreasing_ratio_order(self, sim_config, tmp_path):
+        run_dir = tmp_path / "run"
+        main(["simulate", "--config", sim_config, "--seed", "7", "--out", str(run_dir)])
+        ref = toy_bars(tmp_path / "toy.csv", [100, 105, 95, 120, 100, 90, 110])
+        out = tmp_path / "met"
+        assert main(["metrics", str(run_dir / "bars.csv"), "--refs", ref,
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        with open(out / "tail_cloud.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["tail_log_ratio"]
+        values = [float(row[0]) for row in rows[1:]]
+        assert len(values) == report["k_used"] > 2
+        assert values == sorted(values, reverse=True) and values[0] > values[-1]
+
     def test_toy_five_bars_match_hand_hill(self, tmp_path):
         # closed price path: mean log-return is exactly 0, so the K=1 Hill
         # index reduces to 1 / log(largest |return| / second largest)

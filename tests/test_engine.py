@@ -152,9 +152,10 @@ class TestConservation:
                 assert 0 <= s.committed_ticks * eng.config.tick_size <= s.cash + 1e-9
                 assert 0 <= s.committed_shares <= s.shares
             # escrow mirrors the book exactly
+            orders = eng.book.orders.values()
             bid_ticks = sum(o.volume * eng.book.ticks(o.limit_price)
-                            for o in eng.book.iter_orders(Side.BUY))
-            ask_volume = sum(o.volume for o in eng.book.iter_orders(Side.SELL))
+                            for o in orders if o.side is Side.BUY and o.volume > 0)
+            ask_volume = sum(o.volume for o in orders if o.side is Side.SELL and o.volume > 0)
             assert bid_ticks == sum(s.committed_ticks for s in states)
             assert ask_volume == sum(s.committed_shares for s in states)
 

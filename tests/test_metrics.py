@@ -17,7 +17,7 @@ from lobfactor.metrics import (
     tail_log_ratios,
     theoretical_hill,
 )
-from oracles import linprog_ot, vertex_ot
+from oracles import linprog_ot, ot_distance_loop, vertex_ot
 
 
 def pareto_grid(zeta: float, n: int) -> np.ndarray:
@@ -169,6 +169,40 @@ class TestOtDistance:
         xa, xb = rng.random(n_a) * 3, rng.random(n_b) * 3
         got = ot_distance(PointCloud(xa.reshape(-1, 1)), PointCloud(xb.reshape(-1, 1)))
         assert got == pytest.approx(linprog_ot(xa, xb), abs=1e-8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.one_of(
+            st.tuples(st.integers(1, 60), st.integers(1, 60)),
+            st.integers(1, 60).map(lambda n: (n, n)),
+            st.integers(1, 60).map(lambda n: (1, n)),
+            st.tuples(st.integers(1, 12), st.integers(2, 6)).map(lambda t: (t[0], t[0] * t[1])),
+            st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(2, 6))
+            .map(lambda t: (t[0] * t[2], t[1] * t[2])),
+            st.just((14, 1500)),
+        ),
+        swap=st.booleans(),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop_exactly(self, sizes, swap, ties, seed):
+        n_a, n_b = sizes[::-1] if swap else sizes
+        rng = np.random.default_rng(seed)
+        if ties:  # few distinct values: duplicate coordinates on both sides
+            xa, xb = rng.integers(0, 4, n_a) * 0.5, rng.integers(0, 4, n_b) * 0.5
+        else:
+            xa, xb = rng.standard_t(3, n_a), rng.standard_t(3, n_b)
+        got = ot_distance(PointCloud(xa.reshape(-1, 1)), PointCloud(xb.reshape(-1, 1)))
+        assert got == ot_distance_loop(xa, xb)
+
+    def test_points_keep_their_order(self):
+        rng = np.random.default_rng(9)
+        xa, xb = rng.random(7), rng.random(4)
+        a, b = PointCloud(xa.reshape(-1, 1)), PointCloud(xb.reshape(-1, 1))
+        first = ot_distance(a, b)
+        assert np.array_equal(a.points[:, 0], xa) and np.array_equal(b.points[:, 0], xb)
+        assert np.array_equal(a.sorted_coords, np.sort(xa))
+        assert ot_distance(a, b) == first == ot_distance_loop(xa, xb)  # sorted views reused
 
 
 class TestTheoreticalHill:

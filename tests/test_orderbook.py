@@ -82,6 +82,12 @@ def mk(order_id, side, price, vol, step=1, expiry=10_000):
     return Order(order_id, 0, side, price, vol, step, expiry)
 
 
+def resting(book, side):
+    """(order_id, volume) of the side's resting orders: those with volume left."""
+    return [(o.order_id, o.volume) for o in book.orders.values()
+            if o.side is side and o.volume > 0]
+
+
 def test_align_tie_rounds_up():
     assert align_to_tick(300.00005, 1e-4) == 300.0001
 
@@ -95,15 +101,65 @@ def test_align_accepts_numpy_scalars():
     assert align_to_tick(np.float64(300.00005), np.float64(1e-4)) == 300.0001
 
 
+@pytest.mark.parametrize("tick", [5e-324, 3e-320])
+def test_align_subnormal_ticks_match_rational_oracle(tick):
+    # a subnormal tick's repr is far from its binary value, so price / tick
+    # on floats says little about the decimal ratio
+    for k in (0.7, 1.5, 2.4, 123.4, -7.6, 999.5):
+        price = k * tick
+        assert align_to_tick(price, tick) == align_oracle(price, tick), (price, tick)
+
+
+def test_align_keeps_the_sign_of_zero():
+    assert math.copysign(1.0, align_to_tick(-0.3e-4, 1e-4)) == -1.0
+    assert math.copysign(1.0, align_to_tick(0.3e-4, 1e-4)) == 1.0
+
+
 def test_align_non_finite_rejected():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             align_to_tick(bad, 1e-4)
 
 
-@given(st.floats(min_value=1e-3, max_value=1e5, allow_nan=False, allow_infinity=False))
-def test_align_matches_rational_oracle(price):
-    assert align_to_tick(price, 1e-4) == align_oracle(price, 1e-4)
+ALIGN_TICKS = (1e-4, 0.01, 0.05, 0.25, 1.0)
+
+
+@given(st.floats(min_value=1e-3, max_value=1e5, allow_nan=False, allow_infinity=False),
+       st.sampled_from(ALIGN_TICKS))
+def test_align_matches_rational_oracle(price, tick):
+    assert align_to_tick(price, tick) == align_oracle(price, tick)
+
+
+def decimal_tie(n: int, tick: float) -> float:
+    """The float whose shortest repr is exactly (n + 1/2) ticks."""
+    tie = float((Fraction(n) + Fraction(1, 2)) * Fraction(repr(tick)))
+    assert Fraction(repr(tie)) / Fraction(repr(tick)) == Fraction(2 * n + 1, 2)
+    return tie
+
+
+@pytest.mark.parametrize("tick", ALIGN_TICKS)
+def test_align_edges_match_rational_oracle(tick):
+    """Exact ties, ties one ulp off, ties 1e-7 tick off (inside the window
+    where the float fast path defers to Decimal) and 2e-6 tick off (outside
+    it), ratios on either side of 2**26 and near-ties far above it, all
+    mirrored to negative prices, as floats and as numpy scalars."""
+    prices = []
+    for n in (0, 1, 7, 2_999_999, 3_000_000, 2**26 - 2, 2**26 - 1, 2**26, 2**26 + 1):
+        tie = decimal_tie(n, tick)
+        prices += [tie, math.nextafter(tie, math.inf), math.nextafter(tie, -math.inf)]
+        prices += [tie + k * tick for k in (1e-7, -1e-7, 2e-6, -2e-6)]
+    for q in (2**26 - 0.75, 2**26 - 0.25, 2**26 + 0.25, 2**26 + 0.75, 2**26, 2**26 - 1):
+        prices += [q * tick, math.nextafter(q * tick, math.inf), math.nextafter(q * tick, 0.0)]
+    # far above 2**26 the float ratio strays past the window; these need Decimal
+    for e in range(27, 48):
+        for off in (1e-3, 1e-4, 1e-5, 3e-6, 1e-6, -1e-6, -3e-6, -1e-5, -1e-4, -1e-3):
+            q = Fraction(2**e + 12345) + Fraction(1, 2) + Fraction(off)
+            prices.append(float(q * Fraction(repr(tick))))
+    prices += [-p for p in prices]
+    for price in prices:
+        want = align_oracle(price, tick)
+        assert align_to_tick(price, tick) == want, (price, tick)
+        assert align_to_tick(np.float64(price), np.float64(tick)) == want, (price, tick)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e5))
@@ -159,10 +215,10 @@ def test_partial_fill_then_expiry_counts_residual():
 def test_duplicate_order_id_rejected_book_unchanged():
     b = Book(tick=TICK)
     b.submit(mk(7, Side.BUY, 299.0, 5))
-    before = [(o.order_id, o.volume) for o in b.iter_orders(Side.BUY)]
+    before = resting(b, Side.BUY)
     with pytest.raises(DuplicateOrderError):
         b.submit(mk(7, Side.SELL, 300.0, 1))
-    assert [(o.order_id, o.volume) for o in b.iter_orders(Side.BUY)] == before
+    assert resting(b, Side.BUY) == before == [(7, 5)]
     assert b.submitted_volume[Side.SELL] == 0
 
 
@@ -207,7 +263,7 @@ def test_random_streams_match_naive_oracle(stream):
             assert b.submitted_volume[s] == ref.submitted[s]
             assert b.executed_volume[s] == ref.executed[s]
             assert b.expired_volume[s] == ref.expired[s]
-    final = sorted((o.order_id, o.volume) for s in (Side.BUY, Side.SELL) for o in b.iter_orders(s))
+    final = sorted(resting(b, Side.BUY) + resting(b, Side.SELL))
     ref_final = sorted((o.order_id, o.volume) for o in ref.resting)
     assert final == ref_final
 
