@@ -1,4 +1,4 @@
-"""Scenario matrix, grid search, and experiment tables.
+"""Scenario matrix, grid search, and the chartist-intensity sweep.
 
 Eight scenarios toggle three candidate components (Pareto cash, chartist
 weight, mood weight). For each scenario the searchable parameters are the
@@ -15,7 +15,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -100,6 +100,14 @@ class Combo:
             "alpha": self.alpha,
         }
 
+    @classmethod
+    def from_key(cls, key: dict) -> "Combo":
+        """The combo whose `key()` is `key`."""
+        cash = CashSpec(kind=key["cash_kind"], c_max=key["c_max"], c_min=key["c_min"],
+                        beta=key["beta"])
+        return cls(cash=cash, lambda_c=key["lambda_c"], lambda_m=key["lambda_m"],
+                   nu=key["nu"], alpha=key["alpha"])
+
     def digest(self) -> str:
         blob = json.dumps(self.key(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -121,7 +129,6 @@ class ComboMetrics:
 
 @dataclass
 class CalibrationResult:
-    scenario_no: int
     best: ComboMetrics
     per_combo: list[ComboMetrics]
 
@@ -195,15 +202,15 @@ def trial_series(
 
 
 def evaluate_combo(
-    config: SimulationConfig,
+    base: SimulationConfig,
+    combo: Combo,
     n_trials: int,
     base_seed: int,
     refs: list[PointCloud],
     paths: list[TransactionPath],
     path_seed: int = 7701,
-    combo: Combo | None = None,
 ) -> ComboMetrics:
-    """Run shared-seed trials of one configuration and score the pooled tail.
+    """Run shared-seed trials of one combo over `base` and score the pooled tail.
 
     Trials with zero executed trades are dropped and counted; a combo is
     unstable when they exceed half of n_trials or the pooled series is
@@ -214,11 +221,7 @@ def evaluate_combo(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     returns_parts, volume_parts, n_degenerate = trial_series(
-        config, n_trials, base_seed, paths, path_seed)
-    if combo is None:
-        pop = config.population
-        combo = Combo(cash=pop.cash, lambda_c=pop.lambda_c, lambda_m=pop.lambda_m,
-                      nu=pop.nu, alpha=pop.alpha)
+        build_config(base, combo), n_trials, base_seed, paths, path_seed)
     if n_degenerate == n_trials:
         raise CalibrationError(f"all {n_trials} trials degenerate for combo {combo.key()}")
 
@@ -263,7 +266,9 @@ class ComboLedger:
     """Append-only JSONL record of finished combos, keyed for safe resume.
 
     A line counts as done only if it carries this ledger's run digest (the
-    CLI's digest of the resolved config and input files) and stylized facts.
+    CLI's digest of the resolved config and input files) and every
+    `ComboMetrics` field, so a line written before a field existed is
+    evaluated again.
     On open, every other line is dropped and the file rewritten to hold only
     the done lines. A run killed mid-append leaves a cut-off last line: it is
     dropped too, with a warning, so its combo is evaluated again; that
@@ -290,7 +295,8 @@ class ComboLedger:
                     print(f"warning: {self.path}: dropped cut-off line {line_no}; "
                           "its combo will be evaluated again", file=sys.stderr)
                     break
-                if "stylized" in rec and rec.get("run_digest") == run_digest:
+                if (rec.get("run_digest") == run_digest
+                        and all(f.name in rec for f in fields(ComboMetrics))):
                     self._done[self._key(rec)] = rec
                     kept.append(line)
             if len(kept) < len(lines):
@@ -306,25 +312,15 @@ class ComboLedger:
         return self._done.get((scenario_no, combo.digest(), base_seed, n_trials))
 
     def record(self, scenario_no: int, base_seed: int, metrics: ComboMetrics) -> None:
+        """One line: the resume key, the run digest, and every `ComboMetrics`
+        field, with the combo flattened by `Combo.key()`."""
         rec = {
             "scenario": scenario_no,
             "combo_digest": metrics.combo.digest(),
             "base_seed": base_seed,
-            "n_trials": metrics.n_trials,
             "run_digest": self.run_digest,
+            **asdict(metrics),
             "combo": metrics.combo.key(),
-            "hill": metrics.hill,
-            "k_used": metrics.k_used,
-            "mean_ot": metrics.mean_ot,
-            "ot_std": metrics.ot_std,
-            "n_degenerate": metrics.n_degenerate,
-            "n_pooled": metrics.n_pooled,
-            "unstable": metrics.unstable,
-            "stylized": None if metrics.stylized is None else {
-                "kurtosis": metrics.stylized.kurtosis,
-                "vol_volume_corr": metrics.stylized.vol_volume_corr,
-                "abs_autocorr": metrics.stylized.abs_autocorr,
-            },
         }
         self._done[self._key(rec)] = rec
         if self.path:
@@ -332,21 +328,14 @@ class ComboLedger:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
     def to_metrics(self, rec: dict) -> ComboMetrics:
-        c = rec["combo"]
-        combo = Combo(
-            cash=CashSpec(kind=c["cash_kind"], c_max=c["c_max"], c_min=c["c_min"], beta=c["beta"]),
-            lambda_c=c["lambda_c"], lambda_m=c["lambda_m"], nu=c["nu"], alpha=c["alpha"],
-        )
+        values = {f.name: rec[f.name] for f in fields(ComboMetrics)}
+        values["combo"] = Combo.from_key(rec["combo"])
         facts = rec["stylized"]
-        stylized = None if facts is None else StylizedFactReport(
-            kurtosis=facts["kurtosis"], vol_volume_corr=facts["vol_volume_corr"],
-            abs_autocorr=dict(sorted((int(lag), v) for lag, v in facts["abs_autocorr"].items())),
-        )
-        return ComboMetrics(
-            combo=combo, hill=rec["hill"], k_used=rec["k_used"], mean_ot=rec["mean_ot"],
-            ot_std=rec["ot_std"], n_trials=rec["n_trials"], n_degenerate=rec["n_degenerate"],
-            n_pooled=rec["n_pooled"], unstable=rec["unstable"], stylized=stylized,
-        )
+        if facts is not None:
+            # JSON object keys are strings; the lags are ints
+            values["stylized"] = StylizedFactReport(**dict(facts, abs_autocorr={
+                int(lag): v for lag, v in facts["abs_autocorr"].items()}))
+        return ComboMetrics(**values)
 
 
 def calibrate(
@@ -378,10 +367,7 @@ def calibrate(
             results[idx] = ledger.to_metrics(rec)
         else:
             pending.append((idx, combo))
-    tasks = [
-        (build_config(base, combo), n_trials, base_seed, refs, paths, path_seed, combo)
-        for _, combo in pending
-    ]
+    tasks = [(base, combo, n_trials, base_seed, refs, paths, path_seed) for _, combo in pending]
     # each result is recorded as it arrives, in enumeration order, so an
     # interrupted run keeps every combo finished before the interruption
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 and tasks
@@ -394,7 +380,7 @@ def calibrate(
     if not usable:
         raise CalibrationError(f"scenario {scenario.scenario_no}: every combo unstable")
     best_idx, best = min(usable, key=lambda im: (im[1].mean_ot, abs(im[1].hill - 3.0), im[0]))
-    return CalibrationResult(scenario_no=scenario.scenario_no, best=best, per_combo=results)
+    return CalibrationResult(best=best, per_combo=results)
 
 
 def make_student_t_refs(
@@ -412,49 +398,10 @@ def make_student_t_refs(
     return refs
 
 
-@dataclass
-class ScenarioReport:
-    calibration: CalibrationResult
-    stylized: StylizedFactReport | None
-
-
+# uncalled: perfbench/tracing.py wraps it by name, so it goes when the benchmark drops it
 def scenario_stylized_facts(result: CalibrationResult) -> StylizedFactReport | None:
     """Stylized facts at a scenario's best combo, from its calibration pass."""
     return result.best.stylized
-
-
-def experiment_suite(
-    grid: ParameterGrid,
-    n_trials: int,
-    refs: list[PointCloud],
-    paths: list[TransactionPath],
-    scenarios: tuple[int, ...] = tuple(range(8)),
-    base: SimulationConfig | None = None,
-    base_seed: int = 1000,
-    path_seed: int = 7701,
-    ledger: ComboLedger | None = None,
-    workers: int = 1,
-) -> dict:
-    """Calibrate each scenario and emit result-table rows plus the synergy check."""
-    reports: dict[int, ScenarioReport] = {}
-    for scenario_no in scenarios:
-        result = calibrate(
-            ScenarioSpec.from_number(scenario_no), grid, n_trials, refs, paths,
-            base=base, base_seed=base_seed, path_seed=path_seed, ledger=ledger,
-            workers=workers,
-        )
-        reports[scenario_no] = ScenarioReport(calibration=result,
-                                              stylized=scenario_stylized_facts(result))
-    out: dict = {"scenarios": reports}
-    if {0, 1, 2, 4} <= set(scenarios):
-        hills = {n: reports[n].calibration.best.hill for n in (0, 1, 2, 4)}
-        theoretical = theoretical_hill(hills[0], hills[1], hills[2])
-        out["synergy"] = {
-            "observed_hill_4": hills[4],
-            "theoretical_hill_4": theoretical,
-            "observed_lower": hills[4] < theoretical,
-        }
-    return out
 
 
 def sweep_lambda_c(grid: ParameterGrid, per_combo: list[ComboMetrics]) -> list[dict]:

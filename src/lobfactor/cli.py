@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,8 @@ from .calibration import (
     LedgerError,
     ParameterGrid,
     ScenarioSpec,
+    calibrate,
     enumerate_combos,
-    experiment_suite,
     make_student_t_refs,
     sweep_lambda_c,
     trial_path_index,
@@ -42,6 +42,7 @@ from .metrics import (
     ot_distance,
     standardize,
     stylized_facts,
+    theoretical_hill,
 )
 from .timegrid import (
     MINUTES_PER_DAY,
@@ -299,25 +300,20 @@ def load_refs(resolved: dict, refs_files: list[str] | None):
         raise ConfigError(f"invalid experiment.refs: {exc}") from None
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_digest: str
-    seed_range: tuple[int, int] | None
-    output_paths: list[str]
-    tool_version: str = __version__
-
-    def write(self, out_dir: Path) -> Path:
-        target = out_dir / "manifest.json"
-        payload = {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "seed_range": list(self.seed_range) if self.seed_range else None,
-            "output_paths": sorted(self.output_paths),
-            "tool_version": self.tool_version,
-        }
-        target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return target
+def write_manifest(out_dir: Path, command: str, resolved: dict,
+                   seed_range: tuple[int, int] | None, output_paths: list[str]) -> Path:
+    """out_dir/manifest.json: the command, the resolved config's digest, the
+    seeds run and the output file names."""
+    target = out_dir / "manifest.json"
+    payload = {
+        "command": command,
+        "config_digest": config_digest(resolved),
+        "seed_range": list(seed_range) if seed_range else None,
+        "output_paths": sorted(output_paths),
+        "tool_version": __version__,
+    }
+    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return target
 
 
 MANIFEST_SCHEMA = {
@@ -439,13 +435,8 @@ def cmd_simulate(args) -> int:
     ]
     _write_csv(series_path, SERIES_COLUMNS, rows)
 
-    manifest = RunManifest(
-        command="simulate",
-        config_digest=config_digest(resolved),
-        seed_range=(config.seed, config.seed),
-        output_paths=[p.name for p in (ticks_path, bars_path, series_path)],
-    )
-    manifest_path = manifest.write(out_dir)
+    manifest_path = write_manifest(out_dir, "simulate", resolved, (config.seed, config.seed),
+                                   [p.name for p in (ticks_path, bars_path, series_path)])
     print(f"simulate: {len(output.trades)} trades over {config.t_sim} steps -> {out_dir}")
     print(f"manifest: {manifest_path}")
     return EXIT_OK
@@ -490,13 +481,7 @@ def cmd_metrics(args) -> int:
     cloud_path = out_dir / "tail_cloud.csv"
     _write_csv(cloud_path, ("tail_log_ratio",),
                [(_fmt(float(v)),) for v in cloud.points[:, 0]])
-    manifest = RunManifest(
-        command="metrics",
-        config_digest=config_digest(resolved),
-        seed_range=None,
-        output_paths=[report_path.name, cloud_path.name],
-    )
-    manifest.write(out_dir)
+    write_manifest(out_dir, "metrics", resolved, None, [report_path.name, cloud_path.name])
     print(f"metrics: hill={stats.hill:.4f} k={stats.k_used} n={pooled.size} -> {report_path}")
     return EXIT_OK
 
@@ -553,61 +538,43 @@ def cmd_experiment(args) -> int:
     except LedgerError as exc:
         raise DataError(str(exc)) from exc
 
-    suite = experiment_suite(
-        grid, trials, refs, paths, scenarios=scenarios, base=base,
-        base_seed=base_seed, path_seed=path_seed, ledger=ledger, workers=args.workers,
-    )
+    results = {
+        n: calibrate(ScenarioSpec.from_number(n), grid, trials, refs, paths, base=base,
+                     base_seed=base_seed, path_seed=path_seed, ledger=ledger,
+                     workers=args.workers)
+        for n in scenarios
+    }
 
-    outputs = [ledger_path.name]
-    table2_path = out_dir / "table2.csv"
-    rows = []
+    table2, table4 = [], []
     for n in scenarios:
-        best = suite["scenarios"][n].calibration.best
-        c = best.combo
-        rows.append((n, c.cash.kind, _fmt(c.lambda_c), _fmt(c.lambda_m), _fmt(c.nu),
-                     _fmt(c.alpha), _fmt(best.hill), best.k_used, _fmt(best.mean_ot),
-                     _fmt(best.ot_std), best.n_trials, best.n_degenerate, best.n_pooled))
-    _write_csv(table2_path, TABLE2_COLUMNS, rows)
-    outputs.append(table2_path.name)
-
-    table4_path = out_dir / "table4.csv"
-    rows = []
-    for n in scenarios:
-        facts = suite["scenarios"][n].stylized  # None where the facts are undefined
+        best = results[n].best
+        c, facts = best.combo, best.stylized  # facts are None where undefined
+        table2.append((n, c.cash.kind, _fmt(c.lambda_c), _fmt(c.lambda_m), _fmt(c.nu),
+                       _fmt(c.alpha), _fmt(best.hill), best.k_used, _fmt(best.mean_ot),
+                       _fmt(best.ot_std), best.n_trials, best.n_degenerate, best.n_pooled))
         cells = (None,) * 6 if facts is None else (
             facts.kurtosis, facts.vol_volume_corr,
             *(facts.abs_autocorr.get(lag) for lag in (1, 10, 20, 30)))
-        rows.append((n, *map(_fmt, cells)))
-    _write_csv(table4_path, TABLE4_COLUMNS, rows)
-    outputs.append(table4_path.name)
+        table4.append((n, *map(_fmt, cells)))
+        print(f"scenario {n}: hill={best.hill:.4f} mean_ot={best.mean_ot:.6f} "
+              f"combo={c.key()}")
+    _write_csv(out_dir / "table2.csv", TABLE2_COLUMNS, table2)
+    _write_csv(out_dir / "table4.csv", TABLE4_COLUMNS, table4)
+    outputs = [ledger_path.name, "table2.csv", "table4.csv"]
 
-    if "synergy" in suite:
-        synergy_path = out_dir / "synergy.csv"
-        syn = suite["synergy"]
-        _write_csv(synergy_path, SYNERGY_COLUMNS,
-                   [(_fmt(syn["observed_hill_4"]), _fmt(syn["theoretical_hill_4"]),
-                     syn["observed_lower"])])
-        outputs.append(synergy_path.name)
-
-        fig5_path = out_dir / "fig5.csv"
-        sweep = sweep_lambda_c(grid, [m for n in (0, 1, 2, 4)
-                                      for m in suite["scenarios"][n].calibration.per_combo])
-        _write_csv(fig5_path, FIG5_COLUMNS,
+    if {0, 1, 2, 4} <= set(scenarios):
+        # does the combined scenario 4 sit below the additive prediction?
+        hills = {n: results[n].best.hill for n in (0, 1, 2, 4)}
+        theoretical = theoretical_hill(hills[0], hills[1], hills[2])
+        _write_csv(out_dir / "synergy.csv", SYNERGY_COLUMNS,
+                   [(_fmt(hills[4]), _fmt(theoretical), hills[4] < theoretical)])
+        sweep = sweep_lambda_c(grid, [m for n in (0, 1, 2, 4) for m in results[n].per_combo])
+        _write_csv(out_dir / "fig5.csv", FIG5_COLUMNS,
                    [(_fmt(r["lambda_c"]), r["series"], _fmt(r["hill_mean"]),
                      _fmt(r["hill_std"]), r["n_points"]) for r in sweep])
-        outputs.append(fig5_path.name)
+        outputs += ["synergy.csv", "fig5.csv"]
 
-    manifest = RunManifest(
-        command="experiment",
-        config_digest=config_digest(resolved),
-        seed_range=(base_seed, base_seed + trials - 1),
-        output_paths=outputs,
-    )
-    manifest.write(out_dir)
-    for n in scenarios:
-        best = suite["scenarios"][n].calibration.best
-        print(f"scenario {n}: hill={best.hill:.4f} mean_ot={best.mean_ot:.6f} "
-              f"combo={best.combo.key()}")
+    write_manifest(out_dir, "experiment", resolved, (base_seed, base_seed + trials - 1), outputs)
     print(f"experiment: {len(scenarios)} scenarios x {trials} trials -> {out_dir}")
     return EXIT_OK
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .agents import (
     Agent,
-    AgentState,
     PopulationConfig,
     decide_order,
     init_population,
@@ -66,7 +65,6 @@ class SimulationOutput:
     trades: list[Trade]
     mid_prices: list[float]  # entry t-1 = mid after step t; p0 precedes entry 0
     optimists_rate: list[float]  # recorded after each step's mood pass
-    final_states: list[AgentState]
 
 
 def validate_config(config: SimulationConfig) -> None:
@@ -231,7 +229,6 @@ class Engine:
             trades=all_trades,
             mid_prices=price_hist[1:],
             optimists_rate=optimists_rate,
-            final_states=[a.state for a in agents],
         )
 
 

@@ -19,7 +19,7 @@ import pytest
 from oracles import vertex_ot
 
 from lobfactor.agents import CashSpec, sample_pareto
-from lobfactor.calibration import Combo, build_config, evaluate_combo
+from lobfactor.calibration import Combo, evaluate_combo
 from lobfactor.cli import MANIFEST_SCHEMA, TABLE2_COLUMNS, write_ticks_csv
 from lobfactor.cli import main as cli_main
 from lobfactor.engine import SimulationConfig, run
@@ -52,8 +52,7 @@ def reference_paths() -> list[TransactionPath]:
 def pooled_metrics(cash_kind: str, lambda_c: float, alpha: float, paths):
     combo = Combo(cash=CashSpec(kind=cash_kind), lambda_c=lambda_c, lambda_m=0.0,
                   nu=0.0, alpha=alpha)
-    return evaluate_combo(build_config(SimulationConfig(), combo), 20, 1000, refs=[],
-                          paths=paths, combo=combo)
+    return evaluate_combo(SimulationConfig(), combo, 20, 1000, refs=[], paths=paths)
 
 
 def test_c1_hill_recovery_on_exact_pareto_tails():

@@ -19,7 +19,6 @@ from lobfactor.calibration import (
     calibrate,
     enumerate_combos,
     evaluate_combo,
-    experiment_suite,
     make_student_t_refs,
     sweep_lambda_c,
     trial_path_index,
@@ -45,6 +44,10 @@ def small_base() -> SimulationConfig:
         t_sim=250,
         no_exec_windows=((1, 20), (120, 130)),
     )
+
+
+# the searched fields of small_base(): build_config(small_base(), COMBO) changes nothing
+COMBO = Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0, nu=0.0, alpha=0.1)
 
 
 @pytest.fixture(scope="module")
@@ -149,16 +152,16 @@ class TestEvaluateCombo:
     def test_repeat_is_identical(self, paths):
         refs = make_student_t_refs(m_refs=2, n_samples=2000)
         cfg = small_base()
-        a = evaluate_combo(cfg, 3, 50, refs, paths)
-        b = evaluate_combo(cfg, 3, 50, refs, paths)
+        a = evaluate_combo(cfg, COMBO, 3, 50, refs, paths)
+        b = evaluate_combo(cfg, COMBO, 3, 50, refs, paths)
         assert a.hill == b.hill
         assert a.mean_ot == b.mean_ot
         assert a.n_pooled == b.n_pooled
 
     def test_pooled_size_and_tail_k(self, paths):
         cfg = small_base()
-        m = evaluate_combo(cfg, 3, 50, refs=[], paths=paths)
-        returns, volumes, n_degenerate = trial_series(cfg, 3, 50, paths)
+        m = evaluate_combo(cfg, COMBO, 3, 50, refs=[], paths=paths)
+        returns, volumes, n_degenerate = trial_series(build_config(cfg, COMBO), 3, 50, paths)
         assert n_degenerate == m.n_degenerate
         assert m.n_pooled == (3 - m.n_degenerate) * (MINUTES_PER_DAY - 1)
         assert m.k_used == default_tail_k(m.n_pooled)
@@ -167,8 +170,8 @@ class TestEvaluateCombo:
 
     def test_stylized_facts_of_pooled_series(self, paths):
         cfg = small_base()
-        m = evaluate_combo(cfg, 3, 50, refs=[], paths=paths)
-        returns, volumes, _ = trial_series(cfg, 3, 50, paths)
+        m = evaluate_combo(cfg, COMBO, 3, 50, refs=[], paths=paths)
+        returns, volumes, _ = trial_series(build_config(cfg, COMBO), 3, 50, paths)
         assert m.stylized == stylized_facts(np.concatenate(returns),
                                             volumes=np.concatenate(volumes))
 
@@ -177,21 +180,21 @@ class TestEvaluateCombo:
             raise DegenerateSeriesError("zero-variance input to correlation")
 
         monkeypatch.setattr(calibration_mod, "stylized_facts", degenerate)
-        m = evaluate_combo(small_base(), 3, 50, refs=[], paths=paths)
+        m = evaluate_combo(small_base(), COMBO, 3, 50, refs=[], paths=paths)
         assert not m.unstable and m.hill is not None
         assert m.stylized is None
 
     def test_self_reference_gives_zero_ot(self, paths):
         cfg = small_base()
-        returns, _, _ = trial_series(cfg, 3, 50, paths)
+        returns, _, _ = trial_series(build_config(cfg, COMBO), 3, 50, paths)
         own = build_tail_cloud(np.abs(standardize(np.concatenate(returns))))
-        again = evaluate_combo(cfg, 3, 50, refs=[own], paths=paths)
+        again = evaluate_combo(cfg, COMBO, 3, 50, refs=[own], paths=paths)
         assert again.mean_ot == 0.0
 
     def test_all_degenerate_raises(self, paths):
         cfg = dataclasses.replace(small_base(), no_exec_windows=((1, 250),))
         with pytest.raises(CalibrationError):
-            evaluate_combo(cfg, 2, 50, refs=[], paths=paths)
+            evaluate_combo(cfg, COMBO, 2, 50, refs=[], paths=paths)
 
     def test_majority_degenerate_marks_unstable(self, paths, monkeypatch):
         real_run = calibration_mod.run
@@ -203,14 +206,14 @@ class TestEvaluateCombo:
             return out
 
         monkeypatch.setattr(calibration_mod, "run", flaky_run)
-        m = evaluate_combo(small_base(), 5, 50, refs=[], paths=paths)
+        m = evaluate_combo(small_base(), COMBO, 5, 50, refs=[], paths=paths)
         assert m.n_degenerate == 3  # seeds 50, 52, 54
         assert m.unstable
         assert m.hill is None and m.mean_ot is None
 
     def test_rejects_zero_trials(self, paths):
         with pytest.raises(ValueError):
-            evaluate_combo(small_base(), 0, 50, refs=[], paths=paths)
+            evaluate_combo(small_base(), COMBO, 0, 50, refs=[], paths=paths)
 
 
 def _fake_metrics(combo: Combo, mean_ot: float, hill: float, unstable: bool = False):
@@ -226,8 +229,7 @@ class TestCalibrate:
                          alpha=(0.1, 0.2, 0.3))
 
     def _patched(self, monkeypatch, score):
-        def fake_evaluate(config, n_trials, base_seed, refs, paths, path_seed=7701,
-                          combo=None):
+        def fake_evaluate(base, combo, n_trials, base_seed, refs, paths, path_seed=7701):
             return score(combo)
 
         monkeypatch.setattr(calibration_mod, "evaluate_combo", fake_evaluate)
@@ -439,41 +441,6 @@ class TestStudentTRefs:
         refs = make_student_t_refs()
         assert len(refs) == 18
         assert refs[0].points.shape == (1500, 1)
-
-
-class TestExperimentSuite:
-    def test_synergy_block_present_when_quartet_requested(self, monkeypatch, paths):
-        hills = {(False, 0.0): 4.0, (True, 0.0): 3.8, (False, 2.5): 3.1, (True, 2.5): 2.8}
-
-        def fake_evaluate(config, n_trials, base_seed, refs, paths, path_seed=7701,
-                          combo=None):
-            h = hills[(combo.cash.kind == "pareto", combo.lambda_c)]
-            return _fake_metrics(combo, mean_ot=combo.alpha, hill=h)
-
-        monkeypatch.setattr(calibration_mod, "evaluate_combo", fake_evaluate)
-        grid = ParameterGrid(lambda_c=(0.0, 2.5), lambda_m=(0.0,), nu=(0.0,),
-                             alpha=(0.1, 0.2))
-        suite = experiment_suite(grid, 2, refs=[], paths=paths, scenarios=(0, 1, 2, 4))
-        syn = suite["synergy"]
-        assert syn["theoretical_hill_4"] == pytest.approx(3.8 + 3.1 - 4.0)
-        assert syn["observed_hill_4"] == 2.8
-        assert syn["observed_lower"] is True
-        assert set(suite["scenarios"]) == {0, 1, 2, 4}
-        report = suite["scenarios"][2]
-        assert report.calibration.best.combo.lambda_c == 2.5
-        assert report.stylized == report.calibration.best.stylized
-        assert report.stylized.kurtosis == 3.1
-
-    def test_no_synergy_without_quartet(self, monkeypatch, paths):
-        def fake_evaluate(config, n_trials, base_seed, refs, paths, path_seed=7701,
-                          combo=None):
-            return _fake_metrics(combo, mean_ot=combo.alpha, hill=3.0)
-
-        monkeypatch.setattr(calibration_mod, "evaluate_combo", fake_evaluate)
-        grid = ParameterGrid(lambda_c=(0.0, 2.5), lambda_m=(0.0,), nu=(0.0,),
-                             alpha=(0.1,))
-        suite = experiment_suite(grid, 2, refs=[], paths=paths, scenarios=(0, 2))
-        assert "synergy" not in suite
 
 
 def quartet_per_combo(grid: ParameterGrid, score) -> list[ComboMetrics]:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lobfactor.calibration as calibration_mod
-from lobfactor.calibration import ParameterGrid
+from lobfactor.calibration import ComboMetrics, ParameterGrid
 from lobfactor.cli import (
     BARS_CSV_HEADER,
     DEFAULT_CONFIG,
@@ -41,7 +41,7 @@ from lobfactor.cli import (
     simulation_config,
 )
 from lobfactor.engine import SimulationConfig
-from lobfactor.metrics import DegenerateSeriesError
+from lobfactor.metrics import DegenerateSeriesError, StylizedFactReport
 from lobfactor.timegrid import MINUTES_PER_DAY
 
 
@@ -484,6 +484,20 @@ class TestExperiment:
         assert "cut-off line 1" in capsys.readouterr().err
         assert (out / "ledger.jsonl").read_bytes() == whole
 
+    def test_resume_evaluates_a_line_missing_a_field_again(self, sim_config, tmp_path):
+        out = tmp_path / "exp"
+        main(["experiment", "--config", sim_config, "--scenarios", "0", "--out", str(out)])
+        first = (out / "table2.csv").read_bytes()
+        ledger = out / "ledger.jsonl"
+        lines = ledger.read_text().splitlines()
+        record = json.loads(lines[0])
+        del record["k_used"]  # a line written before the field existed
+        ledger.write_text("\n".join([json.dumps(record, sort_keys=True), *lines[1:]]) + "\n")
+        assert main(["experiment", "--config", sim_config, "--scenarios", "0",
+                     "--out", str(out), "--resume"]) == EXIT_OK
+        assert (out / "table2.csv").read_bytes() == first
+        assert sorted(ledger.read_text().splitlines()) == sorted(lines)
+
     def test_unreadable_ledger_line_is_data_error(self, sim_config, tmp_path, capsys):
         out = tmp_path / "exp"
         main(["experiment", "--config", sim_config, "--scenarios", "0", "--out", str(out)])
@@ -570,6 +584,62 @@ class TestExperiment:
         out = tmp_path / "exp"
         assert main(["experiment", "--config", sim_config, "--scenarios", "0",
                      "--paths", str(counts), "--out", str(out)]) == EXIT_OK
+
+
+class TestExperimentTables:
+    """table2, table4, synergy and fig5 built from each scenario's
+    calibration, with combo scoring faked: mean OT is alpha, so the first
+    alpha wins."""
+
+    @staticmethod
+    def run_experiment(tmp_path, monkeypatch, scenarios: str, hill_of) -> Path:
+        def fake_evaluate(base, combo, n_trials, base_seed, refs, paths, path_seed=7701):
+            facts = StylizedFactReport(kurtosis=hill_of(combo), vol_volume_corr=combo.alpha,
+                                       abs_autocorr={1: 0.2, 10: 0.1})
+            return ComboMetrics(combo=combo, hill=hill_of(combo), k_used=10,
+                                mean_ot=combo.alpha, ot_std=0.0, n_trials=n_trials,
+                                n_degenerate=0, n_pooled=100, unstable=False, stylized=facts)
+
+        monkeypatch.setattr(calibration_mod, "evaluate_combo", fake_evaluate)
+        config = write_json(tmp_path / "cfg.json", {"experiment": {
+            "refs": {"count": 1, "n_samples": 2000},
+            "paths": {"count": 1},
+            "grid": {"lambda_c": [0.0, 2.5], "lambda_m": [0.0], "nu": [0.0],
+                     "alpha": [0.1, 0.2]},
+        }})
+        out = tmp_path / "exp"
+        assert main(["experiment", "--config", config, "--scenarios", scenarios,
+                     "--out", str(out)]) == EXIT_OK
+        return out
+
+    @staticmethod
+    def rows(path) -> list[list[str]]:
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))[1:]
+
+    def test_synergy_block_present_when_quartet_requested(self, tmp_path, monkeypatch):
+        hills = {(False, 0.0): 4.0, (True, 0.0): 3.8, (False, 2.5): 3.1, (True, 2.5): 2.8}
+        out = self.run_experiment(tmp_path, monkeypatch, "0,1,2,4",
+                                  lambda c: hills[(c.cash.kind == "pareto", c.lambda_c)])
+        ((observed, theoretical, lower),) = self.rows(out / "synergy.csv")
+        assert float(observed) == 2.8
+        assert float(theoretical) == pytest.approx(3.8 + 3.1 - 4.0)
+        assert lower == "True"
+        assert [row[0] for row in self.rows(out / "table4.csv")] == ["0", "1", "2", "4"]
+        # scenario 2's best combo is lambda_c 2.5 at alpha 0.1, and its facts fill the row
+        table2 = {row[0]: dict(zip(TABLE2_COLUMNS, row)) for row in self.rows(out / "table2.csv")}
+        assert (table2["2"]["lambda_c"], table2["2"]["alpha"]) == ("2.5", "0.1")
+        table4 = {row[0]: row for row in self.rows(out / "table4.csv")}
+        assert table4["2"] == ["2", "3.1", "0.1", "0.2", "0.1", "", ""]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {"synergy.csv", "fig5.csv"} <= set(manifest["output_paths"])
+
+    def test_no_synergy_without_quartet(self, tmp_path, monkeypatch):
+        out = self.run_experiment(tmp_path, monkeypatch, "0,2", lambda c: 3.0)
+        assert not (out / "synergy.csv").exists()
+        assert not (out / "fig5.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["output_paths"] == ["ledger.jsonl", "table2.csv", "table4.csv"]
 
 
 class TestConsoleScript:

@@ -70,10 +70,11 @@ class TestValidation:
 class TestDeterminism:
     def test_identical_seed_identical_output(self, tmp_path):
         cfg = small_config(seed=11, lambda_c=2.0, lambda_m=1e-5, nu=0.5)
-        out1, out2 = run(cfg), run(cfg)
+        engine1, engine2 = Engine(cfg), Engine(cfg)
+        out1, out2 = engine1.run(), engine2.run()
         assert out1.trades == out2.trades
         assert out1.optimists_rate == out2.optimists_rate
-        assert [s.cash for s in out1.final_states] == [s.cash for s in out2.final_states]
+        assert [a.state for a in engine1.agents] == [a.state for a in engine2.agents]
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_ticks_csv(out1.ticks, f1)
         write_ticks_csv(out2.ticks, f2)

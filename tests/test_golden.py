@@ -60,6 +60,7 @@ EXPERIMENT_DIGESTS = {
     "table4.csv": "1f41faefa7520eef4d50edc4fe5e04dca1fd02aeaf23cf03483967adbf1741cf",
     "fig5.csv": "ecfd5234a5ad749ab6ab07f460d2ddbe0d279dbaeb78d6a769036547c03cac23",
     "synergy.csv": "b6ceaee14c067773d4e555585fdff771f91ca8d7f7c8d58fe75fbb84a843bcdb",
+    "ledger.jsonl": "ec2d28074b9b2a5a9cbcb91906ae2de1ceb7ec65d16accd5e70194ec0ffe72a6",
 }
 
 
