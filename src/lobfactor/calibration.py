@@ -15,7 +15,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -51,31 +51,42 @@ class LedgerError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    scenario_no: int
-    pareto_cash: bool
-    chartist: bool
-    mood: bool
-
-    @classmethod
-    def from_number(cls, scenario_no: int) -> "ScenarioSpec":
-        if not 0 <= scenario_no <= 7:
-            raise ValueError(f"scenario_no must be 0..7, got {scenario_no}")
-        return cls(
-            scenario_no=scenario_no,
-            pareto_cash=scenario_no in _PARETO_SCENARIOS,
-            chartist=scenario_no in _CHARTIST_SCENARIOS,
-            mood=scenario_no in _MOOD_SCENARIOS,
-        )
-
-
-@dataclass(frozen=True)
 class ParameterGrid:
-    cash_options: tuple[CashSpec, ...] = (CashSpec(kind="uniform"), CashSpec(kind="pareto"))
     lambda_c: tuple[float, ...] = (0.0, 1.5, 1.75, 2.0, 2.25, 2.5)
     lambda_m: tuple[float, ...] = (0.0, 1e-5, 2e-5, 3e-5, 4e-5, 5e-5)
     nu: tuple[float, ...] = (0.3, 0.5, 0.7)
     alpha: tuple[float, ...] = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+
+
+@dataclass(frozen=True)
+class RefsSpec:
+    """Student-t stand-ins for the reference tail clouds."""
+
+    count: int = 18
+    n_samples: int = 30_000
+    df: float = 3.0
+    seed: int = 777
+
+
+@dataclass(frozen=True)
+class PathsSpec:
+    """Seeded synthetic reference transaction paths."""
+
+    count: int = 6
+    seed: int = 4242
+    mean_total: int = 30_000
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Trials per combo, their seeds, the search grid and the references."""
+
+    trials: int = 20
+    base_seed: int = 1000  # trial i of a combo runs with seed base_seed + i
+    path_seed: int = 7701  # stream of each trial's reference path choice
+    grid: ParameterGrid = field(default_factory=ParameterGrid)
+    refs: RefsSpec = field(default_factory=RefsSpec)
+    paths: PathsSpec = field(default_factory=PathsSpec)
 
 
 @dataclass(frozen=True)
@@ -133,26 +144,27 @@ class CalibrationResult:
     per_combo: list[ComboMetrics]
 
 
-def enumerate_combos(scenario: ScenarioSpec, grid: ParameterGrid) -> list[Combo]:
+def enumerate_combos(scenario: int, grid: ParameterGrid, cash: CashSpec) -> list[Combo]:
     """Cartesian product over searched dimensions; off components pinned.
 
-    Zero entries in the lambda grids encode "component off", so an on flag
-    enumerates only the nonzero values and an off flag pins zero. With the
-    mood component off, nu is pinned to zero too, since no mood update can
-    matter.
+    Every combo takes `cash` with the scenario's cash kind. Zero entries in
+    the lambda grids encode "component off", so an on flag enumerates only
+    the nonzero values and an off flag pins zero. With the mood component
+    off, nu is pinned to zero too, since no mood update can matter.
     """
-    cash_opts = [c for c in grid.cash_options if c.kind == "pareto"] if scenario.pareto_cash \
-        else [c for c in grid.cash_options if c.kind == "uniform"]
-    lc_opts = [v for v in grid.lambda_c if v > 0] if scenario.chartist else [0.0]
-    if scenario.mood:
+    if not 0 <= scenario <= 7:
+        raise ValueError(f"scenario must be 0..7, got {scenario}")
+    cash = replace(cash, kind="pareto" if scenario in _PARETO_SCENARIOS else "uniform")
+    lc_opts = [v for v in grid.lambda_c if v > 0] if scenario in _CHARTIST_SCENARIOS else [0.0]
+    if scenario in _MOOD_SCENARIOS:
         lm_opts = [v for v in grid.lambda_m if v > 0]
         nu_opts = list(grid.nu)
     else:
         lm_opts = [0.0]
         nu_opts = [0.0]
     return [
-        Combo(cash=c, lambda_c=lc, lambda_m=lm, nu=nu, alpha=a)
-        for c, lc, lm, nu, a in product(cash_opts, lc_opts, lm_opts, nu_opts, grid.alpha)
+        Combo(cash=cash, lambda_c=lc, lambda_m=lm, nu=nu, alpha=a)
+        for lc, lm, nu, a in product(lc_opts, lm_opts, nu_opts, grid.alpha)
     ]
 
 
@@ -174,27 +186,24 @@ def trial_path_index(path_seed: int, trial_index: int, n_paths: int) -> int:
 
 
 def trial_series(
-    config: SimulationConfig,
-    n_trials: int,
-    base_seed: int,
-    paths: list[TransactionPath],
-    path_seed: int = 7701,
+    config: SimulationConfig, exp: ExperimentConfig, paths: list[TransactionPath]
 ) -> tuple[list[np.ndarray], list[np.ndarray], int]:
-    """Bar returns and per-minute volumes of each shared-seed trial that
-    traded, and the number of trials with zero executed trades.
+    """Bar returns and per-minute volumes of each of the experiment's
+    shared-seed trials that traded, and the number of trials with zero
+    executed trades.
 
     Per-minute volumes align with the return of the interval they close.
     """
     returns_parts = []
     volume_parts = []
     n_degenerate = 0
-    for i in range(n_trials):
-        cfg = replace(config, seed=base_seed + i)
+    for i in range(exp.trials):
+        cfg = replace(config, seed=exp.base_seed + i)
         out = run(cfg)
         if not out.trades:
             n_degenerate += 1
             continue
-        path = paths[trial_path_index(path_seed, i, len(paths))]
+        path = paths[trial_path_index(exp.path_seed, i, len(paths))]
         bars = assign_calendar_time(out, path, cfg.p0, day_id=f"seed{cfg.seed}")
         returns_parts.append(log_returns(bars))
         volume_parts.append(np.asarray(bar_volumes(out, path)[1:], dtype=float))
@@ -204,13 +213,12 @@ def trial_series(
 def evaluate_combo(
     base: SimulationConfig,
     combo: Combo,
-    n_trials: int,
-    base_seed: int,
+    exp: ExperimentConfig,
     refs: list[PointCloud],
     paths: list[TransactionPath],
-    path_seed: int = 7701,
 ) -> ComboMetrics:
-    """Run shared-seed trials of one combo over `base` and score the pooled tail.
+    """Run the experiment's shared-seed trials of one combo over `base` and
+    score the pooled tail.
 
     Trials with zero executed trades are dropped and counted; a combo is
     unstable when they exceed half of n_trials or the pooled series is
@@ -218,10 +226,10 @@ def evaluate_combo(
     carries the stylized facts of its pooled returns and volumes, or None
     where they are undefined.
     """
+    n_trials = exp.trials
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    returns_parts, volume_parts, n_degenerate = trial_series(
-        build_config(base, combo), n_trials, base_seed, paths, path_seed)
+    returns_parts, volume_parts, n_degenerate = trial_series(build_config(base, combo), exp, paths)
     if n_degenerate == n_trials:
         raise CalibrationError(f"all {n_trials} trials degenerate for combo {combo.key()}")
 
@@ -339,35 +347,32 @@ class ComboLedger:
 
 
 def calibrate(
-    scenario: ScenarioSpec,
-    grid: ParameterGrid,
-    n_trials: int,
+    scenario: int,
+    exp: ExperimentConfig,
+    base: SimulationConfig,
     refs: list[PointCloud],
     paths: list[TransactionPath],
-    base: SimulationConfig | None = None,
-    base_seed: int = 1000,
-    path_seed: int = 7701,
     ledger: ComboLedger | None = None,
     workers: int = 1,
 ) -> CalibrationResult:
-    """Evaluate every combo of a scenario and pick the minimum mean OT.
+    """Evaluate every combo of a scenario over `base` and pick the minimum
+    mean OT.
 
     Ties break toward the Hill index nearest 3, then toward the earlier
     combo in enumeration (lexicographic grid order). Unstable combos stay
     in the table but never win.
     """
-    base = base or SimulationConfig()
-    combos = enumerate_combos(scenario, grid)
+    combos = enumerate_combos(scenario, exp.grid, base.population.cash)
     ledger = ledger or ComboLedger(None)
     results: list[ComboMetrics | None] = [None] * len(combos)
     pending = []
     for idx, combo in enumerate(combos):
-        rec = ledger.lookup(scenario.scenario_no, combo, base_seed, n_trials)
+        rec = ledger.lookup(scenario, combo, exp.base_seed, exp.trials)
         if rec is not None:
             results[idx] = ledger.to_metrics(rec)
         else:
             pending.append((idx, combo))
-    tasks = [(base, combo, n_trials, base_seed, refs, paths, path_seed) for _, combo in pending]
+    tasks = [(base, combo, exp, refs, paths) for _, combo in pending]
     # each result is recorded as it arrives, in enumeration order, so an
     # interrupted run keeps every combo finished before the interruption
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1 and tasks
@@ -375,26 +380,22 @@ def calibrate(
         fresh = pool.map(_evaluate_task, tasks) if pool else map(_evaluate_task, tasks)
         for (idx, _), metrics in zip(pending, fresh):
             results[idx] = metrics
-            ledger.record(scenario.scenario_no, base_seed, metrics)
+            ledger.record(scenario, exp.base_seed, metrics)
     usable = [(i, m) for i, m in enumerate(results) if not m.unstable]
     if not usable:
-        raise CalibrationError(f"scenario {scenario.scenario_no}: every combo unstable")
+        raise CalibrationError(f"scenario {scenario}: every combo unstable")
     best_idx, best = min(usable, key=lambda im: (im[1].mean_ot, abs(im[1].hill - 3.0), im[0]))
     return CalibrationResult(best=best, per_combo=results)
 
 
-def make_student_t_refs(
-    m_refs: int = 18,
-    n_samples: int = 30_000,
-    df: float = 3.0,
-    refs_seed: int = 777,
-) -> list[PointCloud]:
+def make_student_t_refs(spec: RefsSpec) -> list[PointCloud]:
     """Synthetic stand-ins for real tail clouds: Student-t return samples."""
     refs = []
-    for m in range(m_refs):
-        rng = np.random.default_rng([refs_seed, m])
-        returns = rng.standard_t(df, size=n_samples)
-        refs.append(build_tail_cloud(np.abs(standardize(returns)), source_id=f"t{df:g}-{m}"))
+    for m in range(spec.count):
+        rng = np.random.default_rng([spec.seed, m])
+        returns = rng.standard_t(spec.df, size=spec.n_samples)
+        refs.append(build_tail_cloud(np.abs(standardize(returns)),
+                                     source_id=f"t{spec.df:g}-{m}"))
     return refs
 
 
@@ -414,22 +415,19 @@ def sweep_lambda_c(grid: ParameterGrid, per_combo: list[ComboMetrics]) -> list[d
     reported as mean and std across the alpha grid. Unstable combos drop out
     of the aggregation.
     """
-    uniform = next(c for c in grid.cash_options if c.kind == "uniform")
-    pareto = next(c for c in grid.cash_options if c.kind == "pareto")
-    hill_of = {m.combo.digest(): m.hill for m in per_combo}  # None when unstable
+    # these scenarios pin lambda_m and nu to 0, so cash kind, lambda_c and
+    # alpha pick out a combo; its Hill index is None when unstable
+    hill_of = {(m.combo.cash.kind, m.combo.lambda_c, m.combo.alpha): m.hill for m in per_combo}
 
-    def hills(cash: CashSpec, lambda_c: float) -> dict[float, float | None]:
-        return {
-            a: hill_of[Combo(cash=cash, lambda_c=lambda_c, lambda_m=0.0, nu=0.0, alpha=a).digest()]
-            for a in grid.alpha
-        }
+    def hills(cash_kind: str, lambda_c: float) -> dict[float, float | None]:
+        return {a: hill_of[cash_kind, lambda_c, a] for a in grid.alpha}
 
-    z0 = hills(uniform, 0.0)
-    z1 = hills(pareto, 0.0)
+    z0 = hills("uniform", 0.0)
+    z1 = hills("pareto", 0.0)
     rows = []
     for lc in [v for v in grid.lambda_c if v > 0]:
-        z2 = hills(uniform, lc)
-        z4 = hills(pareto, lc)
+        z2 = hills("uniform", lc)
+        z4 = hills("pareto", lc)
         theo = [
             theoretical_hill(z0[a], z1[a], z2[a])
             for a in grid.alpha

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields, is_dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,9 @@ from . import __version__
 from .calibration import (
     CalibrationError,
     ComboLedger,
+    ExperimentConfig,
     LedgerError,
     ParameterGrid,
-    ScenarioSpec,
     calibrate,
     enumerate_combos,
     make_student_t_refs,
@@ -76,14 +77,7 @@ def _json(value):
 
 DEFAULT_CONFIG: dict = {
     "simulation": _json(asdict(SimulationConfig())),
-    "experiment": {
-        "trials": 20,
-        "base_seed": 1000,
-        "path_seed": 7701,
-        "grid": _json({k: v for k, v in asdict(ParameterGrid()).items() if k != "cash_options"}),
-        "refs": {"count": 18, "n_samples": 30_000, "df": 3.0, "seed": 777},
-        "paths": {"count": 6, "seed": 4242, "mean_total": 30_000},
-    },
+    "experiment": _json(asdict(ExperimentConfig())),
 }
 
 
@@ -152,13 +146,13 @@ def run_digest(resolved: dict, refs_files: list[str] | None, paths_file: str | N
     return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
 
 
-def _build(cls, section: dict, path: str, **given):
+def _build(cls, section: dict, path: str):
     """A `cls` from a resolved config section, each value converted to the
-    type of the field's default; fields in `given` are passed as they are."""
+    type of the field's default."""
     default = cls()
     values = {f.name: _convert(getattr(default, f.name), section[f.name], f"{path}.{f.name}")
-              for f in fields(cls) if f.name not in given}
-    return cls(**values, **given)
+              for f in fields(cls)}
+    return cls(**values)
 
 
 def _convert(default, value, path: str):
@@ -193,26 +187,32 @@ def simulation_config(resolved: dict) -> SimulationConfig:
                       "simulation config")
 
 
-def parameter_grid(resolved: dict) -> ParameterGrid:
-    """The search grid; cash options share the simulation's cash bounds, and
-    every axis value must make a valid simulation config."""
+# the smallest value of each experiment count and seed; a path day must be
+# able to hold a transaction
+_EXPERIMENT_MINIMUMS = (("trials", 1), ("base_seed", 0), ("path_seed", 0), ("refs.count", 1),
+                        ("refs.seed", 0), ("paths.count", 1), ("paths.seed", 0),
+                        ("paths.mean_total", 1))
+
+
+def experiment_config(resolved: dict) -> ExperimentConfig:
+    """The experiment section, each count and seed at its minimum or above;
+    every grid axis value must make a valid simulation config."""
+    exp = _build(ExperimentConfig, resolved["experiment"], "experiment")
+    for path, minimum in _EXPERIMENT_MINIMUMS:
+        value = attrgetter(path)(exp)
+        if value < minimum:
+            raise ConfigError(f"config field experiment.{path} must be >= {minimum}, got {value}")
     base = simulation_config(resolved)
-    cash = base.population.cash
-    grid = _build(ParameterGrid, resolved["experiment"]["grid"], "experiment.grid",
-                  cash_options=(replace(cash, kind="uniform"), replace(cash, kind="pareto")))
-    for axis in resolved["experiment"]["grid"]:
-        for value in getattr(grid, axis):
-            population = replace(base.population, **{axis: value})
-            _validated(replace(base, population=population), f"experiment.grid.{axis}")
-    return grid
+    for axis in fields(ParameterGrid):
+        for value in getattr(exp.grid, axis.name):
+            population = replace(base.population, **{axis.name: value})
+            _validated(replace(base, population=population), f"experiment.grid.{axis.name}")
+    return exp
 
 
-def _whole(section: dict, key: str, path: str, minimum: int = 0) -> int:
-    """section[key] as an integer no less than `minimum`."""
-    value = _convert(0, section[key], f"{path}.{key}")
-    if value < minimum:
-        raise ConfigError(f"config field {path}.{key} must be >= {minimum}, got {value}")
-    return value
+def parameter_grid(resolved: dict) -> ParameterGrid:
+    """The experiment's search grid; perfbench/inputs.py checks its configs with it."""
+    return experiment_config(resolved).grid
 
 
 def load_paths(resolved: dict, paths_file: str | None) -> list[TransactionPath]:
@@ -222,17 +222,13 @@ def load_paths(resolved: dict, paths_file: str | None) -> list[TransactionPath]:
             return read_count_paths_csv(paths_file)
         except (ValueError, OSError) as exc:
             raise DataError(f"paths file {paths_file}: {exc}") from exc
-    spec = resolved["experiment"]["paths"]
-    count = _whole(spec, "count", "experiment.paths", minimum=1)
+    spec = experiment_config(resolved).paths
+    rng = np.random.default_rng(spec.seed)
+    shapes = ("uniform", "ushape")
     try:
-        mean_total = float(spec["mean_total"])
-        if not mean_total >= 1:  # a day must be able to hold a transaction
-            raise ValueError(f"mean_total must be >= 1, got {spec['mean_total']!r}")
-        rng = np.random.default_rng(int(spec["seed"]))
-        shapes = ["uniform", "ushape"]
-        return [synthetic_reference_path(rng, shape=shapes[i % 2], mean_total=mean_total)
-                for i in range(count)]
-    except (TypeError, ValueError, OverflowError) as exc:
+        return [synthetic_reference_path(rng, shapes[i % 2], spec.mean_total)
+                for i in range(spec.count)]
+    except (ValueError, OverflowError) as exc:  # a mean_total past numpy's range
         raise ConfigError(f"invalid experiment.paths: {exc}") from None
 
 
@@ -288,15 +284,13 @@ def load_refs(resolved: dict, refs_files: list[str] | None):
             pooled = pooled_bar_returns([file])
             try:
                 clouds.append(build_tail_cloud(np.abs(standardize(pooled)), source_id=str(file)))
-            except DegenerateSeriesError as exc:
+            except ValueError as exc:  # too few returns, or degenerate ones
                 raise DataError(f"refs file {file}: {exc}") from exc
         return clouds
-    spec = resolved["experiment"]["refs"]
-    count = _whole(spec, "count", "experiment.refs", minimum=1)
+    spec = experiment_config(resolved).refs
     try:
-        return make_student_t_refs(m_refs=count, n_samples=int(spec["n_samples"]),
-                                   df=float(spec["df"]), refs_seed=int(spec["seed"]))
-    except (TypeError, ValueError, OverflowError) as exc:  # DegenerateSeriesError included
+        return make_student_t_refs(spec)
+    except ValueError as exc:  # numpy's own rejections, such as df 0, and degenerate draws
         raise ConfigError(f"invalid experiment.refs: {exc}") from None
 
 
@@ -315,53 +309,6 @@ def write_manifest(out_dir: Path, command: str, resolved: dict,
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return target
 
-
-MANIFEST_SCHEMA = {
-    "type": "object",
-    "required": ["command", "config_digest", "seed_range", "output_paths", "tool_version"],
-    "additionalProperties": False,
-    "properties": {
-        "command": {"type": "string", "enum": ["simulate", "metrics", "experiment"]},
-        "config_digest": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "seed_range": {
-            "oneOf": [
-                {"type": "null"},
-                {"type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2},
-            ]
-        },
-        "output_paths": {"type": "array", "items": {"type": "string"}},
-        "tool_version": {"type": "string"},
-    },
-}
-
-METRICS_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["n_returns", "hill", "k_used", "mean_ot", "ot_std", "per_ref_ot",
-                 "kurtosis", "vol_volume_corr", "abs_autocorr"],
-    "additionalProperties": False,
-    "properties": {
-        "n_returns": {"type": "integer", "minimum": 1},
-        "hill": {"type": "number", "exclusiveMinimum": 0},
-        "k_used": {"type": "integer", "minimum": 1},
-        "mean_ot": {"oneOf": [{"type": "number", "minimum": 0}, {"type": "null"}]},
-        "ot_std": {"oneOf": [{"type": "number", "minimum": 0}, {"type": "null"}]},
-        "per_ref_ot": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["ref", "ot"],
-                "additionalProperties": False,
-                "properties": {"ref": {"type": "string"}, "ot": {"type": "number"}},
-            },
-        },
-        "kurtosis": {"type": "number"},
-        "vol_volume_corr": {"oneOf": [{"type": "number"}, {"type": "null"}]},
-        "abs_autocorr": {
-            "type": "object",
-            "additionalProperties": {"type": "number"},
-        },
-    },
-}
 
 TABLE2_COLUMNS = ("scenario", "cash_kind", "lambda_c", "lambda_m", "nu", "alpha",
                   "hill", "k_used", "mean_ot", "ot_std", "n_trials", "n_degenerate",
@@ -410,12 +357,12 @@ def cmd_simulate(args) -> int:
         print(json.dumps(resolved, indent=2, sort_keys=True))
         return EXIT_OK
     config = simulation_config(resolved)
+    exp = experiment_config(resolved)
     paths = load_paths(resolved, args.paths)
-    path_seed = _whole(resolved["experiment"], "path_seed", "experiment")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     output = run(config)
-    path = paths[trial_path_index(path_seed, 0, len(paths))]
+    path = paths[trial_path_index(exp.path_seed, 0, len(paths))]
 
     ticks_path = out_dir / "ticks.csv"
     write_ticks_csv(output.ticks, ticks_path)
@@ -516,14 +463,10 @@ def cmd_experiment(args) -> int:
     scenarios = parse_scenarios(args.scenarios)
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    exp = resolved["experiment"]
-    trials = _whole(exp, "trials", "experiment", minimum=1)
-    base_seed = _whole(exp, "base_seed", "experiment")
-    path_seed = _whole(exp, "path_seed", "experiment")
     base = simulation_config(resolved)
-    grid = parameter_grid(resolved)
+    exp = experiment_config(resolved)
     for n in scenarios:
-        if not enumerate_combos(ScenarioSpec.from_number(n), grid):
+        if not enumerate_combos(n, exp.grid, base.population.cash):
             raise ConfigError(f"the grid holds no combo for scenario {n}")
     paths = load_paths(resolved, args.paths)
     refs = load_refs(resolved, args.refs)
@@ -538,12 +481,8 @@ def cmd_experiment(args) -> int:
     except LedgerError as exc:
         raise DataError(str(exc)) from exc
 
-    results = {
-        n: calibrate(ScenarioSpec.from_number(n), grid, trials, refs, paths, base=base,
-                     base_seed=base_seed, path_seed=path_seed, ledger=ledger,
-                     workers=args.workers)
-        for n in scenarios
-    }
+    results = {n: calibrate(n, exp, base, refs, paths, ledger=ledger, workers=args.workers)
+               for n in scenarios}
 
     table2, table4 = [], []
     for n in scenarios:
@@ -568,14 +507,15 @@ def cmd_experiment(args) -> int:
         theoretical = theoretical_hill(hills[0], hills[1], hills[2])
         _write_csv(out_dir / "synergy.csv", SYNERGY_COLUMNS,
                    [(_fmt(hills[4]), _fmt(theoretical), hills[4] < theoretical)])
-        sweep = sweep_lambda_c(grid, [m for n in (0, 1, 2, 4) for m in results[n].per_combo])
+        sweep = sweep_lambda_c(exp.grid, [m for n in (0, 1, 2, 4) for m in results[n].per_combo])
         _write_csv(out_dir / "fig5.csv", FIG5_COLUMNS,
                    [(_fmt(r["lambda_c"]), r["series"], _fmt(r["hill_mean"]),
                      _fmt(r["hill_std"]), r["n_points"]) for r in sweep])
         outputs += ["synergy.csv", "fig5.csv"]
 
-    write_manifest(out_dir, "experiment", resolved, (base_seed, base_seed + trials - 1), outputs)
-    print(f"experiment: {len(scenarios)} scenarios x {trials} trials -> {out_dir}")
+    write_manifest(out_dir, "experiment", resolved,
+                   (exp.base_seed, exp.base_seed + exp.trials - 1), outputs)
+    print(f"experiment: {len(scenarios)} scenarios x {exp.trials} trials -> {out_dir}")
     return EXIT_OK
 
 

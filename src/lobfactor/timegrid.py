@@ -118,8 +118,8 @@ def log_returns(bars: BarSeries) -> np.ndarray:
     return np.diff(np.log(p))
 
 
-def synthetic_reference_path(rng: np.random.Generator, shape: str = "uniform",
-                             mean_total: int = 30000) -> TransactionPath:
+def synthetic_reference_path(rng: np.random.Generator, shape: str,
+                             mean_total: int) -> TransactionPath:
     """Stand-in reference path: Poisson per-minute counts under a day profile.
 
     "uniform" spreads intensity evenly; "ushape" concentrates it near the

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from oracles import vertex_ot
+from schemas import MANIFEST_SCHEMA
 
 from lobfactor.agents import CashSpec, sample_pareto
-from lobfactor.calibration import Combo, evaluate_combo
-from lobfactor.cli import MANIFEST_SCHEMA, TABLE2_COLUMNS, write_ticks_csv
+from lobfactor.calibration import Combo, ExperimentConfig, PathsSpec, evaluate_combo
+from lobfactor.cli import TABLE2_COLUMNS, write_ticks_csv
 from lobfactor.cli import main as cli_main
 from lobfactor.engine import SimulationConfig, run
 from lobfactor.metrics import (
@@ -44,15 +45,18 @@ from lobfactor.agents import PopulationConfig
 @pytest.fixture(scope="module")
 def reference_paths() -> list[TransactionPath]:
     """The default experiment path set: six synthetic days, alternating shapes."""
-    rng = np.random.default_rng(4242)
+    spec = PathsSpec()
+    rng = np.random.default_rng(spec.seed)
     shapes = ["uniform", "ushape"]
-    return [synthetic_reference_path(rng, shape=shapes[i % 2]) for i in range(6)]
+    return [synthetic_reference_path(rng, shapes[i % 2], spec.mean_total)
+            for i in range(spec.count)]
 
 
 def pooled_metrics(cash_kind: str, lambda_c: float, alpha: float, paths):
     combo = Combo(cash=CashSpec(kind=cash_kind), lambda_c=lambda_c, lambda_m=0.0,
                   nu=0.0, alpha=alpha)
-    return evaluate_combo(SimulationConfig(), combo, 20, 1000, refs=[], paths=paths)
+    exp = ExperimentConfig(trials=20, base_seed=1000)
+    return evaluate_combo(SimulationConfig(), combo, exp, refs=[], paths=paths)
 
 
 def test_c1_hill_recovery_on_exact_pareto_tails():
@@ -191,7 +195,7 @@ def test_c8_calendar_time_resampling():
     rng = np.random.default_rng(88)
     for shape in ("uniform", "ushape"):
         for t_total in (7, 100, 1234):
-            sampled = synthetic_reference_path(rng, shape=shape)
+            sampled = synthetic_reference_path(rng, shape, PathsSpec().mean_total)
             indices = bar_indices(sampled, t_total)
             for i, f in zip(indices, sampled.fractions):
                 assert abs(i / t_total - f) <= 1.0 / t_total

@@ -12,9 +12,11 @@ from lobfactor.calibration import (
     Combo,
     ComboLedger,
     ComboMetrics,
+    ExperimentConfig,
     LedgerError,
     ParameterGrid,
-    ScenarioSpec,
+    PathsSpec,
+    RefsSpec,
     build_config,
     calibrate,
     enumerate_combos,
@@ -48,15 +50,21 @@ def small_base() -> SimulationConfig:
 
 # the searched fields of small_base(): build_config(small_base(), COMBO) changes nothing
 COMBO = Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0, nu=0.0, alpha=0.1)
+# three trials of each evaluated combo, seeds 50, 51 and 52
+THREE_TRIALS = ExperimentConfig(trials=3, base_seed=50)
+SMALL_REFS = RefsSpec(count=2, n_samples=2000)
 
 
 @pytest.fixture(scope="module")
 def paths() -> list[TransactionPath]:
     rng = np.random.default_rng(5)
-    return [synthetic_reference_path(rng, shape=s) for s in ("uniform", "ushape", "uniform")]
+    return [synthetic_reference_path(rng, s, PathsSpec().mean_total)
+            for s in ("uniform", "ushape", "uniform")]
 
 
 class TestScenarioSpec:
+    """A scenario number's components, as enumerate_combos reads them."""
+
     def test_component_flags(self):
         expected = {
             0: (False, False, False),
@@ -69,46 +77,52 @@ class TestScenarioSpec:
             7: (True, True, True),
         }
         for n, (p, c, m) in expected.items():
-            spec = ScenarioSpec.from_number(n)
-            assert (spec.pareto_cash, spec.chartist, spec.mood) == (p, c, m)
+            for combo in enumerate_combos(n, ParameterGrid(), CashSpec()):
+                assert (combo.cash.kind == "pareto", combo.lambda_c > 0, combo.lambda_m > 0) \
+                    == (p, c, m)
 
     @pytest.mark.parametrize("bad", [-1, 8, 100])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
-            ScenarioSpec.from_number(bad)
+            enumerate_combos(bad, ParameterGrid(), CashSpec())
 
 
 class TestEnumerateCombos:
     def test_combo_counts(self):
         grid = ParameterGrid()
-        counts = [len(enumerate_combos(ScenarioSpec.from_number(n), grid)) for n in range(8)]
+        counts = [len(enumerate_combos(n, grid, CashSpec())) for n in range(8)]
         assert counts == [6, 6, 30, 90, 30, 90, 450, 450]
 
     def test_scenario_0_pins_everything_but_alpha(self):
-        combos = enumerate_combos(ScenarioSpec.from_number(0), ParameterGrid())
+        combos = enumerate_combos(0, ParameterGrid(), CashSpec())
         assert all(c.cash.kind == "uniform" for c in combos)
         assert all(c.lambda_c == 0.0 and c.lambda_m == 0.0 and c.nu == 0.0 for c in combos)
         assert [c.alpha for c in combos] == [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 
     def test_scenario_7_searches_everything_nonzero(self):
-        combos = enumerate_combos(ScenarioSpec.from_number(7), ParameterGrid())
+        combos = enumerate_combos(7, ParameterGrid(), CashSpec())
         assert all(c.cash.kind == "pareto" for c in combos)
         assert all(c.lambda_c > 0 and c.lambda_m > 0 and c.nu > 0 for c in combos)
         assert {c.lambda_c for c in combos} == {1.5, 1.75, 2.0, 2.25, 2.5}
         assert {c.nu for c in combos} == {0.3, 0.5, 0.7}
 
     def test_mood_only_scenario_keeps_chartist_off(self):
-        combos = enumerate_combos(ScenarioSpec.from_number(3), ParameterGrid())
+        combos = enumerate_combos(3, ParameterGrid(), CashSpec())
         assert all(c.lambda_c == 0.0 and c.cash.kind == "uniform" for c in combos)
         assert {c.lambda_m for c in combos} == {1e-5, 2e-5, 3e-5, 4e-5, 5e-5}
 
     def test_enumeration_order_is_stable(self):
         grid = ParameterGrid()
-        spec = ScenarioSpec.from_number(6)
-        assert enumerate_combos(spec, grid) == enumerate_combos(spec, grid)
+        assert enumerate_combos(6, grid, CashSpec()) == enumerate_combos(6, grid, CashSpec())
+
+    def test_combos_take_the_base_cash_with_the_scenario_kind(self):
+        base = CashSpec(kind="uniform", c_max=9_000.0, c_min=7_000.0, beta=2.0)
+        for n, kind in ((0, "uniform"), (1, "pareto")):
+            combos = enumerate_combos(n, ParameterGrid(), base)
+            assert all(c.cash == dataclasses.replace(base, kind=kind) for c in combos)
 
     def test_combo_digest_distinguishes_combos(self):
-        combos = enumerate_combos(ScenarioSpec.from_number(7), ParameterGrid())
+        combos = enumerate_combos(7, ParameterGrid(), CashSpec())
         digests = {c.digest() for c in combos}
         assert len(digests) == len(combos)
 
@@ -150,18 +164,19 @@ class TestTrialPathIndex:
 
 class TestEvaluateCombo:
     def test_repeat_is_identical(self, paths):
-        refs = make_student_t_refs(m_refs=2, n_samples=2000)
+        refs = make_student_t_refs(SMALL_REFS)
         cfg = small_base()
-        a = evaluate_combo(cfg, COMBO, 3, 50, refs, paths)
-        b = evaluate_combo(cfg, COMBO, 3, 50, refs, paths)
+        a = evaluate_combo(cfg, COMBO, THREE_TRIALS, refs, paths)
+        b = evaluate_combo(cfg, COMBO, THREE_TRIALS, refs, paths)
         assert a.hill == b.hill
         assert a.mean_ot == b.mean_ot
         assert a.n_pooled == b.n_pooled
 
     def test_pooled_size_and_tail_k(self, paths):
         cfg = small_base()
-        m = evaluate_combo(cfg, COMBO, 3, 50, refs=[], paths=paths)
-        returns, volumes, n_degenerate = trial_series(build_config(cfg, COMBO), 3, 50, paths)
+        m = evaluate_combo(cfg, COMBO, THREE_TRIALS, refs=[], paths=paths)
+        returns, volumes, n_degenerate = trial_series(build_config(cfg, COMBO), THREE_TRIALS,
+                                                      paths)
         assert n_degenerate == m.n_degenerate
         assert m.n_pooled == (3 - m.n_degenerate) * (MINUTES_PER_DAY - 1)
         assert m.k_used == default_tail_k(m.n_pooled)
@@ -170,8 +185,8 @@ class TestEvaluateCombo:
 
     def test_stylized_facts_of_pooled_series(self, paths):
         cfg = small_base()
-        m = evaluate_combo(cfg, COMBO, 3, 50, refs=[], paths=paths)
-        returns, volumes, _ = trial_series(build_config(cfg, COMBO), 3, 50, paths)
+        m = evaluate_combo(cfg, COMBO, THREE_TRIALS, refs=[], paths=paths)
+        returns, volumes, _ = trial_series(build_config(cfg, COMBO), THREE_TRIALS, paths)
         assert m.stylized == stylized_facts(np.concatenate(returns),
                                             volumes=np.concatenate(volumes))
 
@@ -180,21 +195,22 @@ class TestEvaluateCombo:
             raise DegenerateSeriesError("zero-variance input to correlation")
 
         monkeypatch.setattr(calibration_mod, "stylized_facts", degenerate)
-        m = evaluate_combo(small_base(), COMBO, 3, 50, refs=[], paths=paths)
+        m = evaluate_combo(small_base(), COMBO, THREE_TRIALS, refs=[], paths=paths)
         assert not m.unstable and m.hill is not None
         assert m.stylized is None
 
     def test_self_reference_gives_zero_ot(self, paths):
         cfg = small_base()
-        returns, _, _ = trial_series(build_config(cfg, COMBO), 3, 50, paths)
+        returns, _, _ = trial_series(build_config(cfg, COMBO), THREE_TRIALS, paths)
         own = build_tail_cloud(np.abs(standardize(np.concatenate(returns))))
-        again = evaluate_combo(cfg, COMBO, 3, 50, refs=[own], paths=paths)
+        again = evaluate_combo(cfg, COMBO, THREE_TRIALS, refs=[own], paths=paths)
         assert again.mean_ot == 0.0
 
     def test_all_degenerate_raises(self, paths):
         cfg = dataclasses.replace(small_base(), no_exec_windows=((1, 250),))
         with pytest.raises(CalibrationError):
-            evaluate_combo(cfg, COMBO, 2, 50, refs=[], paths=paths)
+            evaluate_combo(cfg, COMBO, ExperimentConfig(trials=2, base_seed=50), refs=[],
+                           paths=paths)
 
     def test_majority_degenerate_marks_unstable(self, paths, monkeypatch):
         real_run = calibration_mod.run
@@ -206,14 +222,15 @@ class TestEvaluateCombo:
             return out
 
         monkeypatch.setattr(calibration_mod, "run", flaky_run)
-        m = evaluate_combo(small_base(), COMBO, 5, 50, refs=[], paths=paths)
+        m = evaluate_combo(small_base(), COMBO, ExperimentConfig(trials=5, base_seed=50), refs=[],
+                           paths=paths)
         assert m.n_degenerate == 3  # seeds 50, 52, 54
         assert m.unstable
         assert m.hill is None and m.mean_ot is None
 
     def test_rejects_zero_trials(self, paths):
         with pytest.raises(ValueError):
-            evaluate_combo(small_base(), COMBO, 0, 50, refs=[], paths=paths)
+            evaluate_combo(small_base(), COMBO, ExperimentConfig(trials=0), refs=[], paths=paths)
 
 
 def _fake_metrics(combo: Combo, mean_ot: float, hill: float, unstable: bool = False):
@@ -225,29 +242,29 @@ def _fake_metrics(combo: Combo, mean_ot: float, hill: float, unstable: bool = Fa
 
 
 class TestCalibrate:
-    GRID = ParameterGrid(lambda_c=(0.0, 2.5), lambda_m=(0.0,), nu=(0.0,),
-                         alpha=(0.1, 0.2, 0.3))
+    EXP = ExperimentConfig(trials=2, grid=ParameterGrid(
+        lambda_c=(0.0, 2.5), lambda_m=(0.0,), nu=(0.0,), alpha=(0.1, 0.2, 0.3)))
 
     def _patched(self, monkeypatch, score):
-        def fake_evaluate(base, combo, n_trials, base_seed, refs, paths, path_seed=7701):
+        def fake_evaluate(base, combo, exp, refs, paths):
             return score(combo)
 
         monkeypatch.setattr(calibration_mod, "evaluate_combo", fake_evaluate)
 
     def test_argmin_on_mean_ot(self, monkeypatch, paths):
         self._patched(monkeypatch, lambda c: _fake_metrics(c, mean_ot=c.alpha, hill=3.0))
-        r = calibrate(ScenarioSpec.from_number(0), self.GRID, 2, refs=[], paths=paths)
+        r = calibrate(0, self.EXP, small_base(), refs=[], paths=paths)
         assert r.best.combo.alpha == 0.1
 
     def test_tie_breaks_on_hill_near_three(self, monkeypatch, paths):
         hills = {0.1: 4.0, 0.2: 3.1, 0.3: 2.0}
         self._patched(monkeypatch, lambda c: _fake_metrics(c, mean_ot=1.0, hill=hills[c.alpha]))
-        r = calibrate(ScenarioSpec.from_number(0), self.GRID, 2, refs=[], paths=paths)
+        r = calibrate(0, self.EXP, small_base(), refs=[], paths=paths)
         assert r.best.combo.alpha == 0.2
 
     def test_full_tie_takes_first_enumerated(self, monkeypatch, paths):
         self._patched(monkeypatch, lambda c: _fake_metrics(c, mean_ot=1.0, hill=3.0))
-        r = calibrate(ScenarioSpec.from_number(0), self.GRID, 2, refs=[], paths=paths)
+        r = calibrate(0, self.EXP, small_base(), refs=[], paths=paths)
         assert r.best.combo.alpha == 0.1
 
     def test_unstable_combo_never_wins(self, monkeypatch, paths):
@@ -257,19 +274,19 @@ class TestCalibrate:
             return _fake_metrics(c, mean_ot=c.alpha, hill=3.0)
 
         self._patched(monkeypatch, score)
-        r = calibrate(ScenarioSpec.from_number(0), self.GRID, 2, refs=[], paths=paths)
+        r = calibrate(0, self.EXP, small_base(), refs=[], paths=paths)
         assert r.best.combo.alpha == 0.2
         assert len(r.per_combo) == 3
 
     def test_all_unstable_raises(self, monkeypatch, paths):
         self._patched(monkeypatch, lambda c: _fake_metrics(c, 0.0, 3.0, unstable=True))
         with pytest.raises(CalibrationError):
-            calibrate(ScenarioSpec.from_number(0), self.GRID, 2, refs=[], paths=paths)
+            calibrate(0, self.EXP, small_base(), refs=[], paths=paths)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_at_combo_k_keeps_the_k_minus_1_before_it(self, monkeypatch, tmp_path,
                                                                paths, workers):
-        grid = dataclasses.replace(self.GRID, alpha=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3))
+        grid = dataclasses.replace(self.EXP.grid, alpha=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3))
         k = 4
 
         def score(c):
@@ -281,21 +298,20 @@ class TestCalibrate:
         self._patched(monkeypatch, score)
         ledger_file = tmp_path / "ledger.jsonl"
         with pytest.raises(RuntimeError, match=f"combo {k} failed"):
-            calibrate(ScenarioSpec.from_number(0), grid, 2, refs=[], paths=paths,
-                      ledger=ComboLedger(ledger_file), workers=workers)
+            calibrate(0, dataclasses.replace(self.EXP, grid=grid), small_base(), refs=[],
+                      paths=paths, ledger=ComboLedger(ledger_file), workers=workers)
         lines = ledger_file.read_text().splitlines()
         assert [json.loads(line)["combo"]["alpha"] for line in lines] == list(grid.alpha[:k - 1])
 
 
 class TestLedger:
     def test_resume_skips_finished_combos(self, tmp_path, paths):
-        refs = make_student_t_refs(m_refs=2, n_samples=2000)
-        grid = ParameterGrid(lambda_c=(0.0, 2.5), lambda_m=(0.0,), nu=(0.0,),
-                             alpha=(0.1, 0.3))
+        refs = make_student_t_refs(SMALL_REFS)
+        exp = ExperimentConfig(trials=2, grid=ParameterGrid(
+            lambda_c=(0.0, 2.5), lambda_m=(0.0,), nu=(0.0,), alpha=(0.1, 0.3)))
         ledger_file = tmp_path / "ledger.jsonl"
         base = small_base()
-        r1 = calibrate(ScenarioSpec.from_number(2), grid, 2, refs, paths, base=base,
-                       ledger=ComboLedger(ledger_file))
+        r1 = calibrate(2, exp, base, refs, paths, ledger=ComboLedger(ledger_file))
         n_lines = sum(1 for _ in open(ledger_file))
         assert n_lines == 2
 
@@ -305,48 +321,42 @@ class TestLedger:
                 raise AssertionError("combo re-evaluated despite ledger entry")
 
             mp.setattr(calibration_mod, "evaluate_combo", boom)
-            r2 = calibrate(ScenarioSpec.from_number(2), grid, 2, refs, paths, base=base,
-                           ledger=ComboLedger(ledger_file))
+            r2 = calibrate(2, exp, base, refs, paths, ledger=ComboLedger(ledger_file))
         assert r2.best.combo == r1.best.combo
         assert r2.best.mean_ot == r1.best.mean_ot
         assert sum(1 for _ in open(ledger_file)) == n_lines
 
     def test_key_includes_seed_and_trials(self, tmp_path, paths):
-        refs = make_student_t_refs(m_refs=2, n_samples=2000)
+        refs = make_student_t_refs(SMALL_REFS)
         grid = ParameterGrid(lambda_c=(0.0,), lambda_m=(0.0,), nu=(0.0,), alpha=(0.3,))
         ledger_file = tmp_path / "ledger.jsonl"
-        base = small_base()
-        calibrate(ScenarioSpec.from_number(0), grid, 2, refs, paths, base=base,
-                  base_seed=50, ledger=ComboLedger(ledger_file))
-        calibrate(ScenarioSpec.from_number(0), grid, 2, refs, paths, base=base,
-                  base_seed=60, ledger=ComboLedger(ledger_file))
-        calibrate(ScenarioSpec.from_number(0), grid, 3, refs, paths, base=base,
-                  base_seed=50, ledger=ComboLedger(ledger_file))
+        for trials, base_seed in ((2, 50), (2, 60), (3, 50)):
+            exp = ExperimentConfig(trials=trials, base_seed=base_seed, grid=grid)
+            calibrate(0, exp, small_base(), refs, paths, ledger=ComboLedger(ledger_file))
         records = [json.loads(line) for line in open(ledger_file)]
         assert len(records) == 3
         assert {(r["base_seed"], r["n_trials"]) for r in records} == {(50, 2), (60, 2), (50, 3)}
 
     def test_partial_ledger_resumes_remaining(self, tmp_path, paths):
-        refs = make_student_t_refs(m_refs=2, n_samples=2000)
-        grid = ParameterGrid(lambda_c=(0.0, 2.5), lambda_m=(0.0,), nu=(0.0,),
-                             alpha=(0.1, 0.3))
+        refs = make_student_t_refs(SMALL_REFS)
+        exp = ExperimentConfig(trials=2, grid=ParameterGrid(
+            lambda_c=(0.0, 2.5), lambda_m=(0.0,), nu=(0.0,), alpha=(0.1, 0.3)))
         base = small_base()
-        full = calibrate(ScenarioSpec.from_number(2), grid, 2, refs, paths, base=base)
+        full = calibrate(2, exp, base, refs, paths)
 
         ledger_file = tmp_path / "ledger.jsonl"
         seed_ledger = ComboLedger(ledger_file)
         seed_ledger.record(2, 1000, full.per_combo[0])  # pretend one combo finished
 
-        resumed = calibrate(ScenarioSpec.from_number(2), grid, 2, refs, paths, base=base,
-                            ledger=ComboLedger(ledger_file))
+        resumed = calibrate(2, exp, base, refs, paths, ledger=ComboLedger(ledger_file))
         assert resumed.best.combo == full.best.combo
         assert resumed.best.mean_ot == full.best.mean_ot
 
     def test_stylized_facts_round_trip(self, tmp_path, paths):
-        refs = make_student_t_refs(m_refs=2, n_samples=2000)
+        refs = make_student_t_refs(SMALL_REFS)
         grid = ParameterGrid(lambda_c=(0.0,), lambda_m=(0.0,), nu=(0.0,), alpha=(0.1, 0.3))
         ledger_file = tmp_path / "ledger.jsonl"
-        fresh = calibrate(ScenarioSpec.from_number(0), grid, 2, refs, paths, base=small_base(),
+        fresh = calibrate(0, ExperimentConfig(trials=2, grid=grid), small_base(), refs, paths,
                           ledger=ComboLedger(ledger_file))
         reloaded = ComboLedger(ledger_file)
         for m in fresh.per_combo:
@@ -354,16 +364,16 @@ class TestLedger:
             assert reloaded.to_metrics(rec) == m
 
     def test_line_without_stylized_facts_is_evaluated_again(self, tmp_path, paths):
-        refs = make_student_t_refs(m_refs=2, n_samples=2000)
+        refs = make_student_t_refs(SMALL_REFS)
         grid = ParameterGrid(lambda_c=(0.0,), lambda_m=(0.0,), nu=(0.0,), alpha=(0.1, 0.3))
         ledger_file = tmp_path / "ledger.jsonl"
-        calibrate(ScenarioSpec.from_number(0), grid, 2, refs, paths, base=small_base(),
+        calibrate(0, ExperimentConfig(trials=2, grid=grid), small_base(), refs, paths,
                   ledger=ComboLedger(ledger_file))
         records = [json.loads(line) for line in ledger_file.read_text().splitlines()]
         del records[0]["stylized"]  # a line written before the field existed
         ledger_file.write_text("".join(json.dumps(r) + "\n" for r in records))
         ledger = ComboLedger(ledger_file)
-        first, second = enumerate_combos(ScenarioSpec.from_number(0), grid)
+        first, second = enumerate_combos(0, grid, CashSpec())
         assert ledger.lookup(0, first, 1000, 2) is None
         assert ledger.lookup(0, second, 1000, 2) is not None
 
@@ -425,20 +435,20 @@ class TestLedger:
 
 class TestStudentTRefs:
     def test_shapes_and_labels(self):
-        refs = make_student_t_refs(m_refs=3, n_samples=2000)
+        refs = make_student_t_refs(RefsSpec(count=3, n_samples=2000))
         assert len(refs) == 3
         for m, cloud in enumerate(refs):
             assert cloud.points.shape == (default_tail_k(2000), 1)
             assert cloud.source_id == f"t3-{m}"
 
     def test_deterministic_and_distinct(self):
-        a = make_student_t_refs(m_refs=2, n_samples=2000)
-        b = make_student_t_refs(m_refs=2, n_samples=2000)
+        a = make_student_t_refs(SMALL_REFS)
+        b = make_student_t_refs(SMALL_REFS)
         assert np.array_equal(a[0].points, b[0].points)
         assert not np.array_equal(a[0].points, a[1].points)
 
     def test_default_sizes(self):
-        refs = make_student_t_refs()
+        refs = make_student_t_refs(RefsSpec())
         assert len(refs) == 18
         assert refs[0].points.shape == (1500, 1)
 
@@ -446,7 +456,7 @@ class TestStudentTRefs:
 def quartet_per_combo(grid: ParameterGrid, score) -> list[ComboMetrics]:
     """Per-combo results of scenarios 0, 1, 2 and 4, each scored by ``score``."""
     return [score(combo) for n in (0, 1, 2, 4)
-            for combo in enumerate_combos(ScenarioSpec.from_number(n), grid)]
+            for combo in enumerate_combos(n, grid, CashSpec())]
 
 
 class TestSweepLambdaC:

@@ -2,7 +2,6 @@
 
 import copy
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -16,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from schemas import MANIFEST_SCHEMA, METRICS_REPORT_SCHEMA
 
 import lobfactor.calibration as calibration_mod
-from lobfactor.calibration import ComboMetrics, ParameterGrid
+from lobfactor.calibration import ComboMetrics, ExperimentConfig
 from lobfactor.cli import (
     BARS_CSV_HEADER,
     DEFAULT_CONFIG,
@@ -26,14 +26,12 @@ from lobfactor.cli import (
     EXIT_DATA,
     EXIT_DEGENERATE,
     EXIT_OK,
-    MANIFEST_SCHEMA,
-    METRICS_REPORT_SCHEMA,
     SEED_ENV_VAR,
     TABLE2_COLUMNS,
     ConfigError,
     config_digest,
+    experiment_config,
     main,
-    parameter_grid,
     parse_scenarios,
     read_bar_price_rows,
     resolve_config,
@@ -147,8 +145,7 @@ def _replaceable_nodes(doc, path=()):
     return nodes + [p for key, value in items for p in _replaceable_nodes(value, (*path, key))]
 
 
-BUILT_NODES = [p for p in _replaceable_nodes(DEFAULT_CONFIG)
-               if p[0] == "simulation" or p[:2] == ("experiment", "grid")]
+BUILT_NODES = _replaceable_nodes(DEFAULT_CONFIG)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -167,7 +164,8 @@ class TestBuildConfig:
             for key in path[:-1]:
                 node = node[key]
             node[path[-1]] = value
-        for build in (simulation_config, parameter_grid):
+        # builders only: the loaders would draw references of any size
+        for build in (simulation_config, experiment_config):
             try:
                 build(doc)
             except ConfigError:
@@ -176,9 +174,7 @@ class TestBuildConfig:
     def test_defaults_round_trip_to_the_dataclasses(self):
         resolved = resolve_config(None, None, "experiment")
         assert simulation_config(resolved) == SimulationConfig()
-        grid = parameter_grid(resolved)
-        assert dataclasses.replace(grid, cash_options=()) == dataclasses.replace(
-            ParameterGrid(), cash_options=())
+        assert experiment_config(resolved) == ExperimentConfig()
 
     @pytest.mark.parametrize("document, extra", [
         ('{"simulation": {"population": {"n_agents": 0}}}', []),
@@ -199,6 +195,9 @@ class TestBuildConfig:
         ('{"experiment": {"paths": {"mean_total": 0}}}', []),
         ('{"experiment": {"base_seed": -1}}', []),
         ("{}", ["--workers", "0"]),
+        ('{"experiment": {"refs": {"n_samples": 2000.5}}}', []),
+        ('{"experiment": {"paths": {"mean_total": 2.5}}}', []),
+        ('{"experiment": {"paths": {"seed": 1.5}}}', []),
     ])
     def test_bad_config_exits_before_writing(self, document, extra, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -208,6 +207,14 @@ class TestBuildConfig:
                      "--trials", "1", "--out", str(out), *extra]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", [{"grid": {"alpha": [-0.1]}}, {"path_seed": 1.5}])
+    def test_simulate_checks_the_experiment_section(self, experiment, tmp_path, capsys):
+        config = write_json(tmp_path / "cfg.json", {"experiment": experiment})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
     def test_run_digest_covers_config_and_input_files(self, tmp_path):
@@ -385,6 +392,18 @@ class TestMetrics:
         bars = toy_bars(tmp_path / "flat.csv", [100] * 40)
         assert main(["metrics", bars, "--out", str(tmp_path / "o")]) == EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["metrics", "experiment"])
+    def test_refs_file_of_one_return_is_data_error(self, command, sim_config, tmp_path, capsys):
+        ref = tmp_path / "short.csv"
+        ref.write_text("d,300,301\n")
+        out = tmp_path / "out"
+        first = ([toy_bars(tmp_path / "toy.csv", [100, 105, 95, 120, 100])] if command == "metrics"
+                 else ["--config", sim_config, "--scenarios", "0"])
+        assert main([command, *first, "--refs", str(ref), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 class TestExperiment:
     def test_two_scenarios_two_rows(self, sim_config, tmp_path):
@@ -548,6 +567,20 @@ class TestExperiment:
             written.append({name: (out / name).read_bytes() for name in names})
         assert written[0] == written[1]
 
+    def test_two_workers_resume_a_cut_ledger_to_the_same_bytes(self, sim_config, tmp_path):
+        names = ("table2.csv", "table4.csv", "fig5.csv", "synergy.csv", "ledger.jsonl")
+        args = ["experiment", "--config", sim_config, "--scenarios", "0,1,2,4"]
+        whole = tmp_path / "whole"
+        assert main([*args, "--workers", "1", "--out", str(whole)]) == EXIT_OK
+        lines = (whole / "ledger.jsonl").read_bytes().splitlines(keepends=True)
+        assert len(lines) == 8
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        (cut / "ledger.jsonl").write_bytes(b"".join(lines[:3]))  # killed after 3 of 8 combos
+        assert main([*args, "--workers", "2", "--resume", "--out", str(cut)]) == EXIT_OK
+        assert ({name: (cut / name).read_bytes() for name in names}
+                == {name: (whole / name).read_bytes() for name in names})
+
     def test_invalid_scenarios_exit_config(self, sim_config, tmp_path, capsys):
         assert main(["experiment", "--config", sim_config, "--scenarios", "9",
                      "--out", str(tmp_path / "x")]) == EXIT_CONFIG
@@ -593,11 +626,11 @@ class TestExperimentTables:
 
     @staticmethod
     def run_experiment(tmp_path, monkeypatch, scenarios: str, hill_of) -> Path:
-        def fake_evaluate(base, combo, n_trials, base_seed, refs, paths, path_seed=7701):
+        def fake_evaluate(base, combo, exp, refs, paths):
             facts = StylizedFactReport(kurtosis=hill_of(combo), vol_volume_corr=combo.alpha,
                                        abs_autocorr={1: 0.2, 10: 0.1})
             return ComboMetrics(combo=combo, hill=hill_of(combo), k_used=10,
-                                mean_ot=combo.alpha, ot_std=0.0, n_trials=n_trials,
+                                mean_ot=combo.alpha, ot_std=0.0, n_trials=exp.trials,
                                 n_degenerate=0, n_pooled=100, unstable=False, stylized=facts)
 
         monkeypatch.setattr(calibration_mod, "evaluate_combo", fake_evaluate)

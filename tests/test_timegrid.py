@@ -193,15 +193,17 @@ class TestLogReturns:
 
 
 class TestSyntheticPaths:
+    MEAN_TOTAL = 30_000  # transactions in an average synthetic day
+
     def test_uniform_path_near_linear(self):
         rng = np.random.default_rng(7)
-        path = synthetic_reference_path(rng, "uniform")
+        path = synthetic_reference_path(rng, "uniform", self.MEAN_TOTAL)
         linear = (np.arange(MINUTES_PER_DAY) + 1) / MINUTES_PER_DAY
         assert np.max(np.abs(np.asarray(path.fractions) - linear)) < 0.05
 
     def test_ushape_concentrates_open_close(self):
         rng = np.random.default_rng(11)
-        path = synthetic_reference_path(rng, "ushape")
+        path = synthetic_reference_path(rng, "ushape", self.MEAN_TOTAL)
         fr = np.asarray(path.fractions)
         assert fr[149] < 0.55
         assert fr[29] > 0.1  # first 30 minutes
@@ -209,11 +211,11 @@ class TestSyntheticPaths:
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
-            synthetic_reference_path(np.random.default_rng(0), "wedge")
+            synthetic_reference_path(np.random.default_rng(0), "wedge", self.MEAN_TOTAL)
 
     def test_output_is_valid_path(self):
         for shape in ("uniform", "ushape"):
-            path = synthetic_reference_path(np.random.default_rng(3), shape)
+            path = synthetic_reference_path(np.random.default_rng(3), shape, self.MEAN_TOTAL)
             assert len(path.fractions) == MINUTES_PER_DAY
             assert path.fractions[-1] == 1.0
 
