@@ -373,10 +373,11 @@ def calibrate(
         else:
             pending.append((idx, combo))
     tasks = [(base, combo, exp, refs, paths) for _, combo in pending]
+    # the pool starts every worker at once, so it gets no more than can run
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     # each result is recorded as it arrives, in enumeration order, so an
     # interrupted run keeps every combo finished before the interruption
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 and tasks
-          else nullcontext()) as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         fresh = pool.map(_evaluate_task, tasks) if pool else map(_evaluate_task, tasks)
         for (idx, _), metrics in zip(pending, fresh):
             results[idx] = metrics

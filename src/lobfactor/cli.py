@@ -9,14 +9,12 @@ error, 4 runtime degeneracy.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import hashlib
 import json
 import math
-import os
 import sys
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -59,9 +57,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DEGENERATE = 4
 
-SEED_ENV_VAR = "LOBFACTOR_SEED"
-
-
 class ConfigError(ValueError):
     pass
 
@@ -75,31 +70,20 @@ def _json(value):
     return json.loads(json.dumps(value))
 
 
-DEFAULT_CONFIG: dict = {
-    "simulation": _json(asdict(SimulationConfig())),
-    "experiment": _json(asdict(ExperimentConfig())),
-}
+@dataclass(frozen=True)
+class _Document:
+    """A whole config document: one section per typed config."""
+
+    simulation: SimulationConfig = field(default_factory=SimulationConfig)
+    experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
 
-def _merge(defaults: dict, override: dict, prefix: str = "") -> dict:
-    out = copy.deepcopy(defaults)
-    for key, value in override.items():
-        path = f"{prefix}{key}"
-        if key not in defaults:
-            raise ConfigError(f"unknown config field: {path}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config field {path} must be an object")
-            out[key] = _merge(defaults[key], value, prefix=f"{path}.")
-        else:
-            if value is None:
-                raise ConfigError(f"config field {path} is missing a value")
-            out[key] = value
-    return out
+DEFAULT_CONFIG: dict = _json(asdict(_Document()))
 
 
 def resolve_config(config_path: str | None, seed_flag: int | None, command: str) -> dict:
-    """Defaults <- config file <- LOBFACTOR_SEED <- --seed, narrowing wins."""
+    """Defaults <- config file <- --seed, written back from the typed configs,
+    so every value has its field's type and equal configs digest alike."""
     override: dict = {}
     if config_path is not None:
         path = Path(config_path)
@@ -111,22 +95,13 @@ def resolve_config(config_path: str | None, seed_flag: int | None, command: str)
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(override, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
-    resolved = _merge(DEFAULT_CONFIG, override)
-    seed = None
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
+    doc = _build(_Document, override, "")
     if seed_flag is not None:
-        seed = seed_flag
-    if seed is not None:
         if command == "experiment":
-            resolved["experiment"]["base_seed"] = seed
+            doc = replace(doc, experiment=replace(doc.experiment, base_seed=seed_flag))
         else:
-            resolved["simulation"]["seed"] = seed
-    return resolved
+            doc = replace(doc, simulation=replace(doc.simulation, seed=seed_flag))
+    return _json(asdict(doc))
 
 
 def config_digest(resolved: dict) -> str:
@@ -146,31 +121,45 @@ def run_digest(resolved: dict, refs_files: list[str] | None, paths_file: str | N
     return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
 
 
-def _build(cls, section: dict, path: str):
-    """A `cls` from a resolved config section, each value converted to the
-    type of the field's default."""
-    default = cls()
-    values = {f.name: _convert(getattr(default, f.name), section[f.name], f"{path}.{f.name}")
-              for f in fields(cls)}
-    return cls(**values)
+def _build(cls, section, path: str):
+    """A `cls` from a partial config section over its defaults, each given
+    value checked against the type of its field's default."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config field {path} must be an object")
+    default, names = cls(), {f.name for f in fields(cls)}
+    values = {}
+    for key, value in section.items():
+        field_path = f"{path}.{key}" if path else key
+        if key not in names:
+            raise ConfigError(f"unknown config field: {field_path}")
+        values[key] = _convert(getattr(default, key), value, field_path)
+    return replace(default, **values)
 
 
 def _convert(default, value, path: str):
     """`value` as the type of `default`: dataclasses field by field, tuples
-    element by element."""
+    element by element, an int where a float is due, and an integral float
+    where an int is; a bool or a string only where the default is one."""
+    if value is None:
+        raise ConfigError(f"config field {path} is missing a value")
     if is_dataclass(default):
         return _build(type(default), value, path)
     if isinstance(default, tuple):
         if not isinstance(value, list):
             raise ConfigError(f"config field {path} must be a list, got {value!r}")
         return tuple(_convert(default[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    kind = type(default)
     try:
-        converted = type(default)(value)
+        if kind in (bool, str) or isinstance(value, (bool, str)):
+            if type(value) is not kind:
+                raise TypeError
+            return value
+        converted = kind(value)
         if isinstance(value, float) and converted != value:
-            raise ValueError  # a fraction cut off, a number made text, or NaN
+            raise ValueError  # a fraction cut off, or NaN
         return converted
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config field {path} must be of type {type(default).__name__}, "
+        raise ConfigError(f"config field {path} must be of type {kind.__name__}, "
                           f"got {value!r}") from None
 
 
@@ -192,6 +181,8 @@ def simulation_config(resolved: dict) -> SimulationConfig:
 _EXPERIMENT_MINIMUMS = (("trials", 1), ("base_seed", 0), ("path_seed", 0), ("refs.count", 1),
                         ("refs.seed", 0), ("paths.count", 1), ("paths.seed", 0),
                         ("paths.mean_total", 1))
+# a path day's mean transaction count, kept far below where its int64 sum wraps
+_MAX_MEAN_TOTAL = 10**12
 
 
 def experiment_config(resolved: dict) -> ExperimentConfig:
@@ -202,6 +193,9 @@ def experiment_config(resolved: dict) -> ExperimentConfig:
         value = attrgetter(path)(exp)
         if value < minimum:
             raise ConfigError(f"config field experiment.{path} must be >= {minimum}, got {value}")
+    if exp.paths.mean_total > _MAX_MEAN_TOTAL:
+        raise ConfigError(f"config field experiment.paths.mean_total must be <= "
+                          f"{_MAX_MEAN_TOTAL}, got {exp.paths.mean_total}")
     base = simulation_config(resolved)
     for axis in fields(ParameterGrid):
         for value in getattr(exp.grid, axis.name):
@@ -225,11 +219,8 @@ def load_paths(resolved: dict, paths_file: str | None) -> list[TransactionPath]:
     spec = experiment_config(resolved).paths
     rng = np.random.default_rng(spec.seed)
     shapes = ("uniform", "ushape")
-    try:
-        return [synthetic_reference_path(rng, shapes[i % 2], spec.mean_total)
-                for i in range(spec.count)]
-    except (ValueError, OverflowError) as exc:  # a mean_total past numpy's range
-        raise ConfigError(f"invalid experiment.paths: {exc}") from None
+    return [synthetic_reference_path(rng, shapes[i % 2], spec.mean_total)
+            for i in range(spec.count)]
 
 
 def read_bar_price_rows(file) -> list[np.ndarray]:

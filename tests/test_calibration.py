@@ -283,6 +283,29 @@ class TestCalibrate:
         with pytest.raises(CalibrationError):
             calibrate(0, self.EXP, small_base(), refs=[], paths=paths)
 
+    def test_pool_is_capped_at_pending_tasks_and_cpus(self, monkeypatch, paths):
+        self._patched(monkeypatch, lambda c: _fake_metrics(c, mean_ot=c.alpha, hill=3.0))
+        sizes = []
+
+        class RecordingPool:  # starts no process: records its size, runs tasks in process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(calibration_mod, "ProcessPoolExecutor", RecordingPool)
+        for cpus in (2, 64, 1, None):  # three combos are pending each time
+            monkeypatch.setattr(calibration_mod.os, "cpu_count", lambda: cpus)
+            calibrate(0, self.EXP, small_base(), refs=[], paths=paths, workers=64)
+        assert sizes == [2, 3]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_at_combo_k_keeps_the_k_minus_1_before_it(self, monkeypatch, tmp_path,
                                                                paths, workers):

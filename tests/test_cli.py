@@ -26,7 +26,6 @@ from lobfactor.cli import (
     EXIT_DATA,
     EXIT_DEGENERATE,
     EXIT_OK,
-    SEED_ENV_VAR,
     TABLE2_COLUMNS,
     ConfigError,
     config_digest,
@@ -41,11 +40,6 @@ from lobfactor.cli import (
 from lobfactor.engine import SimulationConfig
 from lobfactor.metrics import DegenerateSeriesError, StylizedFactReport
 from lobfactor.timegrid import MINUTES_PER_DAY
-
-
-@pytest.fixture(autouse=True)
-def no_ambient_seed(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 def write_json(path, payload) -> str:
@@ -110,24 +104,14 @@ class TestConfigResolution:
         assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "simulation.seed" in capsys.readouterr().err
 
-    def test_env_var_overrides_config_seed(self, tmp_path, monkeypatch):
+    def test_seed_flag_beats_config_seed(self, tmp_path):
         path = write_json(tmp_path / "c.json", {"simulation": {"seed": 3}})
-        monkeypatch.setenv(SEED_ENV_VAR, "99")
-        assert resolve_config(path, None, "simulate")["simulation"]["seed"] == 99
-
-    def test_seed_flag_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "99")
-        assert resolve_config(None, 7, "simulate")["simulation"]["seed"] == 7
+        assert resolve_config(path, 7, "simulate")["simulation"]["seed"] == 7
 
     def test_experiment_seed_lands_on_base_seed(self):
         resolved = resolve_config(None, 7, "experiment")
         assert resolved["experiment"]["base_seed"] == 7
         assert resolved["simulation"]["seed"] == DEFAULT_CONFIG["simulation"]["seed"]
-
-    def test_bad_env_var_is_config_error(self, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
-        with pytest.raises(ConfigError):
-            resolve_config(None, None, "simulate")
 
     def test_digest_is_stable_and_sensitive(self):
         a = resolve_config(None, None, "simulate")
@@ -198,6 +182,11 @@ class TestBuildConfig:
         ('{"experiment": {"refs": {"n_samples": 2000.5}}}', []),
         ('{"experiment": {"paths": {"mean_total": 2.5}}}', []),
         ('{"experiment": {"paths": {"seed": 1.5}}}', []),
+        ('{"experiment": {"trials": true}}', []),
+        ('{"simulation": {"t_sim": "300"}}', []),
+        ('{"simulation": {"population": {"alpha": true}}}', []),
+        ('{"simulation": {"population": {"cash": {"kind": 5}}}}', []),
+        ('{"experiment": {"paths": {"mean_total": 10000000000000000000}}}', []),
     ])
     def test_bad_config_exits_before_writing(self, document, extra, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -290,12 +279,11 @@ class TestSimulate:
         prices = read_bar_price_rows(out / "bars.csv")
         assert [p.size for p in prices] == [MINUTES_PER_DAY]
 
-    def test_env_seed_changes_output(self, sim_config, tmp_path, monkeypatch):
+    def test_seed_flag_changes_output(self, sim_config, tmp_path):
         out_a = tmp_path / "a"
         main(["simulate", "--config", sim_config, "--out", str(out_a)])
-        monkeypatch.setenv(SEED_ENV_VAR, "99")
         out_b = tmp_path / "b"
-        main(["simulate", "--config", sim_config, "--out", str(out_b)])
+        main(["simulate", "--config", sim_config, "--seed", "99", "--out", str(out_b)])
         manifest = json.loads((out_b / "manifest.json").read_text())
         assert manifest["seed_range"] == [99, 99]
         assert (out_a / "ticks.csv").read_bytes() != (out_b / "ticks.csv").read_bytes()

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from lobfactor.cli import EXIT_OK, SEED_ENV_VAR, config_digest, main, resolve_config
+from lobfactor.cli import EXIT_OK, config_digest, main, resolve_config
 
 # the resolved default config: manifests of default runs stay comparable
 DEFAULT_CONFIG_DIGEST = "a610a9702f42686c4e1233ff040eabe866198d3c0588b7e5b27b8f940d3879af"
@@ -64,11 +64,6 @@ EXPERIMENT_DIGESTS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def no_ambient_seed(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-
-
 def digests(out_dir, names) -> dict[str, str]:
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
 
@@ -83,6 +78,11 @@ def test_default_config_matches_golden_digests(command, capsys):
     assert config_digest(resolve_config(None, None, command)) == DEFAULT_CONFIG_DIGEST
     assert main([command, "--print-config"]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PRINT_CONFIG_DIGEST
+
+
+def test_an_int_for_a_float_field_resolves_to_the_default_digest(tmp_path):
+    config = write_config(tmp_path / "cfg.json", {"simulation": {"p0": 300}})
+    assert config_digest(resolve_config(config, None, "simulate")) == DEFAULT_CONFIG_DIGEST
 
 
 @pytest.mark.parametrize("scenario", sorted(SIMULATE_DIGESTS))
