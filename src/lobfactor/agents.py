@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orderbook import Order, Side, align_to_tick
+from .orderbook import BUY, SELL, Order, align_to_tick
 
 RETURN_HORIZON_CLAMP = 10.0  # bound on tau * r_hat inside exp()
 
@@ -47,7 +47,7 @@ class PopulationConfig:
     p_optimist_init: float = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentParams:
     w_f: float
     w_c: float
@@ -56,6 +56,16 @@ class AgentParams:
     tau: int  # forecast horizon and order lifetime, steps
     tau_f: int
     alpha_j: float
+    # derived once, each the float the forecast would compute first on
+    # every call: the fundamental and chartist coefficients and the weight total
+    f_coef: float = field(init=False, repr=False)
+    c_coef: float = field(init=False, repr=False)
+    w_total: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "f_coef", self.w_f / self.tau_f)
+        object.__setattr__(self, "c_coef", self.w_c / self.tau)
+        object.__setattr__(self, "w_total", self.w_f + self.w_c + self.w_m + self.w_n)
 
 
 @dataclass
@@ -146,14 +156,14 @@ def predict_return(
     eps: float,
 ) -> float | None:
     """Weighted-average one-step log-return forecast; None if all weights are zero."""
-    total = params.w_f + params.w_c + params.w_m + params.w_n
+    total = params.w_total
     if total == 0.0:
         return None
     acc = 0.0
     if params.w_f > 0.0:
-        acc += params.w_f / params.tau_f * math.log(p_f / p_t)
+        acc += params.f_coef * math.log(p_f / p_t)
     if params.w_c > 0.0:
-        acc += params.w_c / params.tau * math.log(p_t / p_lag)
+        acc += params.c_coef * math.log(p_t / p_lag)
     if params.w_m > 0.0:
         acc += params.w_m * (1.0 if state.optimistic else -1.0)
     if params.w_n > 0.0:
@@ -197,10 +207,10 @@ def decide_order(
     if delta > 0:
         affordable = int((state.cash - state.committed_ticks * tick) / limit)
         volume = min(delta, v_max, affordable)
-        side = Side.BUY
+        side = BUY
     elif delta < 0:
         volume = min(-delta, v_max, state.shares - state.committed_shares)
-        side = Side.SELL
+        side = SELL
     else:
         return None
     if volume < 1:

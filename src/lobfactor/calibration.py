@@ -199,7 +199,7 @@ def trial_series(
     n_degenerate = 0
     for i in range(exp.trials):
         cfg = replace(config, seed=exp.base_seed + i)
-        out = run(cfg)
+        out = run(cfg, record_ticks=False)
         if not out.trades:
             n_degenerate += 1
             continue

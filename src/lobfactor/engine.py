@@ -8,6 +8,11 @@ generator seeded from the config seed; all randomness is pre-drawn from it
 in a fixed order (population, then agent choices, then noise, then, only
 when nu > 0, mood permutations and mood uniforms), so a (config, seed) pair
 fully pins the output.
+
+The tick log (one row per order and per trade, with the quotes around it)
+is recorded only when asked for: the `simulate` command keeps it, while the
+calibration trials, which read only trades, mids and the optimist share, run
+with `record_ticks=False`. Skipping it changes no other output.
 """
 
 from __future__ import annotations
@@ -26,7 +31,11 @@ from .agents import (
     predict_price,
     predict_return,
 )
-from .orderbook import Book, Order, Side, Trade
+from .orderbook import BUY, Book, Order, Trade
+
+
+# far above the 2110-step day; bounds the pre-drawn per-step arrays
+MAX_T_SIM = 10**6
 
 
 class ConfigurationError(ValueError):
@@ -77,6 +86,7 @@ def validate_config(config: SimulationConfig) -> None:
     checks = [
         (config.seed >= 0, "seed must be >= 0"),
         (config.t_sim >= 1, "t_sim must be >= 1"),
+        (config.t_sim <= MAX_T_SIM, f"t_sim must be <= {MAX_T_SIM}"),
         (config.p0 > 0, "p0 must be positive"),
         (config.fundamental_price > 0, "fundamental_price must be positive"),
         (config.tick_size > 0, "tick_size must be positive"),
@@ -119,7 +129,7 @@ class Engine:
         shares of an order: its owner's cash at the limit price, in whole
         ticks, for a buy; its owner's shares for a sell."""
         state = self.agents[order.agent_id].state
-        if order.side is Side.BUY:
+        if order.side is BUY:
             state.committed_ticks += volume * self.book.ticks(order.limit_price)
         else:
             state.committed_shares += volume
@@ -139,7 +149,8 @@ class Engine:
         seller.shares -= trade.volume
         self._escrow(sell_order, -trade.volume)
 
-    def run(self, on_step: Callable | None = None) -> SimulationOutput:
+    def run(self, on_step: Callable | None = None, *,
+            record_ticks: bool = True) -> SimulationOutput:
         cfg = self.config
         pop = cfg.population
         n = pop.n_agents
@@ -149,11 +160,14 @@ class Engine:
         # fixed pre-draw order; the mood rows come last and are drawn only
         # when nu > 0, so skipping them leaves every earlier draw unchanged
         mood_on = pop.nu > 0.0
-        choices = rng.integers(0, n, t_sim)
-        eps = rng.standard_normal(t_sim) * pop.sigma_n
+        choices = rng.integers(0, n, t_sim).tolist()
+        eps = (rng.standard_normal(t_sim) * pop.sigma_n).tolist()
         if mood_on:
             mood_perms = rng.permuted(np.tile(np.arange(n), (t_sim, 1)), axis=1)
             mood_unifs = rng.random((t_sim, n))
+            # flip thresholds nu * (opposite camp) / n, by optimist count
+            to_pessimist = [pop.nu * (n - k) / n for k in range(n + 1)]
+            to_optimist = [pop.nu * k / n for k in range(n + 1)]
 
         steps = np.arange(1, t_sim + 1)
         exec_ok = np.ones(t_sim, dtype=bool)
@@ -162,19 +176,19 @@ class Engine:
 
         book = self.book
         agents = self.agents
-        price_hist = [cfg.p0]
+        states = [agent.state for agent in agents]
+        p0, p_f = cfg.p0, cfg.fundamental_price
+        price_hist = [p0]
         ticks: list[TickRecord] = []
         all_trades: list[Trade] = []
         optimists_rate: list[float] = []
 
-        for t in range(1, t_sim + 1):
-            agent = agents[choices[t - 1]]
+        for t, j, eps_t, exec_t in zip(range(1, t_sim + 1), choices, eps, exec_ok.tolist()):
+            agent = agents[j]
             params = agent.params
             p_t = price_hist[-1]
             p_lag = price_hist[max(0, t - params.tau)]
-            r_hat = predict_return(
-                params, agent.state, p_t, cfg.fundamental_price, p_lag, float(eps[t - 1])
-            )
+            r_hat = predict_return(params, agent.state, p_t, p_f, p_lag, eps_t)
             if r_hat is not None:
                 p_hat = predict_price(p_t, params.tau, r_hat)
                 order = decide_order(
@@ -182,44 +196,43 @@ class Engine:
                     cfg.tick_size, len(book.orders) + 1,
                 )
                 if order is not None:
-                    submitted_volume = order.volume
                     self._escrow(order, order.volume)
-                    ticks.append(TickRecord(
-                        t, "OrderPlaced", book.last_trade_price, book.mid_price(cfg.p0),
-                        book.best_bid(), book.best_ask(), submitted_volume, 0, self.n_opt,
-                    ))
-                    trades = book.submit(order, execution_enabled=bool(exec_ok[t - 1]))
+                    if record_ticks:
+                        ticks.append(TickRecord(
+                            t, "OrderPlaced", book.last_trade_price, book.mid_price(p0),
+                            book.best_bid(), book.best_ask(), order.volume, 0, self.n_opt,
+                        ))
+                    trades = book.submit(order, execution_enabled=exec_t)
                     for trade in trades:
                         self._settle(trade)
-                    if trades:
+                    all_trades.extend(trades)
+                    if trades and record_ticks:
                         bb, ba = book.best_bid(), book.best_ask()
-                        mid = book.mid_price(cfg.p0)
+                        mid = book.mid_price(p0)
                         for trade in trades:
                             ticks.append(TickRecord(
                                 t, "TradeExecuted", trade.price, mid, bb, ba,
                                 0, trade.volume, self.n_opt,
                             ))
-                        all_trades.extend(trades)
 
             for order, volume in book.expire(t):
                 self._escrow(order, -volume)
 
             if mood_on and 0 < self.n_opt < n:
                 n_opt = self.n_opt
-                nu = pop.nu
                 urow = mood_unifs[t - 1].tolist()
                 for k in mood_perms[t - 1].tolist():
-                    state = agents[k].state
+                    state = states[k]
                     if state.optimistic:
-                        if urow[k] < nu * (n - n_opt) / n:
+                        if urow[k] < to_pessimist[n_opt]:
                             state.optimistic = False
                             n_opt -= 1
-                    elif urow[k] < nu * n_opt / n:
+                    elif urow[k] < to_optimist[n_opt]:
                         state.optimistic = True
                         n_opt += 1
                 self.n_opt = n_opt
 
-            price_hist.append(book.mid_price(cfg.p0))
+            price_hist.append(book.mid_price(p0))
             optimists_rate.append(self.n_opt / n)
             if on_step is not None:
                 on_step(self, t)
@@ -232,6 +245,8 @@ class Engine:
         )
 
 
-def run(config: SimulationConfig, on_step: Callable | None = None) -> SimulationOutput:
-    """Run one trial. Byte-identical outputs for identical (config, seed)."""
-    return Engine(config).run(on_step=on_step)
+def run(config: SimulationConfig, on_step: Callable | None = None, *,
+        record_ticks: bool = True) -> SimulationOutput:
+    """Run one trial. Byte-identical outputs for identical (config, seed);
+    with record_ticks off the tick log stays empty and nothing else changes."""
+    return Engine(config).run(on_step=on_step, record_ticks=record_ticks)

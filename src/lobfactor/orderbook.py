@@ -21,6 +21,13 @@ class Side(Enum):
     BUY = "buy"
     SELL = "sell"
 
+    # members are singletons, so identity hashing agrees with equality and
+    # skips Enum's Python-level hash of the member name on every dict access
+    __hash__ = object.__hash__
+
+
+BUY, SELL = Side.BUY, Side.SELL
+
 
 class DuplicateOrderError(ValueError):
     """An order_id was submitted twice to the same book."""
@@ -100,9 +107,9 @@ class Book:
         self.orders: dict[int, Order] = {}  # every submitted order, by id
         # running per-side totals; volume conservation means
         # submitted == executed + expired + resting at all times
-        self.submitted_volume = {Side.BUY: 0, Side.SELL: 0}
-        self.executed_volume = {Side.BUY: 0, Side.SELL: 0}
-        self.expired_volume = {Side.BUY: 0, Side.SELL: 0}
+        self.submitted_volume = {BUY: 0, SELL: 0}
+        self.executed_volume = {BUY: 0, SELL: 0}
+        self.expired_volume = {BUY: 0, SELL: 0}
 
     def ticks(self, price: float) -> int:
         """A price on the tick grid as its whole number of ticks."""
@@ -130,11 +137,11 @@ class Book:
         return fallback
 
     def resting_volume(self, side: Side) -> int:
-        levels = self.bids if side is Side.BUY else self.asks
+        levels = self.bids if side is BUY else self.asks
         return sum(o.volume for q in levels.values() for o in q)
 
     def _rest(self, order: Order, ticks: int) -> None:
-        if order.side is Side.BUY:
+        if order.side is BUY:
             queue = self.bids.get(ticks)
             if queue is None:
                 queue = self.bids[ticks] = deque()
@@ -164,7 +171,7 @@ class Book:
 
         trades: list[Trade] = []
         if execution_enabled:
-            buying = order.side is Side.BUY
+            buying = order.side is BUY
             if buying:
                 opp_levels, opp_heap, sign = self.asks, self._ask_levels, 1
             else:
@@ -183,14 +190,14 @@ class Book:
                 price = resting.limit_price
                 buy_id, sell_id = (
                     (order.order_id, resting.order_id)
-                    if order.side is Side.BUY
+                    if buying
                     else (resting.order_id, order.order_id)
                 )
                 trades.append(Trade(buy_id, sell_id, price, vol, order.submitted_step))
                 order.volume -= vol
                 resting.volume -= vol
-                self.executed_volume[Side.BUY] += vol
-                self.executed_volume[Side.SELL] += vol
+                self.executed_volume[BUY] += vol
+                self.executed_volume[SELL] += vol
                 self.last_trade_price = price
                 if resting.volume == 0:
                     queue.popleft()
@@ -214,7 +221,7 @@ class Book:
             order = self.orders[order_id]
             if order.volume == 0:
                 continue  # fully filled while resting
-            levels = self.bids if order.side is Side.BUY else self.asks
+            levels = self.bids if order.side is BUY else self.asks
             ticks = self.ticks(order.limit_price)
             queue = levels[ticks]
             queue.remove(order)

@@ -1,5 +1,9 @@
 """Reference implementations used only to check production code.
 
+predict_return_raw is the forecast on the raw weights, each coefficient and
+the weight total computed on every call; agents.predict_return reads them
+precomputed on AgentParams, and the two must agree bit for bit.
+
 update_mood is the per-agent conformity rule that the engine applies inline
 in its mood pass: it flips an agent's optimistic bool. in_no_exec_window is the step-by-step form of the windows
 the engine turns into one boolean mask: no trade may carry a step inside a
@@ -19,11 +23,35 @@ much) is permutation-independent, so the pattern is computed once and the
 cost is vectorized over orderings.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
 
-from lobfactor.agents import AgentState
+from lobfactor.agents import AgentParams, AgentState
+
+
+def predict_return_raw(
+    params: AgentParams,
+    state: AgentState,
+    p_t: float,
+    p_f: float,
+    p_lag: float,
+    eps: float,
+) -> float | None:
+    total = params.w_f + params.w_c + params.w_m + params.w_n
+    if total == 0.0:
+        return None
+    acc = 0.0
+    if params.w_f > 0.0:
+        acc += params.w_f / params.tau_f * math.log(p_f / p_t)
+    if params.w_c > 0.0:
+        acc += params.w_c / params.tau * math.log(p_t / p_lag)
+    if params.w_m > 0.0:
+        acc += params.w_m * (1.0 if state.optimistic else -1.0)
+    if params.w_n > 0.0:
+        acc += params.w_n * eps
+    return acc / total
 
 
 def update_mood(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobfactor.agents import (
@@ -21,7 +21,7 @@ from lobfactor.agents import (
     sample_pareto,
 )
 from lobfactor.orderbook import Side
-from oracles import update_mood
+from oracles import predict_return_raw, update_mood
 
 
 def make_agent(
@@ -142,6 +142,40 @@ def test_zero_mood_weight_matches_three_term_form(w_f, w_c, w_n, eps, p_t, p_lag
         + w_n * eps
     ) / (w_f + w_c + w_n)
     assert r == pytest.approx(expected, rel=1e-12)
+
+
+weight = st.one_of(st.just(0.0), st.floats(1e-9, 100.0))
+
+
+@given(
+    w_f=weight, w_c=weight, w_m=weight, w_n=weight,
+    tau=st.integers(1, 10_000), tau_f=st.integers(1, 1_000), optimistic=st.booleans(),
+    p_t=st.floats(1e-3, 1e6), p_lag=st.floats(1e-3, 1e6), eps=st.floats(-1.0, 1.0),
+)
+@example(w_f=0.0, w_c=0.0, w_m=0.0, w_n=0.0, tau=100, tau_f=200, optimistic=True,
+         p_t=300.0, p_lag=300.0, eps=0.0)
+@example(w_f=3.7, w_c=0.0, w_m=0.0, w_n=0.0, tau=100, tau_f=200, optimistic=True,
+         p_t=270.0, p_lag=300.0, eps=0.01)
+@example(w_f=0.0, w_c=1.9, w_m=0.0, w_n=0.0, tau=37, tau_f=200, optimistic=True,
+         p_t=310.0, p_lag=290.0, eps=0.01)
+@example(w_f=0.0, w_c=0.0, w_m=2e-5, w_n=0.0, tau=100, tau_f=200, optimistic=False,
+         p_t=300.0, p_lag=300.0, eps=0.01)
+@example(w_f=0.0, w_c=0.0, w_m=0.0, w_n=0.7, tau=100, tau_f=200, optimistic=True,
+         p_t=300.0, p_lag=300.0, eps=-0.03)
+def test_forecast_is_bit_equal_to_the_raw_weight_formula(
+    w_f, w_c, w_m, w_n, tau, tau_f, optimistic, p_t, p_lag, eps,
+):
+    a = make_agent(w_f=w_f, w_c=w_c, w_m=w_m, w_n=w_n, tau=tau, tau_f=tau_f,
+                   optimistic=optimistic)
+    got = predict_return(a.params, a.state, p_t, 300.0, p_lag, eps)
+    expected = predict_return_raw(a.params, a.state, p_t, 300.0, p_lag, eps)
+    assert repr(got) == repr(expected)  # repr tells every float bit pattern apart
+
+
+def test_agent_params_are_frozen():
+    a = make_agent(w_f=1.0)
+    with pytest.raises(AttributeError):
+        a.params.w_f = 2.0
 
 
 def test_predict_price_compounds_over_horizon():

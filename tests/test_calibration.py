@@ -215,8 +215,8 @@ class TestEvaluateCombo:
     def test_majority_degenerate_marks_unstable(self, paths, monkeypatch):
         real_run = calibration_mod.run
 
-        def flaky_run(cfg):
-            out = real_run(cfg)
+        def flaky_run(cfg, **kwargs):
+            out = real_run(cfg, **kwargs)
             if cfg.seed % 2 == 0:
                 return dataclasses.replace(out, trades=[])
             return out
@@ -227,6 +227,19 @@ class TestEvaluateCombo:
         assert m.n_degenerate == 3  # seeds 50, 52, 54
         assert m.unstable
         assert m.hill is None and m.mean_ot is None
+
+    def test_asks_for_no_tick_log(self, paths, monkeypatch):
+        real_run = calibration_mod.run
+        requests = []
+
+        # the config stays positional: the benchmark tracer reads it as args[0]
+        def recording_run(cfg, **kwargs):
+            requests.append(kwargs)
+            return real_run(cfg, **kwargs)
+
+        monkeypatch.setattr(calibration_mod, "run", recording_run)
+        evaluate_combo(small_base(), COMBO, THREE_TRIALS, refs=[], paths=paths)
+        assert requests == [{"record_ticks": False}] * THREE_TRIALS.trials
 
     def test_rejects_zero_trials(self, paths):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from schemas import MANIFEST_SCHEMA, METRICS_REPORT_SCHEMA
 
 import lobfactor.calibration as calibration_mod
+import lobfactor.cli as cli_mod
 from lobfactor.calibration import ComboMetrics, ExperimentConfig
 from lobfactor.cli import (
     BARS_CSV_HEADER,
@@ -204,6 +205,19 @@ class TestBuildConfig:
         out = tmp_path / "out"
         assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+    def test_huge_t_sim_exits_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(cli_mod, "run", no_trial)
+        config = write_json(tmp_path / "cfg.json", {"simulation": {"t_sim": 1e300}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "t_sim" in err
         assert not out.exists()
 
     def test_run_digest_covers_config_and_input_files(self, tmp_path):

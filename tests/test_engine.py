@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from lobfactor.agents import CashSpec, PopulationConfig, init_population
+from lobfactor.calibration import ParameterGrid, build_config, enumerate_combos
 from lobfactor.cli import write_ticks_csv
 from lobfactor.engine import (
+    MAX_T_SIM,
     ConfigurationError,
     Engine,
     SimulationConfig,
@@ -33,6 +35,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("patch", [
         dict(t_sim=0),
+        dict(t_sim=MAX_T_SIM + 1),
         dict(tick_size=0.0),
         dict(v_max=0),
         dict(sigma_sq_order=0.0),
@@ -125,6 +128,22 @@ class TestWindowsAndTicks:
         assert first.event == "OrderPlaced"
         assert first.mid_price == 300.0
         assert first.market_price is None
+
+
+class TestTickLogOff:
+    """Calibration runs without the tick log; nothing else may change."""
+
+    @pytest.mark.parametrize("seed", [1000, 1001])
+    @pytest.mark.parametrize("scenario", [0, 2, 3, 7])
+    def test_matches_the_logged_run(self, scenario, seed):
+        combos = enumerate_combos(scenario, ParameterGrid(), CashSpec())
+        combo = combos[len(combos) // 2]
+        cfg = build_config(SimulationConfig(seed=seed), combo)
+        logged, bare = run(cfg), run(cfg, record_ticks=False)
+        assert logged.ticks and bare.ticks == []
+        assert bare.trades == logged.trades
+        assert bare.mid_prices == logged.mid_prices
+        assert bare.optimists_rate == logged.optimists_rate
 
 
 class TestConservation:
