@@ -242,9 +242,8 @@ def evaluate_combo(
         return unusable()
     pooled = np.concatenate(returns_parts)
     try:
-        abs_std = np.abs(standardize(pooled))
-        stats = hill_index(abs_std)
-        cloud = build_tail_cloud(abs_std)
+        cloud = build_tail_cloud(np.abs(standardize(pooled)))
+        hill = hill_index(cloud)
     except DegenerateSeriesError:
         return unusable()
     try:
@@ -254,8 +253,8 @@ def evaluate_combo(
     ot_values = [ot_distance(cloud, ref) for ref in refs]
     return ComboMetrics(
         combo=combo,
-        hill=stats.hill,
-        k_used=stats.k_used,
+        hill=hill,
+        k_used=cloud.size,
         mean_ot=float(np.mean(ot_values)) if ot_values else None,
         ot_std=float(np.std(ot_values)) if ot_values else None,
         n_trials=n_trials,
@@ -395,8 +394,7 @@ def make_student_t_refs(spec: RefsSpec) -> list[PointCloud]:
     for m in range(spec.count):
         rng = np.random.default_rng([spec.seed, m])
         returns = rng.standard_t(spec.df, size=spec.n_samples)
-        refs.append(build_tail_cloud(np.abs(standardize(returns)),
-                                     source_id=f"t{spec.df:g}-{m}"))
+        refs.append(build_tail_cloud(np.abs(standardize(returns))))
     return refs
 
 

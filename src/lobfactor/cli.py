@@ -226,8 +226,9 @@ def load_paths(resolved: dict, paths_file: str | None) -> list[TransactionPath]:
 def read_bar_price_rows(file) -> list[np.ndarray]:
     """Lenient bar reader: day_id plus two or more prices per row.
 
-    Accepts short toy files alongside full 300-minute days; malformed cells
-    are reported with their row and column.
+    Accepts short toy files alongside full 300-minute days; malformed cells,
+    and prices that are not positive and finite, are reported with their row
+    and column.
     """
     rows = []
     try:
@@ -250,9 +251,9 @@ def read_bar_price_rows(file) -> list[np.ndarray]:
                 except ValueError:
                     raise DataError(f"{file}: row {row_no}, column {col}: "
                                     f"non-numeric price {cell!r}") from None
-                if prices[col - 2] <= 0:
+                if not 0 < prices[col - 2] < math.inf:  # also rejects nan
                     raise DataError(f"{file}: row {row_no}, column {col}: "
-                                    f"non-positive price {cell}")
+                                    f"price {cell} is not positive and finite")
             rows.append(prices)
     if not rows:
         raise DataError(f"{file}: no data rows")
@@ -274,7 +275,7 @@ def load_refs(resolved: dict, refs_files: list[str] | None):
         for file in refs_files:
             pooled = pooled_bar_returns([file])
             try:
-                clouds.append(build_tail_cloud(np.abs(standardize(pooled)), source_id=str(file)))
+                clouds.append(build_tail_cloud(np.abs(standardize(pooled))))
             except ValueError as exc:  # too few returns, or degenerate ones
                 raise DataError(f"refs file {file}: {exc}") from exc
         return clouds
@@ -393,21 +394,19 @@ def cmd_metrics(args) -> int:
         raise DataError(f"too few returns for metrics: {pooled.size}")
     refs = load_refs(resolved, args.refs) if args.refs else []
     try:
-        abs_std = np.abs(standardize(pooled))
-        stats = hill_index(abs_std)
-        cloud = build_tail_cloud(abs_std)
+        cloud = build_tail_cloud(np.abs(standardize(pooled)))
+        hill = hill_index(cloud)
         facts = stylized_facts(pooled, lags=lags)
     except DegenerateSeriesError as exc:
         raise DataError(f"degenerate pooled returns: {exc}") from exc
-    per_ref = [(ref.source_id or f"ref{i}", ot_distance(cloud, ref))
-               for i, ref in enumerate(refs)]
+    ots = [ot_distance(cloud, ref) for ref in refs]
     report = {
         "n_returns": int(pooled.size),
-        "hill": stats.hill,
-        "k_used": stats.k_used,
-        "mean_ot": float(np.mean([ot for _, ot in per_ref])) if per_ref else None,
-        "ot_std": float(np.std([ot for _, ot in per_ref])) if per_ref else None,
-        "per_ref_ot": [{"ref": name, "ot": ot} for name, ot in per_ref],
+        "hill": hill,
+        "k_used": cloud.size,
+        "mean_ot": float(np.mean(ots)) if ots else None,
+        "ot_std": float(np.std(ots)) if ots else None,
+        "per_ref_ot": [{"ref": file, "ot": ot} for file, ot in zip(args.refs or [], ots)],
         "kurtosis": facts.kurtosis,
         "vol_volume_corr": None,  # bar files carry no volumes
         "abs_autocorr": {str(lag): val for lag, val in facts.abs_autocorr.items()},
@@ -418,9 +417,9 @@ def cmd_metrics(args) -> int:
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     cloud_path = out_dir / "tail_cloud.csv"
     _write_csv(cloud_path, ("tail_log_ratio",),
-               [(_fmt(float(v)),) for v in cloud.points[:, 0]])
+               [(_fmt(float(v)),) for v in cloud.points])
     write_manifest(out_dir, "metrics", resolved, None, [report_path.name, cloud_path.name])
-    print(f"metrics: hill={stats.hill:.4f} k={stats.k_used} n={pooled.size} -> {report_path}")
+    print(f"metrics: hill={hill:.4f} k={cloud.size} n={pooled.size} -> {report_path}")
     return EXIT_OK
 
 

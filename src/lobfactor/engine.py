@@ -36,6 +36,8 @@ from .orderbook import BUY, Book, Order, Trade
 
 # far above the 2110-step day; bounds the pre-drawn per-step arrays
 MAX_T_SIM = 10**6
+# 50 times the default population; bounds the (t_sim, n_agents) mood pre-draw
+MAX_AGENTS = 10**4
 
 
 class ConfigurationError(ValueError):
@@ -93,6 +95,7 @@ def validate_config(config: SimulationConfig) -> None:
         (config.v_max >= 1, "v_max must be >= 1"),
         (config.sigma_sq_order > 0, "sigma_sq_order must be positive"),
         (pop.n_agents >= 1, "n_agents must be >= 1"),
+        (pop.n_agents <= MAX_AGENTS, f"n_agents must be <= {MAX_AGENTS}"),
         (pop.lambda_f >= 0 and pop.lambda_c >= 0 and pop.lambda_m >= 0
          and pop.lambda_n >= 0, "weight means must be >= 0"),
         (pop.sigma_n >= 0, "sigma_n must be >= 0"),

@@ -1,10 +1,12 @@
-"""Tail realism metrics: Hill indices, tail point clouds, and optimal transport.
+"""Tail realism metrics: tail point clouds, Hill indices, and optimal transport.
 
 The quantity of interest is the shape of the upper 5% of absolute
-standardized returns. That tail is summarized two ways: the Hill index
-(a scalar power-law exponent estimate) and the full vector of tail
-log-ratios treated as a one-dimensional point cloud, compared against
-reference clouds by exact optimal transport with squared-distance cost.
+standardized returns. Its one representation is the tail cloud: the K
+log-ratios of the top order statistics over the (K+1)-th, a 1-D point
+cloud built from one sort of the series. Both summaries read that cloud:
+the Hill index (a scalar power-law exponent estimate) is K over the sum
+of its points, and exact optimal transport with squared-distance cost
+compares it against reference clouds.
 """
 
 from __future__ import annotations
@@ -21,36 +23,24 @@ class DegenerateSeriesError(ValueError):
 
 @dataclass(frozen=True)
 class PointCloud:
-    points: np.ndarray  # shape (n, d)
-    source_id: str = ""
+    points: np.ndarray  # shape (n,)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError(f"points must be a nonempty 2-D array, got shape {pts.shape}")
+        if pts.ndim != 1 or pts.size == 0:
+            raise ValueError(f"points must be a nonempty 1-D array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("cloud coordinates must be finite")
         object.__setattr__(self, "points", pts)
 
     @cached_property
     def sorted_coords(self) -> np.ndarray:
-        """The 1-D coordinates in ascending order, sorted once per cloud."""
-        return np.sort(self.points[:, 0])
+        """The coordinates in ascending order, sorted once per cloud."""
+        return np.sort(self.points)
 
     @property
     def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-@dataclass(frozen=True)
-class TailStats:
-    hill: float
-    k_used: int
-    n_samples: int
+        return self.points.size
 
 
 @dataclass(frozen=True)
@@ -89,40 +79,33 @@ def tail_log_ratios(abs_returns, k: int) -> np.ndarray:
     return np.log(order[:k] / pivot)
 
 
-def hill_index(abs_returns, k: int | None = None) -> TailStats:
+def build_tail_cloud(abs_returns, k: int | None = None) -> PointCloud:
     x = np.asarray(abs_returns, dtype=float)
     if k is None:
         k = default_tail_k(x.size)
-    ratios = tail_log_ratios(x, k)
-    total = float(ratios.sum())
+    return PointCloud(tail_log_ratios(x, k))
+
+
+def hill_index(cloud: PointCloud) -> float:
+    """K over the sum of the cloud's K tail log-ratios."""
+    total = float(cloud.points.sum())
     if total == 0.0:
         raise DegenerateSeriesError("all top-K samples tied; Hill index undefined")
-    return TailStats(hill=k / total, k_used=k, n_samples=x.size)
-
-
-def build_tail_cloud(abs_returns, k: int | None = None, source_id: str = "") -> PointCloud:
-    x = np.asarray(abs_returns, dtype=float)
-    if k is None:
-        k = default_tail_k(x.size)
-    return PointCloud(tail_log_ratios(x, k).reshape(-1, 1), source_id=source_id)
+    return cloud.size / total
 
 
 def ot_distance(a: PointCloud, b: PointCloud) -> float:
     """Exact OT cost between uniform empirical measures, squared-distance ground cost.
 
-    One-dimensional clouds only: the monotone (sorted) coupling is optimal
-    for convex costs. It is the northwest-corner coupling over integer
-    masses (each of the K points on one side carries L units, each of the
-    L points on the other carries K units), so no tolerance is lost to
-    fractional arithmetic. The coupling's segments lie between the merged
-    breakpoints i*L and j*K on the common mass axis; each segment moves its
-    length between the points whose mass intervals hold it, and the terms
-    are accumulated left to right, the order of a march over the corner.
+    On the line the monotone (sorted) coupling is optimal for convex costs.
+    It is the northwest-corner coupling over integer masses (each of the K
+    points on one side carries L units, each of the L points on the other
+    carries K units), so no tolerance is lost to fractional arithmetic. The
+    coupling's segments lie between the merged breakpoints i*L and j*K on
+    the common mass axis; each segment moves its length between the points
+    whose mass intervals hold it, and the terms are accumulated left to
+    right, the order of a march over the corner.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.dim != 1:
-        raise NotImplementedError("only 1-D clouds are supported")
     xa, xb = a.sorted_coords, b.sorted_coords
     n_a, n_b = xa.size, xb.size
     if n_a == n_b:

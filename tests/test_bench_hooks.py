@@ -9,6 +9,7 @@ suite too.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,56 @@ def test_tracer_sees_each_trial_and_conserved_volume_without_a_tick_log():
     assert tracer.counts["ticks"] == 0
     assert tracer.counts["submitted_volume"] > 0
     assert tracer.problems == []
+
+
+BOOK_AND_AGENTS = {
+    "orderbook.submit", "orderbook.expire", "orderbook.mid_price", "orderbook.best_bid",
+    "orderbook.best_ask", "agents.init_population", "agents.predict_return",
+    "agents.decide_order", "agents.align_to_tick", "engine.run",
+}
+TAIL = {"metrics.standardize", "metrics.build_tail_cloud", "metrics.hill_index",
+        "metrics.stylized_facts", "metrics.ot_distance"}
+
+# the wrapped names each command calls; one that a module still imports
+# but no longer calls goes missing from what the tracer sees
+REACHED = {
+    "experiment": BOOK_AND_AGENTS | TAIL | {
+        "timegrid.assign_calendar_time", "timegrid.bar_volumes", "calibration.evaluate_combo",
+        "calibration.ledger_load", "calibration.ledger_record", "calibration.sweep",
+        "calibration.refs", "cli.main"},
+    "simulate": BOOK_AND_AGENTS | {"timegrid.assign_calendar_time", "cli.write_ticks_csv",
+                                   "cli.main"},
+    "metrics": TAIL | {"cli.read_bars", "cli.main"},
+}
+UNCALLED = {"calibration.stylized_rerun"}  # wrapped, but nothing calls it
+
+
+def test_each_command_reaches_the_wrapped_names_it_calls(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "simulation": {"t_sim": 250, "no_exec_windows": [[1, 20], [120, 130]],
+                       "population": {"n_agents": 30, "alpha": 0.2}},
+        "experiment": {"trials": 1, "refs": {"count": 2, "n_samples": 2000},
+                       "paths": {"count": 2}, "grid": {"lambda_c": [0.0, 1.5], "alpha": [0.2]}},
+    }))
+    bars = str(tmp_path / "sim" / "bars.csv")
+    commands = {
+        "experiment": ["--config", str(config), "--scenarios", "0,1,2,4",
+                       "--out", str(tmp_path / "exp")],
+        "simulate": ["--config", str(config), "--out", str(tmp_path / "sim")],
+        "metrics": [bars, "--refs", bars, "--out", str(tmp_path / "met")],
+    }
+    for command, args in commands.items():
+        tracer = load_perfbench("tracing").Tracer()
+        tracer.install()
+        try:
+            assert cli.main([command, *args]) == cli.EXIT_OK
+        finally:
+            tracer.uninstall()
+        reached = {name for name, (calls, _, _) in tracer.stats.items() if calls}
+        assert reached == REACHED[command], command
+        assert tracer.problems == []
+    assert set().union(*REACHED.values()) == set(tracer.stats) - UNCALLED
 
 
 @pytest.mark.parametrize("workload", sorted(INPUTS.WORKLOADS))

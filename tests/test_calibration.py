@@ -470,12 +470,11 @@ class TestLedger:
 
 
 class TestStudentTRefs:
-    def test_shapes_and_labels(self):
+    def test_shapes(self):
         refs = make_student_t_refs(RefsSpec(count=3, n_samples=2000))
         assert len(refs) == 3
-        for m, cloud in enumerate(refs):
-            assert cloud.points.shape == (default_tail_k(2000), 1)
-            assert cloud.source_id == f"t3-{m}"
+        for cloud in refs:
+            assert cloud.points.shape == (default_tail_k(2000),)
 
     def test_deterministic_and_distinct(self):
         a = make_student_t_refs(SMALL_REFS)
@@ -486,7 +485,7 @@ class TestStudentTRefs:
     def test_default_sizes(self):
         refs = make_student_t_refs(RefsSpec())
         assert len(refs) == 18
-        assert refs[0].points.shape == (1500, 1)
+        assert refs[0].points.shape == (1500,)
 
 
 def quartet_per_combo(grid: ParameterGrid, score) -> list[ComboMetrics]:

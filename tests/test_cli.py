@@ -207,17 +207,22 @@ class TestBuildConfig:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
-    def test_huge_t_sim_exits_before_any_draw(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("simulation, field", [
+        ({"t_sim": 1e300}, "t_sim"),
+        ({"population": {"n_agents": 10**12}}, "n_agents"),
+    ])
+    def test_huge_size_exits_before_any_draw(self, simulation, field, tmp_path, capsys,
+                                             monkeypatch):
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial started")
 
         monkeypatch.setattr(cli_mod, "run", no_trial)
-        config = write_json(tmp_path / "cfg.json", {"simulation": {"t_sim": 1e300}})
+        config = write_json(tmp_path / "cfg.json", {"simulation": simulation})
         out = tmp_path / "out"
         assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
-        assert "t_sim" in err
+        assert field in err
         assert not out.exists()
 
     def test_run_digest_covers_config_and_input_files(self, tmp_path):
@@ -368,12 +373,19 @@ class TestMetrics:
         report = json.loads((out / "report.json").read_text())
         assert report["n_returns"] == 8
 
-    def test_malformed_cell_names_row_and_column(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cell", ["oops", "nan", "inf"])
+    @pytest.mark.parametrize("role", ["bars", "refs"])
+    def test_malformed_cell_names_row_and_column(self, cell, role, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("day_id,m001,m002,m003\n" "toy,100,oops,101\n")
-        assert main(["metrics", str(path), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        path.write_text("day_id,m001,m002,m003\n" f"toy,100,{cell},101\n")
+        good = toy_bars(tmp_path / "toy.csv", [100, 105, 95, 120, 100])
+        files = [str(path)] if role == "bars" else [good, "--refs", str(path)]
+        out = tmp_path / "o"
+        assert main(["metrics", *files, "--out", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert "row 2" in err and "column 3" in err
+        assert not out.exists()
 
     def test_short_row_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

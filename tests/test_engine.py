@@ -7,6 +7,7 @@ from lobfactor.agents import CashSpec, PopulationConfig, init_population
 from lobfactor.calibration import ParameterGrid, build_config, enumerate_combos
 from lobfactor.cli import write_ticks_csv
 from lobfactor.engine import (
+    MAX_AGENTS,
     MAX_T_SIM,
     ConfigurationError,
     Engine,
@@ -54,6 +55,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("patch", [
         dict(n_agents=0),
+        dict(n_agents=MAX_AGENTS + 1),
         dict(nu=1.5),
         dict(alpha=0.0),
         dict(lambda_f=-1.0),

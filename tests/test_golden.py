@@ -55,6 +55,13 @@ SIMULATE_DIGESTS = {
     },
 }
 
+# metrics over the pooled bars.csv of the four simulate runs above, scored
+# against the bars of scenarios 0 and 7
+METRICS_DIGESTS = {
+    "report.json": "03bba44d958db32c33f3c783e8bee5cb6fa8589530087843aa1439c22b4468da",
+    "tail_cloud.csv": "41f17efc10dbd61af35f338bd13d501d382630ca0be93f36540f63b9110a65ad",
+}
+
 EXPERIMENT_DIGESTS = {
     "table2.csv": "20e207a674b26299e95181fe943971e4fb4ddffc8e9e3ba1c0de0fabc1d14b03",
     "table4.csv": "1f41faefa7520eef4d50edc4fe5e04dca1fd02aeaf23cf03483967adbf1741cf",
@@ -85,14 +92,29 @@ def test_an_int_for_a_float_field_resolves_to_the_default_digest(tmp_path):
     assert config_digest(resolve_config(config, None, "simulate")) == DEFAULT_CONFIG_DIGEST
 
 
-@pytest.mark.parametrize("scenario", sorted(SIMULATE_DIGESTS))
-def test_simulate_outputs_match_golden_digests(scenario, tmp_path):
+def simulate_scenario(scenario, tmp_path, out):
     simulation = dict(SMALL_SIMULATION)
     simulation["population"] = {**SMALL_SIMULATION["population"], **SCENARIO_POPULATION[scenario]}
-    config = write_config(tmp_path / "cfg.json", {"simulation": simulation})
-    out = tmp_path / "run"
+    config = write_config(tmp_path / f"cfg{scenario}.json", {"simulation": simulation})
     assert main(["simulate", "--config", config, "--seed", "11", "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("scenario", sorted(SIMULATE_DIGESTS))
+def test_simulate_outputs_match_golden_digests(scenario, tmp_path):
+    out = tmp_path / "run"
+    simulate_scenario(scenario, tmp_path, out)
     assert digests(out, SIMULATE_DIGESTS[scenario]) == SIMULATE_DIGESTS[scenario]
+
+
+def test_metrics_outputs_match_golden_digests(tmp_path, monkeypatch):
+    # relative file names, so per_ref_ot names no absolute path
+    monkeypatch.chdir(tmp_path)
+    bars = []
+    for scenario in sorted(SIMULATE_DIGESTS):
+        simulate_scenario(scenario, tmp_path, tmp_path / f"run{scenario}")
+        bars.append(f"run{scenario}/bars.csv")
+    assert main(["metrics", *bars, "--refs", bars[0], bars[-1], "--out", "met"]) == EXIT_OK
+    assert digests(tmp_path / "met", METRICS_DIGESTS) == METRICS_DIGESTS
 
 
 def quartet_config(tmp_path) -> str:

@@ -75,38 +75,37 @@ class TestTailLogRatios:
 class TestHillIndex:
     def test_constructed_unit_ratios(self):
         sample = [2.0 * np.e] * 4 + [2.0] + [0.5] * 5
-        stats = hill_index(sample, k=4)
-        assert stats.hill == pytest.approx(1.0)
-        assert stats.k_used == 4
+        cloud = build_tail_cloud(sample, k=4)
+        assert hill_index(cloud) == pytest.approx(1.0)
+        assert cloud.size == 4
 
     @pytest.mark.parametrize("zeta", [2.0, 3.0, 4.0])
     def test_recovers_pareto_exponent(self, zeta):
         x = pareto_grid(zeta, 100_000)
-        stats = hill_index(x, k=5000)
-        assert abs(stats.hill - zeta) < 0.15
+        assert abs(hill_index(build_tail_cloud(x, k=5000)) - zeta) < 0.15
 
     def test_default_k_is_five_percent(self):
         assert default_tail_k(100_000) == 5000
         assert default_tail_k(4) == 1  # floor would give 0; clamp keeps K usable
         x = pareto_grid(3.0, 2000)
-        assert hill_index(x).k_used == 100
+        assert build_tail_cloud(x).size == 100
 
     def test_all_ties_rejected(self):
         with pytest.raises(DegenerateSeriesError):
-            hill_index([5.0] * 10, k=3)
+            hill_index(build_tail_cloud([5.0] * 10, k=3))
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=30, deadline=None)
     def test_scale_invariance(self, c):
         x = pareto_grid(3.0, 500)
-        assert hill_index(c * x, k=25).hill == pytest.approx(hill_index(x, k=25).hill, rel=1e-9)
+        assert hill_index(build_tail_cloud(c * x, k=25)) == pytest.approx(
+            hill_index(build_tail_cloud(x, k=25)), rel=1e-9)
 
 
 class TestTailCloud:
     def test_cloud_size_and_sign(self):
         cloud = build_tail_cloud(pareto_grid(3.0, 400), k=20)
         assert cloud.size == 20
-        assert cloud.dim == 1
         assert np.all(cloud.points >= 0)
 
     def test_scale_invariance(self):
@@ -124,42 +123,42 @@ class TestTailCloud:
 
 class TestOtDistance:
     def test_identity_zero(self):
-        cloud = PointCloud(np.array([[0.1], [0.7], [0.7], [2.0]]))
+        cloud = PointCloud(np.array([0.1, 0.7, 0.7, 2.0]))
         assert ot_distance(cloud, cloud) == 0.0
 
     def test_single_pair(self):
-        assert ot_distance(PointCloud([[0.0]]), PointCloud([[1.0]])) == 1.0
+        assert ot_distance(PointCloud([0.0]), PointCloud([1.0])) == 1.0
 
     def test_two_three_hand_value(self):
-        a = PointCloud([[0.0], [1.0]])
-        b = PointCloud([[0.0], [0.5], [1.0]])
+        a = PointCloud([0.0, 1.0])
+        b = PointCloud([0.0, 0.5, 1.0])
         got = ot_distance(a, b)
         assert got == pytest.approx(1.0 / 12.0, abs=1e-15)
         assert got == pytest.approx(vertex_ot([0.0, 1.0], [0.0, 0.5, 1.0]), abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
-        a = PointCloud(rng.random((7, 1)))
-        b = PointCloud(rng.random((4, 1)))
+        a = PointCloud(rng.random(7))
+        b = PointCloud(rng.random(4))
         assert ot_distance(a, b) == pytest.approx(ot_distance(b, a), abs=1e-15)
 
     def test_translation_exact(self):
         # dyadic coordinates so the shift is exact in binary floating point
         base = np.array([0.25, 0.5, 1.75, 3.0])
-        a = PointCloud(base.reshape(-1, 1))
-        b = PointCloud((base + 0.5).reshape(-1, 1))
+        a = PointCloud(base)
+        b = PointCloud(base + 0.5)
         assert ot_distance(a, b) == 0.25
 
-    def test_dimension_mismatch(self):
+    def test_two_d_points_rejected(self):
         with pytest.raises(ValueError):
-            ot_distance(PointCloud([[0.0]]), PointCloud([[0.0, 1.0]]))
+            PointCloud([[0.0], [1.0]])
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_vertex_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n_a, n_b = rng.integers(1, 7, size=2)
         xa, xb = rng.random(n_a), rng.random(n_b)
-        got = ot_distance(PointCloud(xa.reshape(-1, 1)), PointCloud(xb.reshape(-1, 1)))
+        got = ot_distance(PointCloud(xa), PointCloud(xb))
         assert got == pytest.approx(vertex_ot(xa, xb), abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -167,7 +166,7 @@ class TestOtDistance:
         rng = np.random.default_rng(100 + seed)
         n_a, n_b = rng.integers(2, 9, size=2)
         xa, xb = rng.random(n_a) * 3, rng.random(n_b) * 3
-        got = ot_distance(PointCloud(xa.reshape(-1, 1)), PointCloud(xb.reshape(-1, 1)))
+        got = ot_distance(PointCloud(xa), PointCloud(xb))
         assert got == pytest.approx(linprog_ot(xa, xb), abs=1e-8)
 
     @settings(max_examples=150, deadline=None)
@@ -192,15 +191,15 @@ class TestOtDistance:
             xa, xb = rng.integers(0, 4, n_a) * 0.5, rng.integers(0, 4, n_b) * 0.5
         else:
             xa, xb = rng.standard_t(3, n_a), rng.standard_t(3, n_b)
-        got = ot_distance(PointCloud(xa.reshape(-1, 1)), PointCloud(xb.reshape(-1, 1)))
+        got = ot_distance(PointCloud(xa), PointCloud(xb))
         assert got == ot_distance_loop(xa, xb)
 
     def test_points_keep_their_order(self):
         rng = np.random.default_rng(9)
         xa, xb = rng.random(7), rng.random(4)
-        a, b = PointCloud(xa.reshape(-1, 1)), PointCloud(xb.reshape(-1, 1))
+        a, b = PointCloud(xa), PointCloud(xb)
         first = ot_distance(a, b)
-        assert np.array_equal(a.points[:, 0], xa) and np.array_equal(b.points[:, 0], xb)
+        assert np.array_equal(a.points, xa) and np.array_equal(b.points, xb)
         assert np.array_equal(a.sorted_coords, np.sort(xa))
         assert ot_distance(a, b) == first == ot_distance_loop(xa, xb)  # sorted views reused
 
