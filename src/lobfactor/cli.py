@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ from .calibration import (
     ExperimentConfig,
     LedgerError,
     ParameterGrid,
+    RefsSpec,
     calibrate,
     enumerate_combos,
     make_student_t_refs,
@@ -46,9 +48,10 @@ from .metrics import (
 from .timegrid import (
     MINUTES_PER_DAY,
     BarSeries,
+    DegenerateDayError,
     TransactionPath,
     assign_calendar_time,
-    read_count_paths_csv,
+    scaled_path_from_counts,
     synthetic_reference_path,
 )
 
@@ -81,20 +84,25 @@ class _Document:
 DEFAULT_CONFIG: dict = _json(asdict(_Document()))
 
 
+def read_input(file, what: str, error: type[ValueError]) -> str:
+    """An input file's text; one not readable as UTF-8 raises `error` naming it once."""
+    try:
+        return Path(file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # an OSError's text names the file again
+        raise error(f"{what} file {file}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def resolve_config(config_path: str | None, seed_flag: int | None, command: str) -> dict:
     """Defaults <- config file <- --seed, written back from the typed configs,
     so every value has its field's type and equal configs digest alike."""
     override: dict = {}
     if config_path is not None:
-        path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {config_path}")
         try:
-            override = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
+            override = json.loads(read_input(config_path, "config", ConfigError))
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            raise ConfigError(f"config file {config_path}: not valid JSON: {exc}") from None
         if not isinstance(override, dict):
-            raise ConfigError(f"config file {config_path} must hold a JSON object")
+            raise ConfigError(f"config file {config_path}: not a JSON object")
     doc = _build(_Document, override, "")
     if seed_flag is not None:
         if command == "experiment":
@@ -181,8 +189,7 @@ def simulation_config(resolved: dict) -> SimulationConfig:
 _EXPERIMENT_MINIMUMS = (("trials", 1), ("base_seed", 0), ("path_seed", 0), ("refs.count", 1),
                         ("refs.seed", 0), ("paths.count", 1), ("paths.seed", 0),
                         ("paths.mean_total", 1))
-# a path day's mean transaction count, kept far below where its int64 sum wraps
-_MAX_MEAN_TOTAL = 10**12
+_MAX_COUNT = 10**12  # a path day's mean count, and each paths-file count: no int64 wrap
 
 
 def experiment_config(resolved: dict) -> ExperimentConfig:
@@ -193,9 +200,9 @@ def experiment_config(resolved: dict) -> ExperimentConfig:
         value = attrgetter(path)(exp)
         if value < minimum:
             raise ConfigError(f"config field experiment.{path} must be >= {minimum}, got {value}")
-    if exp.paths.mean_total > _MAX_MEAN_TOTAL:
+    if exp.paths.mean_total > _MAX_COUNT:
         raise ConfigError(f"config field experiment.paths.mean_total must be <= "
-                          f"{_MAX_MEAN_TOTAL}, got {exp.paths.mean_total}")
+                          f"{_MAX_COUNT}, got {exp.paths.mean_total}")
     base = simulation_config(resolved)
     for axis in fields(ParameterGrid):
         for value in getattr(exp.grid, axis.name):
@@ -212,10 +219,11 @@ def parameter_grid(resolved: dict) -> ParameterGrid:
 def load_paths(resolved: dict, paths_file: str | None) -> list[TransactionPath]:
     """Reference transaction paths: a counts CSV, or seeded synthetic days."""
     if paths_file is not None:
+        rows = read_number_rows(paths_file, "paths", "count", MINUTES_PER_DAY)
         try:
-            return read_count_paths_csv(paths_file)
-        except (ValueError, OSError) as exc:
-            raise DataError(f"paths file {paths_file}: {exc}") from exc
+            return [scaled_path_from_counts(counts) for counts in rows]
+        except DegenerateDayError as exc:
+            raise DataError(f"paths file {paths_file}: {exc}") from None
     spec = experiment_config(resolved).paths
     rng = np.random.default_rng(spec.seed)
     shapes = ("uniform", "ushape")
@@ -223,67 +231,87 @@ def load_paths(resolved: dict, paths_file: str | None) -> list[TransactionPath]:
             for i in range(spec.count)]
 
 
-def read_bar_price_rows(file) -> list[np.ndarray]:
-    """Lenient bar reader: day_id plus two or more prices per row.
+# per kind of cell: its dtype, its open bounds, and those bounds in words
+_CELLS = {"number": (float, -math.inf, math.inf, "finite"),
+          "price": (float, 0, math.inf, "positive and finite"),
+          "count": (np.int64, -1, _MAX_COUNT + 1, f"an integer in [0, {_MAX_COUNT}]")}
 
-    Accepts short toy files alongside full 300-minute days; malformed cells,
-    and prices that are not positive and finite, are reported with their row
-    and column.
-    """
-    rows = []
+
+def _parse(noun: str, cells: list[str]) -> np.ndarray | None:
+    """The cells as one array, or None if one is not a `noun` in bounds."""
+    dtype, low, high, _ = _CELLS[noun]
     try:
-        fh = open(file, newline="")
-    except OSError as exc:
-        raise DataError(f"bars file {file}: {exc}") from exc
-    with fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if row_no == 1 and row[0] == "day_id":
-                continue
-            if len(row) < 3:
-                raise DataError(f"{file}: row {row_no} has {len(row)} columns, "
-                                "need day_id plus at least 2 prices")
-            prices = np.empty(len(row) - 1)
-            for col, cell in enumerate(row[1:], start=2):
-                try:
-                    prices[col - 2] = float(cell)
-                except ValueError:
-                    raise DataError(f"{file}: row {row_no}, column {col}: "
-                                    f"non-numeric price {cell!r}") from None
-                if not 0 < prices[col - 2] < math.inf:  # also rejects nan
-                    raise DataError(f"{file}: row {row_no}, column {col}: "
-                                    f"price {cell} is not positive and finite")
-            rows.append(prices)
+        values = np.array(cells, dtype=dtype)
+        return values if ((values > low) & (values < high)).all() else None
+    except (ValueError, OverflowError):
+        return None
+
+
+def read_number_rows(file, what: str, noun: str, width: int | None) -> list[np.ndarray]:
+    """Each data row of a CSV input file as one array of `noun` cells.
+
+    Blank rows are skipped, and so is a first row with no finite number after
+    its first cell: a header. A row is a day label and two or more numbers
+    (`width` None), or `width` numbers after an optional day label."""
+    rows = []
+    text = read_input(file, what, DataError)
+    for row_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not row or (row_no == 1 and len(row) > 1 and all(
+                # a cell that starts with a letter is never a finite number
+                cell.lstrip()[:1].isalpha() or _parse("number", [cell]) is None
+                for cell in row[1:])):
+            continue
+        first = 1 if width is None or len(row) == width + 1 else 0
+        if (len(row) < 3) if width is None else (len(row) - first != width):
+            raise DataError(f"{what} file {file}: row {row_no} has {len(row)} columns, need "
+                            f"{'a day label and 2 or more' if width is None else width} {noun}s")
+        values = _parse(noun, row[first:])
+        if values is None:  # name the first bad cell
+            col = next(col for col in range(first, len(row)) if _parse(noun, [row[col]]) is None)
+            raise DataError(f"{what} file {file}: row {row_no}, column {col + 1}: "
+                            f"{noun} {row[col]!r} is not {_CELLS[noun][3]}")
+        rows.append(values)
     if not rows:
-        raise DataError(f"{file}: no data rows")
+        raise DataError(f"{what} file {file}: no data rows")
     return rows
 
 
-def pooled_bar_returns(files: list[str]) -> np.ndarray:
-    parts = []
-    for file in files:
-        for prices in read_bar_price_rows(file):
-            parts.append(np.diff(np.log(prices)))
-    return np.concatenate(parts)
+def read_bar_price_rows(file, what: str = "bars") -> list[np.ndarray]:
+    """A bars CSV: day label and two or more prices, so toy files read too."""
+    return read_number_rows(file, what, "price", None)
 
 
-def load_refs(resolved: dict, refs_files: list[str] | None):
-    """Reference tail clouds: pooled returns of each bars CSV, or Student-t draws."""
+def pooled_bar_returns(files: list[str], what: str = "bars") -> np.ndarray:
+    return np.concatenate([np.diff(np.log(prices)) for file in files
+                           for prices in read_bar_price_rows(file, what)])
+
+
+def ref_cloud(file):
+    """A refs file's tail cloud, over the returns of all its days."""
+    pooled = pooled_bar_returns([file], "refs")
+    try:
+        return build_tail_cloud(np.abs(standardize(pooled)))
+    except ValueError as exc:  # too few returns, or degenerate ones
+        raise DataError(f"refs file {file}: {exc}") from exc
+
+
+def load_refs(spec: RefsSpec, refs_files: list[str] | None) -> list:
+    """Reference tail clouds: one per refs file, or Student-t draws."""
     if refs_files:
-        clouds = []
-        for file in refs_files:
-            pooled = pooled_bar_returns([file])
-            try:
-                clouds.append(build_tail_cloud(np.abs(standardize(pooled))))
-            except ValueError as exc:  # too few returns, or degenerate ones
-                raise DataError(f"refs file {file}: {exc}") from exc
-        return clouds
-    spec = experiment_config(resolved).refs
+        return [ref_cloud(file) for file in refs_files]
     try:
         return make_student_t_refs(spec)
     except ValueError as exc:  # numpy's own rejections, such as df 0, and degenerate draws
         raise ConfigError(f"invalid experiment.refs: {exc}") from None
+
+
+def make_out_dir(out: str) -> Path:
+    """The output directory, made if missing; a config error if it cannot be."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc.strerror or exc}") from None
+    return Path(out)
 
 
 def write_manifest(out_dir: Path, command: str, resolved: dict,
@@ -343,16 +371,11 @@ def write_bars_csv(bars_list: list[BarSeries], path) -> None:
                ((bars.day_id, *map(_fmt, bars.mid_prices)) for bars in bars_list))
 
 
-def cmd_simulate(args) -> int:
-    resolved = resolve_config(args.config, args.seed, "simulate")
-    if args.print_config:
-        print(json.dumps(resolved, indent=2, sort_keys=True))
-        return EXIT_OK
+def cmd_simulate(args, resolved: dict) -> int:
     config = simulation_config(resolved)
     exp = experiment_config(resolved)
     paths = load_paths(resolved, args.paths)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(args.out)
     output = run(config)
     path = paths[trial_path_index(exp.path_seed, 0, len(paths))]
 
@@ -381,18 +404,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_metrics(args) -> int:
-    resolved = resolve_config(args.config, args.seed, "metrics")
-    if args.print_config:
-        print(json.dumps(resolved, indent=2, sort_keys=True))
-        return EXIT_OK
+def cmd_metrics(args, resolved: dict) -> int:
     if not args.bars:
         raise ConfigError("metrics requires at least one bars CSV")
     pooled = pooled_bar_returns(args.bars)
     lags = tuple(lag for lag in (1, 10, 20, 30) if pooled.size > lag + 1)
     if not lags:
         raise DataError(f"too few returns for metrics: {pooled.size}")
-    refs = load_refs(resolved, args.refs) if args.refs else []
+    refs = [ref_cloud(file) for file in args.refs or []]
     try:
         cloud = build_tail_cloud(np.abs(standardize(pooled)))
         hill = hill_index(cloud)
@@ -411,8 +430,7 @@ def cmd_metrics(args) -> int:
         "vol_volume_corr": None,  # bar files carry no volumes
         "abs_autocorr": {str(lag): val for lag, val in facts.abs_autocorr.items()},
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(args.out)
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     cloud_path = out_dir / "tail_cloud.csv"
@@ -443,13 +461,7 @@ def parse_scenarios(raw: str) -> tuple[int, ...]:
     return tuple(dict.fromkeys(out))  # dedupe, keep order
 
 
-def cmd_experiment(args) -> int:
-    resolved = resolve_config(args.config, args.seed, "experiment")
-    if args.trials is not None:
-        resolved["experiment"]["trials"] = args.trials
-    if args.print_config:
-        print(json.dumps(resolved, indent=2, sort_keys=True))
-        return EXIT_OK
+def cmd_experiment(args, resolved: dict) -> int:
     scenarios = parse_scenarios(args.scenarios)
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
@@ -459,10 +471,9 @@ def cmd_experiment(args) -> int:
         if not enumerate_combos(n, exp.grid, base.population.cash):
             raise ConfigError(f"the grid holds no combo for scenario {n}")
     paths = load_paths(resolved, args.paths)
-    refs = load_refs(resolved, args.refs)
+    refs = load_refs(exp.refs, args.refs)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(args.out)
     ledger_path = out_dir / "ledger.jsonl"
     if ledger_path.exists() and not args.resume:
         ledger_path.unlink()
@@ -547,10 +558,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        resolved = resolve_config(args.config, args.seed, args.command)
+        if getattr(args, "trials", None) is not None:
+            resolved["experiment"]["trials"] = args.trials
+        if args.print_config:
+            print(json.dumps(resolved, indent=2, sort_keys=True))
+            return EXIT_OK
+        return args.func(args, resolved)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

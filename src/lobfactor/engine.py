@@ -36,8 +36,9 @@ from .orderbook import BUY, Book, Order, Trade
 
 # far above the 2110-step day; bounds the pre-drawn per-step arrays
 MAX_T_SIM = 10**6
-# 50 times the default population; bounds the (t_sim, n_agents) mood pre-draw
+# 50 times the default population
 MAX_AGENTS = 10**4
+MAX_MOOD_CELLS = 25 * 10**6  # bounds the (t_sim, n_agents) mood pre-draw, ~24 B a cell
 
 
 class ConfigurationError(ValueError):
@@ -96,6 +97,8 @@ def validate_config(config: SimulationConfig) -> None:
         (config.sigma_sq_order > 0, "sigma_sq_order must be positive"),
         (pop.n_agents >= 1, "n_agents must be >= 1"),
         (pop.n_agents <= MAX_AGENTS, f"n_agents must be <= {MAX_AGENTS}"),
+        (pop.nu == 0 or config.t_sim * pop.n_agents <= MAX_MOOD_CELLS,
+         f"t_sim * n_agents must be <= {MAX_MOOD_CELLS} when nu > 0"),
         (pop.lambda_f >= 0 and pop.lambda_c >= 0 and pop.lambda_m >= 0
          and pop.lambda_n >= 0, "weight means must be >= 0"),
         (pop.sigma_n >= 0, "sigma_n must be >= 0"),

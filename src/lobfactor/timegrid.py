@@ -10,7 +10,6 @@ index corresponds to that fraction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +59,6 @@ class BarSeries:
 
 def scaled_path_from_counts(counts) -> TransactionPath:
     arr = np.asarray(counts, dtype=np.int64)
-    if arr.shape != (MINUTES_PER_DAY,):
-        raise ValueError(f"expected {MINUTES_PER_DAY} per-minute counts, got shape {arr.shape}")
     if (arr < 0).any():
         raise ValueError("counts must be nonnegative")
     total = int(arr.sum())
@@ -137,30 +134,3 @@ def synthetic_reference_path(rng: np.random.Generator, shape: str,
         counts = rng.poisson(lam)
         if counts.sum() > 0:
             return scaled_path_from_counts(counts)
-
-
-def read_count_paths_csv(path) -> list[TransactionPath]:
-    """Load reference days from CSV: one row per day, 300 integer columns."""
-    out = []
-    with open(path, newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or (row_no == 1 and not _is_int(row[0])):
-                continue  # permit a header line
-            if len(row) != MINUTES_PER_DAY:
-                raise ValueError(f"{path}: row {row_no} has {len(row)} columns, expected {MINUTES_PER_DAY}")
-            try:
-                counts = [int(c) for c in row]
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row_no}: non-integer count ({exc})") from None
-            out.append(scaled_path_from_counts(counts))
-    if not out:
-        raise ValueError(f"{path}: no count rows found")
-    return out
-
-
-def _is_int(cell: str) -> bool:
-    try:
-        int(cell)
-    except ValueError:
-        return False
-    return True

@@ -210,6 +210,8 @@ class TestBuildConfig:
     @pytest.mark.parametrize("simulation, field", [
         ({"t_sim": 1e300}, "t_sim"),
         ({"population": {"n_agents": 10**12}}, "n_agents"),
+        ({"t_sim": 10**6, "population": {"n_agents": 10**4, "nu": 0.5, "lambda_m": 3e-5}},
+         "t_sim * n_agents"),
     ])
     def test_huge_size_exits_before_any_draw(self, simulation, field, tmp_path, capsys,
                                              monkeypatch):
@@ -417,6 +419,109 @@ class TestMetrics:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1, err
         assert not out.exists()
+
+
+def count_row(*cells) -> str:
+    """One paths-CSV day: the given leading cells, then counts of 1."""
+    return ",".join([*map(str, cells), *["1"] * (MINUTES_PER_DAY - len(cells))]) + "\n"
+
+
+# input role -> (the commands that read it, the exit code of a bad file)
+INPUT_ROLES = {"config": (("simulate", "metrics", "experiment"), EXIT_CONFIG),
+               "bars": (("metrics",), EXIT_DATA),
+               "refs": (("metrics", "experiment"), EXIT_DATA),
+               "paths": (("simulate", "experiment"), EXIT_DATA)}
+BAD_BARS = {"non_utf8": b"day_id,m001,m002\nd\xff,100,101\n", "bad_first_cell": b"toy,100,x,101\n"}
+# fault -> the bad file's bytes by role (None: no such file; "dir": a directory)
+INPUT_FAULTS = {
+    "missing": None,
+    "directory": "dir",
+    "non_utf8": {"config": b'{"simulation": {"seed": 1}} \xff\n', "bars": BAD_BARS["non_utf8"],
+                 "refs": BAD_BARS["non_utf8"], "paths": count_row().encode() + b"\xff\n"},
+    "bad_first_cell": {"bars": BAD_BARS["bad_first_cell"], "refs": BAD_BARS["bad_first_cell"],
+                       "paths": count_row(1.5).encode()},
+    "not_json": {"config": b'{"simulation": \n'},
+    "too_deeply_nested": {"config": b"[" * 10**5 + b"]" * 10**5},
+    "not_an_object": {"config": b"[1]\n"},
+    "count_above_bound": {"paths": count_row(1, 1, 1, 1, 10**12 + 1).encode()},
+    "count_overflows_int64": {"paths": count_row(1, 1, 1, 1, 10**19).encode()},
+}
+# where each cell fault sits: row 1, this column
+FAULT_COLUMNS = {"bad_first_cell": {"bars": 3, "refs": 3, "paths": 1},
+                 "count_above_bound": {"paths": 5}, "count_overflows_int64": {"paths": 5}}
+
+
+def good_inputs(command: str, sim_config: str, tmp_path) -> list[str]:
+    """Arguments that carry a command past every read of its inputs."""
+    return {"simulate": ["--config", sim_config],
+            "metrics": [toy_bars(tmp_path / "toy.csv", [100, 105, 95, 120, 100])],
+            "experiment": ["--config", sim_config, "--scenarios", "0"]}[command]
+
+
+class TestBadInputs:
+    """Each input role against each fault: its exit code, one stderr line
+    naming the file once (and a bad cell's row and column), and no output
+    directory. No trial may start."""
+
+    @pytest.fixture(autouse=True)
+    def no_trial(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "run", None)
+        monkeypatch.setattr(calibration_mod, "evaluate_combo", None)
+
+    @pytest.mark.parametrize("role, command, fault", [
+        (role, command, fault)
+        for role, (commands, _) in INPUT_ROLES.items() for command in commands
+        for fault, content in INPUT_FAULTS.items()
+        if not isinstance(content, dict) or role in content])
+    def test_fault_exits_with_one_line_and_no_output(self, role, command, fault, sim_config,
+                                                     tmp_path, capsys):
+        content = INPUT_FAULTS[fault]
+        bad = tmp_path / "bad_input"
+        if content == "dir":
+            bad.mkdir()
+        elif content is not None:
+            bad.write_bytes(content[role])
+        args = good_inputs(command, sim_config, tmp_path)
+        if role == "config":
+            args = [arg for arg in args if arg not in ("--config", sim_config)]
+        args = [str(bad)] if role == "bars" else [*args, f"--{role}", str(bad)]
+        out = tmp_path / "out"
+        expected = INPUT_ROLES[role][1]
+        assert main([command, *args, "--out", str(out)]) == expected
+        err = capsys.readouterr().err
+        prefix = "config error" if expected == EXIT_CONFIG else "data error"
+        assert err.startswith(f"{prefix}: {role} file {bad}: ") and err.count("\n") == 1, err
+        assert err.count(str(bad)) == 1, err
+        if fault in FAULT_COLUMNS:
+            assert f": row 1, column {FAULT_COLUMNS[fault][role]}: " in err, err
+        assert not out.exists()
+
+    def test_header_rule_and_day_labels_in_a_paths_file(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text(count_row(5, 0, 2) + count_row(1))
+        header = ",".join(["day"] + [f"m{m:03d}" for m in range(1, MINUTES_PER_DAY + 1)])
+        labelled = tmp_path / "labelled.csv"
+        labelled.write_text(f"{header}\n\nd1," + count_row(5, 0, 2) + "d2," + count_row(1))
+        assert (cli_mod.load_paths(DEFAULT_CONFIG, str(labelled))
+                == cli_mod.load_paths(DEFAULT_CONFIG, str(plain)))
+
+    def test_zero_day_in_a_paths_file_is_data_error(self, tmp_path):
+        zero = tmp_path / "zero.csv"
+        zero.write_text(count_row() + ",".join(["0"] * MINUTES_PER_DAY) + "\n")
+        with pytest.raises(cli_mod.DataError, match="zero transactions"):
+            cli_mod.load_paths(DEFAULT_CONFIG, str(zero))
+
+    @pytest.mark.parametrize("command", ["simulate", "metrics", "experiment"])
+    @pytest.mark.parametrize("kind", ["existing_file", "under_a_file"])
+    def test_unusable_out_is_config_error(self, command, kind, sim_config, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("taken\n")
+        out = afile if kind == "existing_file" else afile / "sub"
+        args = good_inputs(command, sim_config, tmp_path)
+        assert main([command, *args, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out}: ") and err.count("\n") == 1, err
+        assert afile.read_text() == "taken\n"
 
 
 class TestExperiment:

@@ -8,6 +8,7 @@ from lobfactor.calibration import ParameterGrid, build_config, enumerate_combos
 from lobfactor.cli import write_ticks_csv
 from lobfactor.engine import (
     MAX_AGENTS,
+    MAX_MOOD_CELLS,
     MAX_T_SIM,
     ConfigurationError,
     Engine,
@@ -65,6 +66,15 @@ class TestValidation:
     def test_bad_population_fields_rejected(self, patch):
         with pytest.raises(ConfigurationError):
             validate_config(SimulationConfig(population=PopulationConfig(**patch)))
+
+    def test_mood_pre_draw_bound_admits_the_default_day_at_max_agents(self):
+        mood = PopulationConfig(n_agents=MAX_AGENTS, nu=0.5)
+        validate_config(SimulationConfig(population=mood))
+        with pytest.raises(ConfigurationError, match="t_sim \\* n_agents"):
+            validate_config(SimulationConfig(population=mood,
+                                             t_sim=MAX_MOOD_CELLS // MAX_AGENTS + 1))
+        validate_config(SimulationConfig(population=PopulationConfig(n_agents=MAX_AGENTS, nu=0.0),
+                                         t_sim=MAX_T_SIM))
 
     def test_window_containment(self):
         assert in_no_exec_window(1, ((1, 100),))

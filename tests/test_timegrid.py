@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lobfactor.cli import BARS_CSV_HEADER, DataError, read_bar_price_rows, write_bars_csv
+from lobfactor.cli import (
+    BARS_CSV_HEADER,
+    DEFAULT_CONFIG,
+    DataError,
+    load_paths,
+    read_bar_price_rows,
+    write_bars_csv,
+)
 from lobfactor.orderbook import Trade
 from lobfactor.timegrid import (
     MINUTES_PER_DAY,
@@ -19,7 +26,6 @@ from lobfactor.timegrid import (
     bar_indices,
     bar_volumes,
     log_returns,
-    read_count_paths_csv,
     scaled_path_from_counts,
     synthetic_reference_path,
 )
@@ -247,7 +253,7 @@ class TestCsvIO:
             writer = csv.writer(fh)
             writer.writerow([1] * MINUTES_PER_DAY)
             writer.writerow([2] * MINUTES_PER_DAY)
-        paths = read_count_paths_csv(out)
+        paths = load_paths(DEFAULT_CONFIG, str(out))
         assert len(paths) == 2
         assert paths[0].fractions == paths[1].fractions  # same shape after scaling
 
@@ -256,5 +262,5 @@ class TestCsvIO:
         row = ["1"] * MINUTES_PER_DAY
         row[3] = "x"
         out.write_text(",".join(["1"] * MINUTES_PER_DAY) + "\n" + ",".join(row) + "\n")
-        with pytest.raises(ValueError, match="row 2"):
-            read_count_paths_csv(out)
+        with pytest.raises(DataError, match="row 2, column 4"):
+            load_paths(DEFAULT_CONFIG, str(out))
