@@ -118,14 +118,17 @@ def config_digest(resolved: dict) -> str:
 
 
 def run_digest(resolved: dict, refs_files: list[str] | None, paths_file: str | None) -> str:
-    """sha256 of the resolved config's digest and the bytes of each input
-    file: what a ledger line must match to be reused on resume."""
+    """sha256 of the resolved config's digest, the bytes of each input file
+    and the tool version: what a ledger line must match to be reused on
+    resume. The version bumps whenever a change alters an output byte, so a
+    resume never mixes lines of two programs."""
     def file_digest(file: str) -> str:
         return hashlib.sha256(Path(file).read_bytes()).hexdigest()
 
     inputs = {"config": config_digest(resolved),
               "refs": [file_digest(file) for file in refs_files or []],
-              "paths": file_digest(paths_file) if paths_file else None}
+              "paths": file_digest(paths_file) if paths_file else None,
+              "version": __version__}
     return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
 
 
@@ -475,12 +478,15 @@ def cmd_experiment(args, resolved: dict) -> int:
 
     out_dir = make_out_dir(args.out)
     ledger_path = out_dir / "ledger.jsonl"
-    if ledger_path.exists() and not args.resume:
-        ledger_path.unlink()
+    digest = run_digest(resolved, args.refs, args.paths)
     try:
-        ledger = ComboLedger(ledger_path, run_digest(resolved, args.refs, args.paths))
+        if ledger_path.exists() and not args.resume:
+            ledger_path.unlink()
+        ledger = ComboLedger(ledger_path, digest)
     except LedgerError as exc:
         raise DataError(str(exc)) from exc
+    except OSError as exc:
+        raise DataError(f"ledger {ledger_path}: {exc.strerror or exc}") from None
 
     results = {n: calibrate(n, exp, base, refs, paths, ledger=ledger, workers=args.workers)
                for n in scenarios}

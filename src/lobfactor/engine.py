@@ -2,12 +2,13 @@
 
 Each step: one uniformly chosen agent forecasts and may submit one order
 (matching suppressed inside the configured no-execution windows), stale
-orders expire, then every agent reconsiders its mood sequentially in a
-fresh random order against live camp counts. Each trial owns one master
-generator seeded from the config seed; all randomness is pre-drawn from it
-in a fixed order (population, then agent choices, then noise, then, only
-when nu > 0, mood permutations and mood uniforms), so a (config, seed) pair
-fully pins the output.
+orders expire, then, while moods are mixed (0 < optimists < n), every agent
+reconsiders its mood sequentially in a fresh random order against live camp
+counts. Each trial owns one master generator seeded from the config seed,
+which draws the population, then all agent choices, then all noise. Only
+when nu > 0, a child stream (`SeedSequence(seed).spawn(1)[0]`) draws each
+mixed step's mood row as that step runs: one permutation of the agents,
+then one uniform per agent. A (config, seed) pair fully pins the output.
 
 The tick log (one row per order and per trade, with the quotes around it)
 is recorded only when asked for: the `simulate` command keeps it, while the
@@ -38,7 +39,6 @@ from .orderbook import BUY, Book, Order, Trade
 MAX_T_SIM = 10**6
 # 50 times the default population
 MAX_AGENTS = 10**4
-MAX_MOOD_CELLS = 25 * 10**6  # bounds the (t_sim, n_agents) mood pre-draw, ~24 B a cell
 
 
 class ConfigurationError(ValueError):
@@ -97,8 +97,6 @@ def validate_config(config: SimulationConfig) -> None:
         (config.sigma_sq_order > 0, "sigma_sq_order must be positive"),
         (pop.n_agents >= 1, "n_agents must be >= 1"),
         (pop.n_agents <= MAX_AGENTS, f"n_agents must be <= {MAX_AGENTS}"),
-        (pop.nu == 0 or config.t_sim * pop.n_agents <= MAX_MOOD_CELLS,
-         f"t_sim * n_agents must be <= {MAX_MOOD_CELLS} when nu > 0"),
         (pop.lambda_f >= 0 and pop.lambda_c >= 0 and pop.lambda_m >= 0
          and pop.lambda_n >= 0, "weight means must be >= 0"),
         (pop.sigma_n >= 0, "sigma_n must be >= 0"),
@@ -163,14 +161,13 @@ class Engine:
         t_sim = cfg.t_sim
         rng = self.rng
 
-        # fixed pre-draw order; the mood rows come last and are drawn only
-        # when nu > 0, so skipping them leaves every earlier draw unchanged
+        # moods draw on their own stream, so the master stream's draws are
+        # the same whether or not nu > 0
         mood_on = pop.nu > 0.0
         choices = rng.integers(0, n, t_sim).tolist()
         eps = (rng.standard_normal(t_sim) * pop.sigma_n).tolist()
         if mood_on:
-            mood_perms = rng.permuted(np.tile(np.arange(n), (t_sim, 1)), axis=1)
-            mood_unifs = rng.random((t_sim, n))
+            mood_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
             # flip thresholds nu * (opposite camp) / n, by optimist count
             to_pessimist = [pop.nu * (n - k) / n for k in range(n + 1)]
             to_optimist = [pop.nu * k / n for k in range(n + 1)]
@@ -226,8 +223,9 @@ class Engine:
 
             if mood_on and 0 < self.n_opt < n:
                 n_opt = self.n_opt
-                urow = mood_unifs[t - 1].tolist()
-                for k in mood_perms[t - 1].tolist():
+                perm = mood_rng.permutation(n).tolist()
+                urow = mood_rng.random(n).tolist()
+                for k in perm:
                     state = states[k]
                     if state.optimistic:
                         if urow[k] < to_pessimist[n_opt]:

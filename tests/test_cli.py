@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from schemas import MANIFEST_SCHEMA, METRICS_REPORT_SCHEMA
 
+import lobfactor
 import lobfactor.calibration as calibration_mod
 import lobfactor.cli as cli_mod
 from lobfactor.calibration import ComboMetrics, ExperimentConfig
@@ -210,8 +211,6 @@ class TestBuildConfig:
     @pytest.mark.parametrize("simulation, field", [
         ({"t_sim": 1e300}, "t_sim"),
         ({"population": {"n_agents": 10**12}}, "n_agents"),
-        ({"t_sim": 10**6, "population": {"n_agents": 10**4, "nu": 0.5, "lambda_m": 3e-5}},
-         "t_sim * n_agents"),
     ])
     def test_huge_size_exits_before_any_draw(self, simulation, field, tmp_path, capsys,
                                              monkeypatch):
@@ -227,7 +226,7 @@ class TestBuildConfig:
         assert field in err
         assert not out.exists()
 
-    def test_run_digest_covers_config_and_input_files(self, tmp_path):
+    def test_run_digest_covers_config_and_input_files(self, tmp_path, monkeypatch):
         resolved = resolve_config(None, None, "experiment")
         data = tmp_path / "input.csv"
         data.write_text("1\n")
@@ -235,6 +234,9 @@ class TestBuildConfig:
         assert run_digest(resolved, None, str(data)) == first
         assert run_digest(resolved, [str(data)], None) != first  # same bytes, other role
         assert run_digest(resolve_config(None, 5, "experiment"), None, str(data)) != first
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, "__version__", "0.0.0")  # another program
+            assert run_digest(resolved, None, str(data)) != first
         data.write_text("2\n")
         assert run_digest(resolved, None, str(data)) != first
 
@@ -636,6 +638,21 @@ class TestExperiment:
         assert (out / "table2.csv").read_bytes() == first
         assert sorted(ledger.read_text().splitlines()) == sorted(lines)
 
+    @pytest.mark.parametrize("extra", [[], ["--resume"]])
+    def test_ledger_that_is_a_directory_is_data_error(self, extra, sim_config, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_trial(config):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(calibration_mod, "run", no_trial)
+        out = tmp_path / "exp"
+        (out / "ledger.jsonl").mkdir(parents=True)
+        assert main(["experiment", "--config", sim_config, "--scenarios", "0",
+                     "--out", str(out), *extra]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert err.count("ledger.jsonl") == 1, err
+
     def test_unreadable_ledger_line_is_data_error(self, sim_config, tmp_path, capsys):
         out = tmp_path / "exp"
         main(["experiment", "--config", sim_config, "--scenarios", "0", "--out", str(out)])
@@ -799,6 +816,7 @@ class TestConsoleScript:
         root = Path(__file__).resolve().parents[1]
         pyproject = tomllib.loads((root / "pyproject.toml").read_text())
         assert pyproject["project"]["scripts"]["lobfactor"] == "lobfactor.cli:main"
+        assert pyproject["project"]["version"] == lobfactor.__version__
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)

@@ -8,7 +8,6 @@ from lobfactor.calibration import ParameterGrid, build_config, enumerate_combos
 from lobfactor.cli import write_ticks_csv
 from lobfactor.engine import (
     MAX_AGENTS,
-    MAX_MOOD_CELLS,
     MAX_T_SIM,
     ConfigurationError,
     Engine,
@@ -67,14 +66,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             validate_config(SimulationConfig(population=PopulationConfig(**patch)))
 
-    def test_mood_pre_draw_bound_admits_the_default_day_at_max_agents(self):
+    def test_mood_config_admitted_at_max_t_sim_and_max_agents(self):
+        # mood rows are drawn step by step, so moods add no size bound
         mood = PopulationConfig(n_agents=MAX_AGENTS, nu=0.5)
-        validate_config(SimulationConfig(population=mood))
-        with pytest.raises(ConfigurationError, match="t_sim \\* n_agents"):
-            validate_config(SimulationConfig(population=mood,
-                                             t_sim=MAX_MOOD_CELLS // MAX_AGENTS + 1))
-        validate_config(SimulationConfig(population=PopulationConfig(n_agents=MAX_AGENTS, nu=0.0),
-                                         t_sim=MAX_T_SIM))
+        validate_config(SimulationConfig(population=mood, t_sim=MAX_T_SIM))
 
     def test_window_containment(self):
         assert in_no_exec_window(1, ((1, 100),))
@@ -218,25 +213,31 @@ class TestMoodDynamics:
         cfg = small_config(seed=9, nu=0.5, lambda_m=2e-5, n_agents=40)
         out = run(cfg)
 
-        # replay the documented pre-draw order with the unit-level rule
+        # replay the documented draw order with the unit-level rule: the
+        # master stream draws population, choices and noise; the spawned
+        # child draws one permutation, then one uniform row, per mixed step
         pop = cfg.population
         n = pop.n_agents
         rng = np.random.default_rng(cfg.seed)
         agents = init_population(pop, rng)
         rng.integers(0, n, cfg.t_sim)  # agent choices
         rng.standard_normal(cfg.t_sim)  # noise draws
-        perms = rng.permuted(np.tile(np.arange(n), (cfg.t_sim, 1)), axis=1)
-        unifs = rng.random((cfg.t_sim, n))
+        mood_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
         states = [a.state for a in agents]
         expected = []
-        for t in range(1, cfg.t_sim + 1):
+        mixed_steps = 0
+        for _ in range(cfg.t_sim):
             n_opt = sum(s.optimistic for s in states)
             if 0 < n_opt < n:
-                for k in perms[t - 1]:
-                    update_mood(states[k], n_opt, n - n_opt, n, pop.nu, unifs[t - 1][k])
+                mixed_steps += 1
+                perm = mood_rng.permutation(n)
+                unifs = mood_rng.random(n)
+                for k in perm:
+                    update_mood(states[k], n_opt, n - n_opt, n, pop.nu, unifs[k])
                     n_opt = sum(s.optimistic for s in states)
             expected.append(n_opt / n)
+        assert 0 < mixed_steps < cfg.t_sim  # the replay covers both branches
         assert out.optimists_rate == expected
 
     def test_rate_bounds_and_length(self):

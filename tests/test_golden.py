@@ -32,6 +32,8 @@ SCENARIO_POPULATION = {
     7: {"cash": {"kind": "pareto"}, "lambda_c": 2.0, "lambda_m": 3e-5, "nu": 0.5},
 }
 
+# scenarios 3 and 7 (and METRICS_DIGESTS, which pools their bars) moved
+# when mood rows came to be drawn step by step on their own child stream
 SIMULATE_DIGESTS = {
     0: {
         "ticks.csv": "22946a116b6dfce38f4910c17bc5929665a2c5461ef0afbfc9c05287fc346ceb",
@@ -44,30 +46,32 @@ SIMULATE_DIGESTS = {
         "series.csv": "b8989d9051afce79fd3f9ee950b00e40178489a124f31f4dc044fc12f1718b3f",
     },
     3: {
-        "ticks.csv": "c5be2aff59674bd743509bd681da71db7ee861efd5852df65f79e103776fd918",
-        "bars.csv": "bd80ae6d9970d038f035bc00220407bae79cd2f37b7d066d30bd2fc12bf3ef0c",
-        "series.csv": "42cd8dd0aaf3a5e60013f49bb04e86843e560ae93d128b83b22d22e3cbee9826",
+        "ticks.csv": "724119fb0ab40bce54365032459bec255c9ca2384b99b33a4ef15e69f20b6855",
+        "bars.csv": "169ce287850cb3a532561130fb305ba12927ffd1c704070bf668c90c7fcbc02a",
+        "series.csv": "acd508fc8cd265a0045ef56ff930c01f4c416ee9af0edadbc02c87c341078838",
     },
     7: {
-        "ticks.csv": "db2d7b6f9b801fd403edabb81954f29c14f8d71433f98936f65cd5774be10a4b",
-        "bars.csv": "7e2c51bf0d60dd5cd85e33967802f30d99eabea6be8437e213c892c59750a1d1",
-        "series.csv": "9b2f0698b1e9504f8482d2a3cba6bbd8ffc836d53a95ed962c731d59985e2ea8",
+        "ticks.csv": "8684e2ae326b5e3b57044841de7114823cd080d9911870223207b9856a749d93",
+        "bars.csv": "12e5b9fae2203498a4f8131745a71543a7d877af2f8d2292ec6503d26df5caf3",
+        "series.csv": "493a5858c673de8267e5c9ef0aee240a2978b6ae64852dfa71075574d8881411",
     },
 }
 
 # metrics over the pooled bars.csv of the four simulate runs above, scored
 # against the bars of scenarios 0 and 7
 METRICS_DIGESTS = {
-    "report.json": "03bba44d958db32c33f3c783e8bee5cb6fa8589530087843aa1439c22b4468da",
-    "tail_cloud.csv": "41f17efc10dbd61af35f338bd13d501d382630ca0be93f36540f63b9110a65ad",
+    "report.json": "6d22a0b033a725e05dc8e7c5c3cbd19c5a635c835a3162a1ba4230d7686ee377",
+    "tail_cloud.csv": "af3469d9e5fc8f7888b63033e7fd19fa2c9e36a8dad8533972253f3631c92be7",
 }
 
+# ledger.jsonl moved with the tool version (0.2.0), through its run_digest
+# field alone; every other ledger field is unchanged
 EXPERIMENT_DIGESTS = {
     "table2.csv": "20e207a674b26299e95181fe943971e4fb4ddffc8e9e3ba1c0de0fabc1d14b03",
     "table4.csv": "1f41faefa7520eef4d50edc4fe5e04dca1fd02aeaf23cf03483967adbf1741cf",
     "fig5.csv": "ecfd5234a5ad749ab6ab07f460d2ddbe0d279dbaeb78d6a769036547c03cac23",
     "synergy.csv": "b6ceaee14c067773d4e555585fdff771f91ca8d7f7c8d58fe75fbb84a843bcdb",
-    "ledger.jsonl": "ec2d28074b9b2a5a9cbcb91906ae2de1ceb7ec65d16accd5e70194ec0ffe72a6",
+    "ledger.jsonl": "bfccfcd5bd889353c38982bc5339e14776208e7fa5ecf0a1619d2d9d0159344f",
 }
 
 
