@@ -10,6 +10,11 @@ when nu > 0, a child stream (`SeedSequence(seed).spawn(1)[0]`) draws each
 mixed step's mood row as that step runs: one permutation of the agents,
 then one uniform per agent. A (config, seed) pair fully pins the output.
 
+Escrow is held in whole ticks on each agent's state. Each order pledges it
+once, after the book has stored the order's tick count: its whole volume at
+that count for a buy, its shares for a sell. Each fill and each expiry then
+releases its share of it, so the escrow always mirrors the resting orders.
+
 The tick log (one row per order and per trade, with the quotes around it)
 is recorded only when asked for: the `simulate` command keeps it, while the
 calibration trials, which read only trades, mids and the optimist share, run
@@ -32,7 +37,7 @@ from .agents import (
     predict_price,
     predict_return,
 )
-from .orderbook import BUY, Book, Order, Trade
+from .orderbook import BUY, Book, Trade
 
 
 # far above the 2110-step day; bounds the pre-drawn per-step arrays
@@ -128,31 +133,6 @@ class Engine:
         self.book = Book(tick=config.tick_size)
         self.n_opt = sum(a.state.optimistic for a in self.agents)
 
-    def _escrow(self, order: Order, volume: int) -> None:
-        """Pledge (volume > 0) or release (volume < 0) the escrow of that many
-        shares of an order: its owner's cash at the limit price, in whole
-        ticks, for a buy; its owner's shares for a sell."""
-        state = self.agents[order.agent_id].state
-        if order.side is BUY:
-            state.committed_ticks += volume * self.book.ticks(order.limit_price)
-        else:
-            state.committed_shares += volume
-
-    def _settle(self, trade: Trade) -> None:
-        buy_order = self.book.orders[trade.buy_order_id]
-        sell_order = self.book.orders[trade.sell_order_id]
-        buyer = self.agents[buy_order.agent_id].state
-        seller = self.agents[sell_order.agent_id].state
-        cost = trade.price * trade.volume
-        # the buyer's cash moves first: the float order matters when one
-        # agent is on both sides
-        buyer.cash -= cost
-        buyer.shares += trade.volume
-        self._escrow(buy_order, -trade.volume)
-        seller.cash += cost
-        seller.shares -= trade.volume
-        self._escrow(sell_order, -trade.volume)
-
     def run(self, on_step: Callable | None = None, *,
             record_ticks: bool = True) -> SimulationOutput:
         cfg = self.config
@@ -178,6 +158,7 @@ class Engine:
             exec_ok &= (steps < lo) | (steps > hi)
 
         book = self.book
+        orders = book.orders
         agents = self.agents
         states = [agent.state for agent in agents]
         p0, p_f = cfg.p0, cfg.fundamental_price
@@ -196,18 +177,35 @@ class Engine:
                 p_hat = predict_price(p_t, params.tau, r_hat)
                 order = decide_order(
                     agent, p_t, p_hat, t, cfg.sigma_sq_order, cfg.v_max,
-                    cfg.tick_size, len(book.orders) + 1,
+                    cfg.tick_size, len(orders) + 1,
                 )
                 if order is not None:
-                    self._escrow(order, order.volume)
+                    volume = order.volume
                     if record_ticks:
                         ticks.append(TickRecord(
                             t, "OrderPlaced", book.last_trade_price, book.mid_price(p0),
-                            book.best_bid(), book.best_ask(), order.volume, 0, self.n_opt,
+                            book.best_bid(), book.best_ask(), volume, 0, self.n_opt,
                         ))
                     trades = book.submit(order, execution_enabled=exec_t)
+                    # escrow is pledged after submit, which stores the tick count
+                    if order.side is BUY:
+                        agent.state.committed_ticks += volume * order.ticks
+                    else:
+                        agent.state.committed_shares += volume
                     for trade in trades:
-                        self._settle(trade)
+                        buy = orders[trade.buy_order_id]
+                        sell = orders[trade.sell_order_id]
+                        buyer, seller = states[buy.agent_id], states[sell.agent_id]
+                        vol = trade.volume
+                        cost = trade.price * vol
+                        # the buyer's cash moves first: the float order
+                        # matters when one agent is on both sides
+                        buyer.cash -= cost
+                        buyer.shares += vol
+                        buyer.committed_ticks -= vol * buy.ticks
+                        seller.cash += cost
+                        seller.shares -= vol
+                        seller.committed_shares -= vol
                     all_trades.extend(trades)
                     if trades and record_ticks:
                         bb, ba = book.best_bid(), book.best_ask()
@@ -219,7 +217,11 @@ class Engine:
                             ))
 
             for order, volume in book.expire(t):
-                self._escrow(order, -volume)
+                state = states[order.agent_id]
+                if order.side is BUY:
+                    state.committed_ticks -= volume * order.ticks
+                else:
+                    state.committed_shares -= volume
 
             if mood_on and 0 < self.n_opt < n:
                 n_opt = self.n_opt

@@ -71,7 +71,7 @@ def align_to_tick(price: float, tick: float) -> float:
     return float(n * dtick)
 
 
-@dataclass
+@dataclass(slots=True)
 class Order:
     order_id: int
     agent_id: int
@@ -80,9 +80,11 @@ class Order:
     volume: int  # remaining unfilled volume, decremented by fills
     submitted_step: int
     expiry_step: int
+    # limit_price as whole ticks, the order's level key; set by Book.submit
+    ticks: int = field(init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Trade:
     buy_order_id: int
     sell_order_id: int
@@ -140,7 +142,8 @@ class Book:
         levels = self.bids if side is BUY else self.asks
         return sum(o.volume for q in levels.values() for o in q)
 
-    def _rest(self, order: Order, ticks: int) -> None:
+    def _rest(self, order: Order) -> None:
+        ticks = order.ticks
         if order.side is BUY:
             queue = self.bids.get(ticks)
             if queue is None:
@@ -167,7 +170,7 @@ class Book:
             raise ValueError(f"order volume must be >= 1, got {order.volume}")
         self.orders[order.order_id] = order
         self.submitted_volume[order.side] += order.volume
-        ticks = self.ticks(order.limit_price)
+        ticks = order.ticks = self.ticks(order.limit_price)
 
         trades: list[Trade] = []
         if execution_enabled:
@@ -205,7 +208,7 @@ class Book:
                         del opp_levels[level]
 
         if order.volume > 0:
-            self._rest(order, ticks)
+            self._rest(order)
         return trades
 
     def expire(self, step: int) -> list[tuple[Order, int]]:
@@ -222,11 +225,10 @@ class Book:
             if order.volume == 0:
                 continue  # fully filled while resting
             levels = self.bids if order.side is BUY else self.asks
-            ticks = self.ticks(order.limit_price)
-            queue = levels[ticks]
+            queue = levels[order.ticks]
             queue.remove(order)
             if not queue:
-                del levels[ticks]
+                del levels[order.ticks]
             self.expired_volume[order.side] += order.volume
             dropped.append((order, order.volume))
             order.volume = 0

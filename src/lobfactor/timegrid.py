@@ -10,6 +10,7 @@ index corresponds to that fraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,7 @@ def bar_indices(path: TransactionPath, t_total: int) -> list[int]:
     """Trade index targeted by each minute: round-half-up of fraction*t_total."""
     if t_total < 1:
         raise DegenerateTrialError("no trades to index")
-    return [int(np.floor(f * t_total + 0.5)) for f in path.fractions]
+    return [math.floor(f * t_total + 0.5) for f in path.fractions]
 
 
 def assign_calendar_time(sim, path: TransactionPath, p0: float,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lobfactor import engine as engine_mod
 from lobfactor.agents import CashSpec, PopulationConfig, init_population
 from lobfactor.calibration import ParameterGrid, build_config, enumerate_combos
 from lobfactor.cli import write_ticks_csv
@@ -15,7 +16,7 @@ from lobfactor.engine import (
     run,
     validate_config,
 )
-from lobfactor.orderbook import Side
+from lobfactor.orderbook import Order, Side, align_to_tick
 from oracles import daily_mood_change_rate, in_no_exec_window, update_mood
 
 
@@ -185,8 +186,62 @@ class TestConservation:
             ask_volume = sum(o.volume for o in orders if o.side is Side.SELL and o.volume > 0)
             assert bid_ticks == sum(s.committed_ticks for s in states)
             assert ask_volume == sum(s.committed_shares for s in states)
+            for o in orders:
+                if o.volume > 0:
+                    assert o.ticks == eng.book.ticks(o.limit_price)
 
         engine.run(on_step=check)
+
+
+class TestOrderPastTwoPow26Ticks:
+    """1106164.5835 at tick 1e-4 is 11061645835 ticks in decimal, but its
+    float ratio is 11061645834.999998: the one tick count the book stores
+    must be the rounded one, for the level key and the escrow alike."""
+
+    PRICE = 1106164.5835
+    TICKS = 11061645835
+
+    def test_rest_fill_in_part_then_expire(self, monkeypatch):
+        cfg = SimulationConfig(population=PopulationConfig(n_agents=2), t_sim=4,
+                               no_exec_windows=(), seed=0)
+        assert align_to_tick(self.PRICE, cfg.tick_size) == self.PRICE
+        # step 1: a sell of 5 rests until step 3; step 2: a buy of 2 fills part of it
+        script = {1: (Side.SELL, 5, 3), 2: (Side.BUY, 2, 10)}
+
+        def scripted(agent, p_t, p_hat, step, sigma_sq, v_max, tick, order_id):
+            if step not in script:
+                return None
+            side, volume, expiry = script[step]
+            return Order(order_id, agent.agent_id, side, self.PRICE, volume, step, expiry)
+
+        monkeypatch.setattr(engine_mod, "decide_order", scripted)
+        engine = Engine(cfg)
+        for agent in engine.agents:
+            agent.state.cash, agent.state.shares = 1e8, 10
+        book = engine.book
+        seen = {}
+
+        def snapshot(eng, step):
+            states = [a.state for a in eng.agents]
+            seen[step] = (
+                [(o.volume, o.ticks) for o in book.orders.values()],
+                sorted(book.asks), sorted(book.bids),
+                sum(s.committed_ticks for s in states), sum(s.committed_shares for s in states),
+            )
+
+        out = engine.run(on_step=snapshot)
+        assert book.ticks(self.PRICE) == self.TICKS
+        assert seen[1] == ([(5, self.TICKS)], [self.TICKS], [], 0, 5)
+        assert [(t.price, t.volume) for t in out.trades] == [(self.PRICE, 2)]
+        assert seen[2] == ([(3, self.TICKS), (0, self.TICKS)], [self.TICKS], [], 0, 3)
+        assert seen[3] == ([(0, self.TICKS), (0, self.TICKS)], [], [], 0, 0)
+        assert book.expired_volume[Side.SELL] == 3
+        for side in (Side.BUY, Side.SELL):
+            assert book.resting_volume(side) == 0
+            assert book.submitted_volume[side] == (
+                book.executed_volume[side] + book.expired_volume[side])
+        assert sum(a.state.shares for a in engine.agents) == 20
+        assert sum(a.state.cash for a in engine.agents) == pytest.approx(2e8)
 
 
 class TestMoodDynamics:

@@ -8,10 +8,13 @@ digests here and says why.
 
 import hashlib
 import json
+from dataclasses import astuple
 
 import pytest
 
+from lobfactor.agents import CashSpec, PopulationConfig
 from lobfactor.cli import EXIT_OK, config_digest, main, resolve_config
+from lobfactor.engine import SimulationConfig, run
 
 # the resolved default config: manifests of default runs stay comparable
 DEFAULT_CONFIG_DIGEST = "a610a9702f42686c4e1233ff040eabe866198d3c0588b7e5b27b8f940d3879af"
@@ -72,6 +75,18 @@ EXPERIMENT_DIGESTS = {
     "fig5.csv": "ecfd5234a5ad749ab6ab07f460d2ddbe0d279dbaeb78d6a769036547c03cac23",
     "synergy.csv": "b6ceaee14c067773d4e555585fdff771f91ca8d7f7c8d58fe75fbb84a843bcdb",
     "ledger.jsonl": "bfccfcd5bd889353c38982bc5339e14776208e7fa5ecf0a1619d2d9d0159344f",
+}
+
+
+# sha256 of the trades, mids and optimist shares of one default-shape trial
+# (2110 steps, 200 agents, seed 1000) of each scenario: the small shapes
+# above stay far from the day's full length and population. Scenario 3 at
+# this seed is a frozen day (one trade), so its digest pins the mood pass.
+FULL_SHAPE_TRIAL_DIGESTS = {
+    0: "2979b8848e36460374c92ae7207eb51b83e1fb7dcefd9ea6cc9c1dc1d89d49b2",
+    2: "83d049a9c193ac5e9a58cad7e9840232ee70c8a6949cd44cdec5e32c1bca0d46",
+    3: "c8ec25a633365620d1a1318ff004254975a59f3c153c9c17ca4ddaa7c9393e87",
+    7: "76e3e7efcbf599f7a04360d7a663d66c8a15d9b1c53a657d21e23faec071b29b",
 }
 
 
@@ -137,3 +152,15 @@ def test_quartet_experiment_matches_golden_digests(tmp_path):
     assert main(["experiment", "--config", quartet_config(tmp_path), "--scenarios", "0,1,2,4",
                  "--trials", "2", "--out", str(out)]) == EXIT_OK
     assert digests(out, EXPERIMENT_DIGESTS) == EXPERIMENT_DIGESTS
+
+
+@pytest.mark.parametrize("scenario", sorted(FULL_SHAPE_TRIAL_DIGESTS))
+def test_full_shape_trial_matches_golden_digest(scenario):
+    population = dict(SCENARIO_POPULATION[scenario])
+    if "cash" in population:
+        population["cash"] = CashSpec(**population["cash"])
+    config = SimulationConfig(population=PopulationConfig(**population), seed=1000)
+    out = run(config, record_ticks=False)
+    trial = ([astuple(trade) for trade in out.trades], out.mid_prices, out.optimists_rate)
+    digest = hashlib.sha256(repr(trial).encode()).hexdigest()
+    assert digest == FULL_SHAPE_TRIAL_DIGESTS[scenario]
