@@ -92,9 +92,10 @@ def read_input(file, what: str, error: type[ValueError]) -> str:
         raise error(f"{what} file {file}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def resolve_config(config_path: str | None, seed_flag: int | None, command: str) -> dict:
-    """Defaults <- config file <- --seed, written back from the typed configs,
-    so every value has its field's type and equal configs digest alike."""
+def resolve_config(config_path: str | None, seed_flag: int | None, command: str,
+                   trials_flag: int | None = None) -> dict:
+    """Defaults <- config file <- --seed and --trials, written back from the typed
+    configs so equal configs digest alike; any value out of bounds raises ConfigError."""
     override: dict = {}
     if config_path is not None:
         try:
@@ -104,11 +105,11 @@ def resolve_config(config_path: str | None, seed_flag: int | None, command: str)
         if not isinstance(override, dict):
             raise ConfigError(f"config file {config_path}: not a JSON object")
     doc = _build(_Document, override, "")
-    if seed_flag is not None:
-        if command == "experiment":
-            doc = replace(doc, experiment=replace(doc.experiment, base_seed=seed_flag))
-        else:
-            doc = replace(doc, simulation=replace(doc.simulation, seed=seed_flag))
+    seed = ("experiment", "base_seed") if command == "experiment" else ("simulation", "seed")
+    for (section, name), flag in ((seed, seed_flag), (("experiment", "trials"), trials_flag)):
+        if flag is not None:
+            doc = replace(doc, **{section: replace(getattr(doc, section), **{name: flag})})
+    _check(doc)
     return _json(asdict(doc))
 
 
@@ -174,48 +175,48 @@ def _convert(default, value, path: str):
                           f"got {value!r}") from None
 
 
-def _validated(config: SimulationConfig, path: str) -> SimulationConfig:
-    try:
-        validate_config(config)
-    except ConfigurationError as exc:
-        raise ConfigError(f"invalid {path}: {exc}") from None
-    return config
-
-
-def simulation_config(resolved: dict) -> SimulationConfig:
-    return _validated(_build(SimulationConfig, resolved["simulation"], "simulation"),
-                      "simulation config")
-
-
-# the smallest value of each experiment count and seed; a path day must be
-# able to hold a transaction
-_EXPERIMENT_MINIMUMS = (("trials", 1), ("base_seed", 0), ("path_seed", 0), ("refs.count", 1),
-                        ("refs.seed", 0), ("paths.count", 1), ("paths.seed", 0),
-                        ("paths.mean_total", 1))
 _MAX_COUNT = 10**12  # a path day's mean count, and each paths-file count: no int64 wrap
+_EXPERIMENT_BOUNDS = (  # (field, least, greatest) of each experiment number
+    ("trials", 1, math.inf), ("base_seed", 0, math.inf), ("path_seed", 0, math.inf),
+    ("refs.seed", 0, math.inf), ("paths.seed", 0, math.inf),
+    ("refs.count", 1, 10**3),  # each is an OT against every combo's pool: 55x the default 18
+    ("refs.n_samples", 2, 10**7),  # standardizing needs 2; 10**7 draws are 80 MB per reference
+    ("refs.df", math.ulp(0.0), sys.float_info.max),  # numpy's Student-t needs a finite df > 0
+    ("paths.count", 1, 10**4),  # a path is 300 boxed floats, 10 kB: 10**4 paths are 100 MB
+    ("paths.mean_total", 1, _MAX_COUNT),  # a path day must be able to hold a transaction
+)
+
+
+def _check(doc: _Document) -> None:
+    """Raise a ConfigError naming a value of `doc` out of bounds, grid axis values included."""
+    sim = doc.simulation
+    configs = [("simulation config", sim)] + [
+        (f"experiment.grid.{axis.name}",
+         replace(sim, population=replace(sim.population, **{axis.name: value})))
+        for axis in fields(ParameterGrid) for value in getattr(doc.experiment.grid, axis.name)]
+    for path, config in configs:
+        try:
+            validate_config(config)
+        except ConfigurationError as exc:
+            raise ConfigError(f"invalid {path}: {exc}") from None
+    for path, low, high in _EXPERIMENT_BOUNDS:
+        value = attrgetter(path)(doc.experiment)
+        if not low <= value <= high:
+            bound = f">= {low}" if value < low else f"<= {high}"
+            raise ConfigError(f"config field experiment.{path} must be {bound}, got {value}")
+
+
+# the section readers: plain builds of a document that resolve_config checked
+def simulation_config(resolved: dict) -> SimulationConfig:
+    return _build(SimulationConfig, resolved["simulation"], "simulation")
 
 
 def experiment_config(resolved: dict) -> ExperimentConfig:
-    """The experiment section, each count and seed at its minimum or above;
-    every grid axis value must make a valid simulation config."""
-    exp = _build(ExperimentConfig, resolved["experiment"], "experiment")
-    for path, minimum in _EXPERIMENT_MINIMUMS:
-        value = attrgetter(path)(exp)
-        if value < minimum:
-            raise ConfigError(f"config field experiment.{path} must be >= {minimum}, got {value}")
-    if exp.paths.mean_total > _MAX_COUNT:
-        raise ConfigError(f"config field experiment.paths.mean_total must be <= "
-                          f"{_MAX_COUNT}, got {exp.paths.mean_total}")
-    base = simulation_config(resolved)
-    for axis in fields(ParameterGrid):
-        for value in getattr(exp.grid, axis.name):
-            population = replace(base.population, **{axis.name: value})
-            _validated(replace(base, population=population), f"experiment.grid.{axis.name}")
-    return exp
+    return _build(ExperimentConfig, resolved["experiment"], "experiment")
 
 
 def parameter_grid(resolved: dict) -> ParameterGrid:
-    """The experiment's search grid; perfbench/inputs.py checks its configs with it."""
+    """The experiment's search grid; perfbench/inputs.py reads it."""
     return experiment_config(resolved).grid
 
 
@@ -304,7 +305,7 @@ def load_refs(spec: RefsSpec, refs_files: list[str] | None) -> list:
         return [ref_cloud(file) for file in refs_files]
     try:
         return make_student_t_refs(spec)
-    except ValueError as exc:  # numpy's own rejections, such as df 0, and degenerate draws
+    except ValueError as exc:  # degenerate draws, such as the infinite ones of a tiny df
         raise ConfigError(f"invalid experiment.refs: {exc}") from None
 
 
@@ -566,9 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        resolved = resolve_config(args.config, args.seed, args.command)
-        if getattr(args, "trials", None) is not None:
-            resolved["experiment"]["trials"] = args.trials
+        resolved = resolve_config(args.config, args.seed, args.command,
+                                  getattr(args, "trials", None))
         if args.print_config:
             print(json.dumps(resolved, indent=2, sort_keys=True))
             return EXIT_OK

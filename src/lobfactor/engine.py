@@ -44,6 +44,8 @@ from .orderbook import BUY, Book, Trade
 MAX_T_SIM = 10**6
 # 50 times the default population
 MAX_AGENTS = 10**4
+# the initial share draw rng.integers(0, w_max + 1) needs an int64 high
+MAX_W_MAX = 2**63 - 1
 
 
 class ConfigurationError(ValueError):
@@ -110,6 +112,7 @@ def validate_config(config: SimulationConfig) -> None:
         (0.0 <= pop.p_optimist_init <= 1.0, "p_optimist_init must lie in [0, 1]"),
         (pop.tau_f >= 1, "tau_f must be >= 1"),
         (pop.w_max >= 0, "w_max must be >= 0"),
+        (pop.w_max <= MAX_W_MAX, f"w_max must be <= {MAX_W_MAX}"),
         (pop.cash.kind in ("uniform", "pareto"), f"unknown cash kind {pop.cash.kind!r}"),
         (pop.cash.c_max > 0 and pop.cash.c_min > 0, "cash bounds must be positive"),
         (pop.cash.beta > 0, "cash beta must be positive"),
@@ -117,6 +120,12 @@ def validate_config(config: SimulationConfig) -> None:
     for ok, msg in checks:
         if not ok:
             raise ConfigurationError(msg)
+    # rng.random's least nonzero draw is 2**-53 (zeros are drawn again), so the
+    # largest Pareto cash is c_min * 2**(53 / beta); checked for any kind, since
+    # the Pareto scenarios take c_min and beta whatever kind the config names
+    if math.log(pop.cash.c_min) + 53 / pop.cash.beta * math.log(2) > math.log(np.finfo(float).max):
+        raise ConfigurationError("cash c_min * 2**(53 / beta), the largest Pareto draw, "
+                                 "must be finite")
     for window in config.no_exec_windows:
         if len(window) != 2 or not 1 <= window[0] <= window[1]:
             raise ConfigurationError(f"bad no-exec window {window}")

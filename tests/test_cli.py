@@ -39,7 +39,7 @@ from lobfactor.cli import (
     run_digest,
     simulation_config,
 )
-from lobfactor.engine import SimulationConfig
+from lobfactor.engine import MAX_W_MAX, SimulationConfig, validate_config
 from lobfactor.metrics import DegenerateSeriesError, StylizedFactReport
 from lobfactor.timegrid import MINUTES_PER_DAY
 
@@ -142,20 +142,28 @@ JSON_VALUES = st.recursive(
 
 class TestBuildConfig:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(BUILT_NODES), JSON_VALUES), min_size=1, max_size=3))
-    def test_mutated_default_builds_or_raises_config_error(self, mutations):
+    @given(mutations=st.lists(st.tuples(st.sampled_from(BUILT_NODES), JSON_VALUES),
+                              min_size=1, max_size=3))
+    def test_mutated_default_builds_or_raises_config_error(self, mutations, tmp_path_factory):
         doc = copy.deepcopy(DEFAULT_CONFIG)
         for path, value in sorted(mutations, key=lambda m: -len(m[0])):  # children first
             node = doc
             for key in path[:-1]:
                 node = node[key]
             node[path[-1]] = value
-        # builders only: the loaders would draw references of any size
         for build in (simulation_config, experiment_config):
             try:
                 build(doc)
             except ConfigError:
                 pass
+        # a document resolves only if the engine takes every config it names
+        target = tmp_path_factory.getbasetemp() / "mutated.json"
+        try:
+            resolved = resolve_config(write_json(target, doc), None, "experiment")
+        except ConfigError:
+            return
+        validate_config(simulation_config(resolved))
+        assert experiment_config(resolved).trials >= 1
 
     def test_defaults_round_trip_to_the_dataclasses(self):
         resolved = resolve_config(None, None, "experiment")
@@ -189,6 +197,10 @@ class TestBuildConfig:
         ('{"simulation": {"population": {"alpha": true}}}', []),
         ('{"simulation": {"population": {"cash": {"kind": 5}}}}', []),
         ('{"experiment": {"paths": {"mean_total": 10000000000000000000}}}', []),
+        ('{"experiment": {"refs": {"n_samples": 10000000000000}}}', []),
+        ('{"experiment": {"refs": {"count": 100000000}}}', []),
+        # Pareto scenarios run with the config's c_min and beta whatever its kind
+        ('{"simulation": {"population": {"cash": {"beta": 1e-5}}}}', []),
     ])
     def test_bad_config_exits_before_writing(self, document, extra, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -200,7 +212,8 @@ class TestBuildConfig:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert not out.exists()
 
-    @pytest.mark.parametrize("experiment", [{"grid": {"alpha": [-0.1]}}, {"path_seed": 1.5}])
+    @pytest.mark.parametrize("experiment", [{"grid": {"alpha": [-0.1]}}, {"path_seed": 1.5},
+                                            {"paths": {"count": 10**8}}])
     def test_simulate_checks_the_experiment_section(self, experiment, tmp_path, capsys):
         config = write_json(tmp_path / "cfg.json", {"experiment": experiment})
         out = tmp_path / "out"
@@ -211,6 +224,8 @@ class TestBuildConfig:
     @pytest.mark.parametrize("simulation, field", [
         ({"t_sim": 1e300}, "t_sim"),
         ({"population": {"n_agents": 10**12}}, "n_agents"),
+        ({"population": {"w_max": 10**20}}, "w_max"),
+        ({"population": {"cash": {"kind": "pareto", "beta": 1e-5}}}, "beta"),
     ])
     def test_huge_size_exits_before_any_draw(self, simulation, field, tmp_path, capsys,
                                              monkeypatch):
@@ -239,6 +254,82 @@ class TestBuildConfig:
             assert run_digest(resolved, None, str(data)) != first
         data.write_text("2\n")
         assert run_digest(resolved, None, str(data)) != first
+
+
+# the largest beta whose Pareto cash overflows at the default c_min
+PARETO_EDGE_BETA = 53 * math.log(2) / (math.log(np.finfo(float).max) - math.log(5000.0))
+# (field path, value at its bound, value one step past it)
+BOUND_EDGES = [
+    (("experiment", "refs", "count"), 10**3, 10**3 + 1),
+    (("experiment", "refs", "n_samples"), 10**7, 10**7 + 1),
+    (("experiment", "refs", "n_samples"), 2, 1),
+    (("experiment", "refs", "df"), math.ulp(0.0), 0.0),
+    (("experiment", "paths", "count"), 10**4, 10**4 + 1),
+    (("simulation", "population", "w_max"), MAX_W_MAX, MAX_W_MAX + 1),
+    (("simulation", "population", "cash", "beta"),
+     PARETO_EDGE_BETA * (1 + 1e-12), PARETO_EDGE_BETA * (1 - 1e-12)),
+]
+
+
+def nested(path: tuple[str, ...], value) -> dict:
+    """A config document giving only `value` at `path`."""
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+class TestConfigCheck:
+    """resolve_config checks the whole document once, so every command and
+    --print-config turns an invalid value into exit 2 before reading or
+    writing anything. No trial, reference or path may be drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_draw(self, monkeypatch):
+        for name in ("run", "make_student_t_refs", "synthetic_reference_path"):
+            monkeypatch.setattr(cli_mod, name, None)
+        monkeypatch.setattr(calibration_mod, "evaluate_combo", None)
+
+    def exits_on_config(self, argv, tmp_path, capsys) -> str:
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "", captured.out
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+        return captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["metrics", "BARS"], ["experiment", "--scenarios", "0"],
+        ["simulate", "--print-config"], ["metrics", "--print-config"],
+        ["experiment", "--print-config"]])
+    def test_every_command_rejects_an_invalid_document(self, command, tmp_path, capsys):
+        config = write_json(tmp_path / "bad.json", {
+            "simulation": {"p0": -5, "population": {"n_agents": 0}},
+            "experiment": {"trials": 0}})
+        bars = toy_bars(tmp_path / "toy.csv", [100, 105, 95, 120, 100])
+        argv = [bars if arg == "BARS" else arg for arg in command]
+        self.exits_on_config([*argv, "--config", config], tmp_path, capsys)
+
+    def test_trials_flag_is_checked_with_the_document(self, tmp_path, capsys):
+        err = self.exits_on_config(["experiment", "--trials", "0", "--print-config"],
+                                   tmp_path, capsys)
+        assert "experiment.trials" in err
+
+    @pytest.mark.parametrize("path, edge, past", BOUND_EDGES)
+    def test_bound_rejects_one_step_past_its_edge(self, path, edge, past, tmp_path, capsys):
+        config = write_json(tmp_path / "cfg.json", nested(path, past))
+        assert path[-1] in self.exits_on_config(
+            ["experiment", "--config", config, "--print-config"], tmp_path, capsys)
+
+    @pytest.mark.parametrize("path, edge, past", BOUND_EDGES)
+    def test_bound_admits_its_edge(self, path, edge, past, tmp_path, capsys):
+        config = write_json(tmp_path / "cfg.json", nested(path, edge))
+        assert main(["experiment", "--config", config, "--print-config"]) == EXIT_OK
+        resolved = json.loads(capsys.readouterr().out)
+        node = resolved
+        for key in path:
+            node = node[key]
+        assert node == edge
 
 
 class TestParseScenarios:

@@ -1,15 +1,18 @@
 """Simulation loop: determinism, window gating, conservation, mood dynamics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from lobfactor import engine as engine_mod
-from lobfactor.agents import CashSpec, PopulationConfig, init_population
+from lobfactor.agents import CashSpec, PopulationConfig, init_population, sample_pareto
 from lobfactor.calibration import ParameterGrid, build_config, enumerate_combos
 from lobfactor.cli import write_ticks_csv
 from lobfactor.engine import (
     MAX_AGENTS,
     MAX_T_SIM,
+    MAX_W_MAX,
     ConfigurationError,
     Engine,
     SimulationConfig,
@@ -62,10 +65,25 @@ class TestValidation:
         dict(lambda_f=-1.0),
         dict(cash=CashSpec(kind="normal")),
         dict(cash=CashSpec(c_max=float("inf"))),
+        dict(w_max=MAX_W_MAX + 1),
+        dict(cash=CashSpec(kind="pareto", beta=1e-5)),
+        dict(cash=CashSpec(kind="uniform", beta=1e-5)),  # Pareto scenarios take it
+        dict(cash=CashSpec(kind="pareto", c_min=1e300, beta=0.5)),
     ])
     def test_bad_population_fields_rejected(self, patch):
         with pytest.raises(ConfigurationError):
             validate_config(SimulationConfig(population=PopulationConfig(**patch)))
+
+    def test_largest_share_and_pareto_cash_draws_admitted(self):
+        # at the edge beta, c_min * 2**(53 / beta) lies just below the largest float
+        edge = 53 * math.log(2) / (math.log(np.finfo(float).max) - math.log(5000.0))
+        cash = CashSpec(kind="pareto", c_min=5000.0, beta=edge * (1 + 1e-12))
+        population = PopulationConfig(n_agents=5, w_max=MAX_W_MAX, cash=cash)
+        validate_config(SimulationConfig(population=population))
+        assert math.isfinite(sample_pareto(5000.0, cash.beta, 2.0**-53))
+        with np.errstate(over="ignore"):
+            assert math.isinf(sample_pareto(5000.0, edge * (1 - 1e-12), 2.0**-53))
+        assert len(init_population(population, np.random.default_rng(0))) == 5
 
     def test_mood_config_admitted_at_max_t_sim_and_max_agents(self):
         # mood rows are drawn step by step, so moods add no size bound
