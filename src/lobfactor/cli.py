@@ -348,31 +348,24 @@ BARS_CSV_HEADER = ("day_id",) + tuple(f"m{m:03d}" for m in range(1, MINUTES_PER_
 
 
 def _write_csv(path, columns: tuple[str, ...], rows) -> None:
-    """One header row, then the rows; csv writes None as an empty cell."""
+    """One header row, then the rows. csv writes None as an empty cell and
+    any other cell as str(cell), which for a float (numpy scalars included)
+    is its shortest round-trip text."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
 
 
-def _fmt(value) -> object:
-    """A float (numpy scalars included) as its shortest round-trip text;
-    anything else as it is."""
-    return repr(float(value)) if isinstance(value, float) else value
-
-
 def write_ticks_csv(ticks: list[TickRecord], path) -> None:
     """Stable column order and shortest round-trip floats, so equal runs
     serialize to identical bytes."""
-    _write_csv(path, TICKS_CSV_COLUMNS, (
-        (r.step, r.event, _fmt(r.market_price), _fmt(r.mid_price), _fmt(r.best_bid),
-         _fmt(r.best_ask), r.order_volume, r.exec_volume, r.n_optimists)
-        for r in ticks))
+    _write_csv(path, TICKS_CSV_COLUMNS, map(attrgetter(*TICKS_CSV_COLUMNS), ticks))
 
 
 def write_bars_csv(bars_list: list[BarSeries], path) -> None:
     _write_csv(path, BARS_CSV_HEADER,
-               ((bars.day_id, *map(_fmt, bars.mid_prices)) for bars in bars_list))
+               ((bars.day_id, *bars.mid_prices) for bars in bars_list))
 
 
 def cmd_simulate(args, resolved: dict) -> int:
@@ -394,11 +387,8 @@ def cmd_simulate(args, resolved: dict) -> int:
         print("warning: no trades executed; bars.csv has no data rows", file=sys.stderr)
     series_path = out_dir / "series.csv"
     mids = [config.p0, *output.mid_prices]
-    rows = [
-        (step, _fmt(mids[step]), _fmt(math.log(mids[step] / mids[step - 1])),
-         _fmt(output.optimists_rate[step - 1]))
-        for step in range(1, config.t_sim + 1)
-    ]
+    rows = [(step, mids[step], math.log(mids[step] / mids[step - 1]),
+             output.optimists_rate[step - 1]) for step in range(1, config.t_sim + 1)]
     _write_csv(series_path, SERIES_COLUMNS, rows)
 
     manifest_path = write_manifest(out_dir, "simulate", resolved, (config.seed, config.seed),
@@ -438,8 +428,7 @@ def cmd_metrics(args, resolved: dict) -> int:
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     cloud_path = out_dir / "tail_cloud.csv"
-    _write_csv(cloud_path, ("tail_log_ratio",),
-               [(_fmt(float(v)),) for v in cloud.points])
+    _write_csv(cloud_path, ("tail_log_ratio",), [(v,) for v in cloud.points.tolist()])
     write_manifest(out_dir, "metrics", resolved, None, [report_path.name, cloud_path.name])
     print(f"metrics: hill={hill:.4f} k={cloud.size} n={pooled.size} -> {report_path}")
     return EXIT_OK
@@ -496,13 +485,13 @@ def cmd_experiment(args, resolved: dict) -> int:
     for n in scenarios:
         best = results[n].best
         c, facts = best.combo, best.stylized  # facts are None where undefined
-        table2.append((n, c.cash.kind, _fmt(c.lambda_c), _fmt(c.lambda_m), _fmt(c.nu),
-                       _fmt(c.alpha), _fmt(best.hill), best.k_used, _fmt(best.mean_ot),
-                       _fmt(best.ot_std), best.n_trials, best.n_degenerate, best.n_pooled))
+        table2.append((n, c.cash.kind, c.lambda_c, c.lambda_m, c.nu, c.alpha, best.hill,
+                       best.k_used, best.mean_ot, best.ot_std, best.n_trials,
+                       best.n_degenerate, best.n_pooled))
         cells = (None,) * 6 if facts is None else (
             facts.kurtosis, facts.vol_volume_corr,
             *(facts.abs_autocorr.get(lag) for lag in (1, 10, 20, 30)))
-        table4.append((n, *map(_fmt, cells)))
+        table4.append((n, *cells))
         print(f"scenario {n}: hill={best.hill:.4f} mean_ot={best.mean_ot:.6f} "
               f"combo={c.key()}")
     _write_csv(out_dir / "table2.csv", TABLE2_COLUMNS, table2)
@@ -514,11 +503,10 @@ def cmd_experiment(args, resolved: dict) -> int:
         hills = {n: results[n].best.hill for n in (0, 1, 2, 4)}
         theoretical = theoretical_hill(hills[0], hills[1], hills[2])
         _write_csv(out_dir / "synergy.csv", SYNERGY_COLUMNS,
-                   [(_fmt(hills[4]), _fmt(theoretical), hills[4] < theoretical)])
+                   [(hills[4], theoretical, hills[4] < theoretical)])
         sweep = sweep_lambda_c(exp.grid, [m for n in (0, 1, 2, 4) for m in results[n].per_combo])
         _write_csv(out_dir / "fig5.csv", FIG5_COLUMNS,
-                   [(_fmt(r["lambda_c"]), r["series"], _fmt(r["hill_mean"]),
-                     _fmt(r["hill_std"]), r["n_points"]) for r in sweep])
+                   [[r[c] for c in FIG5_COLUMNS] for r in sweep])
         outputs += ["synergy.csv", "fig5.csv"]
 
     write_manifest(out_dir, "experiment", resolved,

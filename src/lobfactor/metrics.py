@@ -55,7 +55,8 @@ def standardize(returns) -> np.ndarray:
     x = np.asarray(returns, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a 1-D series with at least 2 samples")
-    std = x.std()
+    with np.errstate(invalid="ignore", over="ignore"):  # reported just below
+        std = x.std()
     if std == 0.0 or not np.isfinite(std):
         raise DegenerateSeriesError("series has zero or undefined variance")
     return (x - x.mean()) / std

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
@@ -103,8 +104,9 @@ class Book:
     last_trade_price: float | None = None
 
     def __post_init__(self) -> None:
-        self._bid_levels: list[int] = []  # max-heap via negation
-        self._ask_levels: list[int] = []  # min-heap
+        # live levels' tick counts, ascending; exact as levels open and empty
+        self._bid_levels: list[int] = []  # best bid last
+        self._ask_levels: list[int] = []  # best ask first
         self._expiry_heap: list[tuple[int, int]] = []  # (expiry_step, order_id)
         self.orders: dict[int, Order] = {}  # every submitted order, by id
         # running per-side totals; volume conservation means
@@ -118,16 +120,10 @@ class Book:
         return int(round(price / self.tick))
 
     def best_bid(self) -> float | None:
-        heap, levels = self._bid_levels, self.bids
-        while heap and -heap[0] not in levels:
-            heapq.heappop(heap)
-        return -heap[0] * self.tick if heap else None
+        return self._bid_levels[-1] * self.tick if self._bid_levels else None
 
     def best_ask(self) -> float | None:
-        heap, levels = self._ask_levels, self.asks
-        while heap and heap[0] not in levels:
-            heapq.heappop(heap)
-        return heap[0] * self.tick if heap else None
+        return self._ask_levels[0] * self.tick if self._ask_levels else None
 
     def mid_price(self, fallback: float) -> float:
         """Quote midpoint; last trade price if one side is empty; else fallback."""
@@ -142,18 +138,16 @@ class Book:
         levels = self.bids if side is BUY else self.asks
         return sum(o.volume for q in levels.values() for o in q)
 
+    def _side(self, side: Side) -> tuple[dict[int, deque[Order]], list[int]]:
+        return (self.bids, self._bid_levels) if side is BUY else (self.asks, self._ask_levels)
+
     def _rest(self, order: Order) -> None:
         ticks = order.ticks
-        if order.side is BUY:
-            queue = self.bids.get(ticks)
-            if queue is None:
-                queue = self.bids[ticks] = deque()
-                heapq.heappush(self._bid_levels, -ticks)
-        else:
-            queue = self.asks.get(ticks)
-            if queue is None:
-                queue = self.asks[ticks] = deque()
-                heapq.heappush(self._ask_levels, ticks)
+        levels, keys = self._side(order.side)
+        queue = levels.get(ticks)
+        if queue is None:
+            queue = levels[ticks] = deque()
+            insort(keys, ticks)
         queue.append(order)
         heapq.heappush(self._expiry_heap, (order.expiry_step, order.order_id))
 
@@ -175,16 +169,10 @@ class Book:
         trades: list[Trade] = []
         if execution_enabled:
             buying = order.side is BUY
-            if buying:
-                opp_levels, opp_heap, sign = self.asks, self._ask_levels, 1
-            else:
-                opp_levels, opp_heap, sign = self.bids, self._bid_levels, -1
-            while order.volume > 0:
-                while opp_heap and sign * opp_heap[0] not in opp_levels:
-                    heapq.heappop(opp_heap)
-                if not opp_heap:
-                    break
-                level = sign * opp_heap[0]
+            opp_levels, keys = self._side(SELL if buying else BUY)
+            best = 0 if buying else -1  # index of the best opposite level
+            while order.volume > 0 and keys:
+                level = keys[best]
                 if (level > ticks) if buying else (level < ticks):
                     break
                 queue = opp_levels[level]
@@ -206,6 +194,7 @@ class Book:
                     queue.popleft()
                     if not queue:
                         del opp_levels[level]
+                        del keys[best]
 
         if order.volume > 0:
             self._rest(order)
@@ -224,11 +213,12 @@ class Book:
             order = self.orders[order_id]
             if order.volume == 0:
                 continue  # fully filled while resting
-            levels = self.bids if order.side is BUY else self.asks
+            levels, keys = self._side(order.side)
             queue = levels[order.ticks]
             queue.remove(order)
             if not queue:
                 del levels[order.ticks]
+                del keys[bisect_left(keys, order.ticks)]
             self.expired_volume[order.side] += order.volume
             dropped.append((order, order.volume))
             order.volume = 0

@@ -85,11 +85,9 @@ def assign_calendar_time(sim, path: TransactionPath, p0: float,
     Minute m's bar is the mid price recorded at the step of trade number
     i_m = round(fractions[m] * t_total) (1-based trade numbering). Minutes
     before the first targeted trade take p0; repeated indices carry the
-    last price forward.
+    last price forward. A trial without trades raises DegenerateTrialError.
     """
     trades = sim.trades
-    if not trades:
-        raise DegenerateTrialError("trial produced no trades")
     prices = []
     for i in bar_indices(path, len(trades)):
         if i == 0:
@@ -103,8 +101,6 @@ def assign_calendar_time(sim, path: TransactionPath, p0: float,
 def bar_volumes(sim, path: TransactionPath) -> tuple[int, ...]:
     """Executed shares per minute under the same trade-index assignment."""
     trades = sim.trades
-    if not trades:
-        raise DegenerateTrialError("trial produced no trades")
     # a minute's trades end at its index, or at the furthest earlier one
     ends = np.maximum.accumulate(bar_indices(path, len(trades)))
     shares_before = np.cumsum([0] + [t.volume for t in trades])

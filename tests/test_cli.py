@@ -201,7 +201,11 @@ class TestBuildConfig:
         ('{"experiment": {"refs": {"count": 100000000}}}', []),
         # Pareto scenarios run with the config's c_min and beta whatever its kind
         ('{"simulation": {"population": {"cash": {"beta": 1e-5}}}}', []),
+        # positive and finite, but every draw is infinite: found only when drawn
+        ('{"experiment": {"refs": {"df": 1e-300, "count": 2, "n_samples": 1000}}}', []),
     ])
+    # a numpy warning on stderr would make the error more than one line
+    @pytest.mark.filterwarnings("error")
     def test_bad_config_exits_before_writing(self, document, extra, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(document)

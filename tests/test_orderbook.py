@@ -244,6 +244,16 @@ action = st.tuples(
 )
 
 
+def assert_quotes_match(b, ref):
+    """Best quotes are the best naive resting prices in ticks, and each side's
+    level list holds exactly its live levels, ascending."""
+    for side, best, quote in ((Side.BUY, max, b.best_bid), (Side.SELL, min, b.best_ask)):
+        levels = [b.ticks(o.limit_price) for o in ref.resting if o.side is side]
+        assert quote() == (best(levels) * TICK if levels else None)
+    assert b._bid_levels == sorted(b.bids)
+    assert b._ask_levels == sorted(b.asks)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(action, min_size=1, max_size=40))
 def test_random_streams_match_naive_oracle(stream):
@@ -254,7 +264,9 @@ def test_random_streams_match_naive_oracle(stream):
         trades = b.submit(Order(step, 0, side, price, vol, step, step + life), enabled)
         ref_trades = ref.submit(Order(step, 0, side, price, vol, step, step + life), enabled)
         assert [(t.buy_order_id, t.sell_order_id, t.price, t.volume) for t in trades] == ref_trades
+        assert_quotes_match(b, ref)
         assert [(o.order_id, v) for o, v in b.expire(step)] == ref.expire(step)
+        assert_quotes_match(b, ref)
         # volume conservation per side, at all times
         for s in (Side.BUY, Side.SELL):
             assert b.submitted_volume[s] == (

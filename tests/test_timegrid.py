@@ -121,11 +121,15 @@ class TestAssignCalendarTime:
         assert bars.mid_prices[1] == 123.0
         assert bars.mid_prices[2] == 123.0
 
-    def test_no_trades_rejected(self):
+    @pytest.mark.parametrize("resample", [
+        lambda sim, path: assign_calendar_time(sim, path, p0=300.0),
+        bar_volumes,
+    ], ids=["assign_calendar_time", "bar_volumes"])
+    def test_no_trades_rejected(self, resample):
         sim = FakeSim([], [300.0])
         path = scaled_path_from_counts([1] * MINUTES_PER_DAY)
         with pytest.raises(DegenerateTrialError):
-            assign_calendar_time(sim, path, p0=300.0)
+            resample(sim, path)
 
     @given(st.integers(min_value=1, max_value=40), st.data())
     @settings(max_examples=40, deadline=None)
