@@ -16,8 +16,10 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 
@@ -347,14 +349,51 @@ TICKS_CSV_COLUMNS = ("step", "event", "market_price", "mid_price", "best_bid", "
 BARS_CSV_HEADER = ("day_id",) + tuple(f"m{m:03d}" for m in range(1, MINUTES_PER_DAY + 1))
 
 
+_BLOCK_ROWS = 256  # rows formatted per write, so a file's text never sits whole in memory
+
+
+class _Texts(dict):
+    """The text of each distinct cell, made at its first lookup."""
+
+    def __missing__(self, cell):
+        text = self[cell] = str(cell)
+        return text
+
+
+def _cell_text(cell) -> str:
+    return "" if cell is None else str(cell)
+
+
+def _column_texts(column: tuple):
+    """The text of each cell of one block's column. A column whose cells are
+    all floats, all ints or all strings (None aside) makes each distinct
+    cell's text once, since equal cells of one such type print alike; the
+    one exception, 0.0 and -0.0, is formatted cell by cell. Other columns,
+    where 1, 1.0 and True would be one key, are formatted cell by cell."""
+    kinds = set(map(type, column))
+    kinds.discard(NoneType)
+    if len(kinds) != 1 or not kinds <= {float, int, str}:
+        return map(_cell_text, column)
+    memo = _Texts({None: ""})
+    if float in kinds and 0.0 in column:
+        return [memo[cell] if cell else _cell_text(cell) for cell in column]
+    return map(memo.__getitem__, column)
+
+
 def _write_csv(path, columns: tuple[str, ...], rows) -> None:
-    """One header row, then the rows. csv writes None as an empty cell and
-    any other cell as str(cell), which for a float (numpy scalars included)
-    is its shortest round-trip text."""
+    """One header row, then the rows, in the bytes csv.writer writes: each
+    cell as str(cell), None as an empty cell, `,` between cells and `\r\n`
+    after each row. For a float (numpy scalars included) str is its shortest
+    round-trip text. Rows are formatted and written a block at a time, each
+    distinct cell's text made once per column of a block. No cell may need
+    quoting (a `,`, a quote or a line break), and the rows of a block must
+    be of one width."""
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        fh.write(",".join(columns) + "\r\n")
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            lines = map(",".join, zip(*map(_column_texts, zip(*block, strict=True))))
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_ticks_csv(ticks: list[TickRecord], path) -> None:

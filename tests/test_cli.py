@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -405,6 +406,53 @@ class TestSimulate:
         manifest = json.loads((out_b / "manifest.json").read_text())
         assert manifest["seed_range"] == [99, 99]
         assert (out_a / "ticks.csv").read_bytes() != (out_b / "ticks.csv").read_bytes()
+
+
+def csv_writer_bytes(columns, rows) -> bytes:
+    """The reference: what csv.writer writes for the header and the rows."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return fh.getvalue().encode()
+
+
+ODD_CELLS = [None, math.nan, math.inf, -math.inf, np.float64(0.1), np.float64(-0.0),
+             10**30, "pareto", -7, 2.5e-300, 0.1 + 0.2, True]
+_mixed = np.random.default_rng(5)
+BLOCK = cli_mod._BLOCK_ROWS
+
+
+class TestWriteCsv:
+    """_write_csv writes exactly csv.writer's bytes, over several row blocks."""
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([(z, 1.5, None if i % 7 == 0 else -z, np.float64(z))
+                      for i, z in enumerate([0.0, -0.0, -0.0, 0.0, 2.0] * 300)], id="signed-zeros"),
+        # one block of ints, one of floats, one of bools, then mixed blocks
+        pytest.param([(1, 0)] * BLOCK + [(1.0, 0.0)] * BLOCK + [(True, False)] * BLOCK
+                     + [(1.0, -0.0), (1, 0.0), (True, 0)] * 200, id="int-float-bool"),
+        # one type per column, None aside, and no zero: each cell from the memo
+        pytest.param([(None if i % 4 == 0 else 100.0 + i % 7, "buy" if i % 2 else None,
+                       i if i % 5 else None) for i in range(600)], id="one-type-with-none"),
+        pytest.param([(cell, i, ODD_CELLS[i % 5]) for i, cell in enumerate(ODD_CELLS * 60)],
+                     id="odd-cells"),
+        pytest.param([tuple(_mixed.choice(ODD_CELLS + [0.0, -0.0, 1, 1.0]) for _ in range(6))
+                      for _ in range(1100)], id="random-mix"),
+        pytest.param([("seed7", *np.linspace(299.0, 301.0, 300).tolist())], id="one-wide-row"),
+        pytest.param([], id="no-rows"),
+    ])
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_same_bytes_as_csv_writer(self, rows, as_generator, tmp_path):
+        columns = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 3))
+        path = tmp_path / "out.csv"
+        cli_mod._write_csv(path, columns, (row for row in rows) if as_generator else rows)
+        assert path.read_bytes() == csv_writer_bytes(columns, rows)
+
+    def test_zero_trade_bars_file_is_a_header(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        cli_mod.write_bars_csv([], path)
+        assert path.read_bytes() == csv_writer_bytes(BARS_CSV_HEADER, [])
 
 
 def toy_bars(path, prices) -> str:

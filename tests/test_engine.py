@@ -1,6 +1,7 @@
 """Simulation loop: determinism, window gating, conservation, mood dynamics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -312,6 +313,41 @@ class TestMoodDynamics:
             expected.append(n_opt / n)
         assert 0 < mixed_steps < cfg.t_sim  # the replay covers both branches
         assert out.optimists_rate == expected
+
+    @pytest.mark.parametrize("n_agents", [1, 2, 30])
+    @pytest.mark.parametrize("nu", [0.3, 1.0])
+    def test_pass_matches_every_agent_oracle(self, nu, n_agents):
+        # the reference runs the same trial with the engine's moods off and,
+        # after each step, applies the unit rule to every agent of the
+        # permutation, so shares, trades and ticks must all agree
+        cfg = small_config(seed=11, nu=nu, lambda_m=2e-5, n_agents=n_agents)
+        out = run(cfg)
+
+        n = n_agents
+        mood_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        rates = []
+
+        def mood_pass(engine, t):
+            states = [a.state for a in engine.agents]
+            n_opt = engine.n_opt
+            if 0 < n_opt < n:
+                perm = mood_rng.permutation(n)
+                unifs = mood_rng.random(n)
+                for k in perm:
+                    update_mood(states[k], n_opt, n - n_opt, n, nu, unifs[k])
+                    n_opt = sum(s.optimistic for s in states)
+            engine.n_opt = n_opt
+            rates.append(n_opt / n)
+
+        moods_off = replace(cfg, population=replace(cfg.population, nu=0.0))
+        expected = Engine(moods_off).run(on_step=mood_pass)
+        assert out.optimists_rate == rates
+        assert out.trades == expected.trades
+        assert out.ticks == expected.ticks
+        if n > 1:  # moods were mixed, so the pass ran
+            assert any(0.0 < r < 1.0 for r in rates)
+        if n == 30:  # and the moods shaped trades
+            assert out.trades
 
     def test_rate_bounds_and_length(self):
         cfg = small_config(seed=10, nu=0.3, lambda_m=1e-5)
