@@ -1,0 +1,108 @@
+"""Time the same trials under two lobfactor checkouts, in one process.
+
+Usage: python scripts/trial_ab.py OLD_SRC NEW_SRC [--reps N]
+
+Each argument is a lobfactor checkout or its src/ directory (unpack the
+parent commit with `git archive`). Both import as `lobfactor`, so each is
+imported in turn under a purged `sys.modules` and keeps its own modules.
+The fixed trial set is default-shape (2110 steps, 200 agents): the 72
+combos of the mood-off scenarios 0, 1, 2 and 4 at seed 1000 (a `quartet`
+round's trials), scenarios 0, 2, 3 and 7 at seeds 1000-1002 with the tick
+log (the `simulate` trials), and 6 mood-only combos of scenario 3 at
+seeds 1000-1002. Trial by trial, the side that runs first alternates; both
+sides must give equal trades, mids, optimist shares and tick logs. Prints,
+per rep and per set, the CPU ratio OLD / NEW (above 1: NEW is faster), then
+the median ratio over the reps. One process sees less noise than separate
+benchmark processes do, but it times trials only, not a whole command.
+"""
+
+import argparse
+import statistics
+import sys
+import time
+from dataclasses import astuple, replace
+from pathlib import Path
+
+# component settings of the simulate scenarios
+SIMULATE_POPULATIONS = {
+    0: {},
+    2: {"lambda_c": 2.0},
+    3: {"lambda_m": 3e-5, "nu": 0.5},
+    7: {"lambda_c": 2.0, "lambda_m": 3e-5, "nu": 0.5},
+}
+SEEDS = (1000, 1001, 1002)
+
+
+def load_side(tree: str):
+    """`run` and the trial set of one checkout: [(set name, config, record_ticks)]."""
+    src = Path(tree) / "src" if (Path(tree) / "src").is_dir() else Path(tree)
+    for name in [m for m in sys.modules if m == "lobfactor" or m.startswith("lobfactor.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src.resolve()))
+    try:
+        from lobfactor.agents import CashSpec, PopulationConfig
+        from lobfactor.calibration import ParameterGrid, build_config, enumerate_combos
+        from lobfactor.engine import SimulationConfig, run
+    finally:
+        sys.path.pop(0)
+
+    base = SimulationConfig()
+    trials = [
+        ("quartet", replace(build_config(base, combo), seed=1000), False)
+        for scenario in (0, 1, 2, 4)
+        for combo in enumerate_combos(scenario, ParameterGrid(), CashSpec())
+    ]
+    for scenario, knobs in SIMULATE_POPULATIONS.items():
+        cash = CashSpec(kind="pareto" if scenario == 7 else "uniform")
+        pop = PopulationConfig(**knobs, cash=cash)
+        trials += [("simulate", SimulationConfig(population=pop, seed=s), True) for s in SEEDS]
+    mood_grid = ParameterGrid(lambda_m=(3e-5,), alpha=(0.1, 0.25))
+    trials += [
+        ("mood", replace(build_config(base, combo), seed=s), False)
+        for combo in enumerate_combos(3, mood_grid, CashSpec())
+        for s in SEEDS
+    ]
+    return run, trials
+
+
+def timed(run, config, record_ticks: bool):
+    start = time.process_time()
+    out = run(config, record_ticks=record_ticks)
+    cpu = time.process_time() - start
+    result = ([astuple(t) for t in out.trades], out.mid_prices, out.optimists_rate,
+              [astuple(r) for r in out.ticks])
+    return cpu, result
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--reps", type=int, default=5)
+    args = parser.parse_args()
+    sides = [load_side(args.old_src), load_side(args.new_src)]
+    names = sorted({name for name, _, _ in sides[0][1]}) + ["all"]
+    ratios = {name: [] for name in names}
+    for rep in range(1, args.reps + 1):
+        cpu = {name: [0.0, 0.0] for name in names}
+        for i, (name, _, record_ticks) in enumerate(sides[0][1]):
+            order = (0, 1) if (rep + i) % 2 else (1, 0)
+            results = [None, None]
+            for side in order:
+                run, trials = sides[side]
+                seconds, results[side] = timed(run, trials[i][1], record_ticks)
+                cpu[name][side] += seconds
+                cpu["all"][side] += seconds
+            assert results[0] == results[1], f"trial {i} ({name}) differs"
+        line = []
+        for name in names:
+            old, new = cpu[name]
+            ratios[name].append(old / new)
+            line.append(f"{name} {old * 1e3:.0f}/{new * 1e3:.0f} ms = {old / new:.3f}")
+        print(f"rep {rep}: " + ", ".join(line), flush=True)
+    print("median CPU ratio OLD/NEW: "
+          + ", ".join(f"{name} {statistics.median(r):.3f}" for name, r in ratios.items()))
+
+
+if __name__ == "__main__":
+    main()

@@ -171,20 +171,10 @@ def predict_return(
     return acc / total
 
 
-def predict_price(p_t: float, tau: int, r_hat: float) -> float:
-    """Compound the forecast over the horizon: p_t * exp(tau * r_hat), exponent clamped."""
-    g = tau * r_hat
-    if g > RETURN_HORIZON_CLAMP:
-        g = RETURN_HORIZON_CLAMP
-    elif g < -RETURN_HORIZON_CLAMP:
-        g = -RETURN_HORIZON_CLAMP
-    return p_t * math.exp(g)
-
-
 def decide_order(
     agent: Agent,
     p_t: float,
-    p_hat: float,
+    r_hat: float,
     step: int,
     sigma_sq: float,
     v_max: int,
@@ -193,26 +183,39 @@ def decide_order(
 ) -> Order | None:
     """CARA/Gaussian myopic sizing: desired holding ln(p_hat/p_t) / (alpha_j sigma^2 p_t).
 
-    The gap between desired and current shares sets side and size; size is
-    capped by v_max, by uncommitted cash at the limit price (no borrowing),
-    and by uncommitted shares (no short selling). Returns None when the
-    agent has nothing to do.
+    The target p_hat = p_t * exp(tau * r_hat) compounds the forecast over the
+    agent's horizon, with the exponent clamped to +-RETURN_HORIZON_CLAMP, and
+    the order's limit is p_hat aligned to the tick. The gap between desired and
+    current shares sets side and size; size is capped by v_max, by
+    uncommitted cash at the limit price (no borrowing), and by uncommitted
+    shares (no short selling). Returns None when the agent has nothing to do.
     """
     params, state = agent.params, agent.state
+    g = params.tau * r_hat
+    if g > RETURN_HORIZON_CLAMP:
+        g = RETURN_HORIZON_CLAMP
+    elif g < -RETURN_HORIZON_CLAMP:
+        g = -RETURN_HORIZON_CLAMP
+    p_hat = p_t * math.exp(g)
     limit = align_to_tick(p_hat, tick)
     if limit < tick:
         return None
     pi_star = math.log(p_hat / p_t) / (params.alpha_j * sigma_sq * p_t)
     delta = round(pi_star) - state.shares
     if delta > 0:
-        affordable = int((state.cash - state.committed_ticks * tick) / limit)
-        volume = min(delta, v_max, affordable)
+        volume = int((state.cash - state.committed_ticks * tick) / limit)  # affordable
         side = BUY
     elif delta < 0:
-        volume = min(-delta, v_max, state.shares - state.committed_shares)
+        delta = -delta
+        volume = state.shares - state.committed_shares
         side = SELL
     else:
         return None
+    # min(delta, v_max, volume), without the call
+    if delta < volume:
+        volume = delta
+    if v_max < volume:
+        volume = v_max
     if volume < 1:
         return None
     return Order(order_id, agent.agent_id, side, limit, volume, step, step + params.tau)

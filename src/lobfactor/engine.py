@@ -34,7 +34,6 @@ from .agents import (
     PopulationConfig,
     decide_order,
     init_population,
-    predict_price,
     predict_return,
 )
 from .orderbook import BUY, Book, Trade
@@ -168,9 +167,14 @@ class Engine:
 
         book = self.book
         orders = book.orders
+        # bound once per run: a tracer patches these before the run starts
+        submit, expire, mid_price = book.submit, book.expire, book.mid_price
+        forecast, decide = predict_return, decide_order
         agents = self.agents
         states = [agent.state for agent in agents]
         p0, p_f = cfg.p0, cfg.fundamental_price
+        sigma_sq, v_max, tick = cfg.sigma_sq_order, cfg.v_max, cfg.tick_size
+        p_t = p0
         price_hist = [p0]
         ticks: list[TickRecord] = []
         all_trades: list[Trade] = []
@@ -178,54 +182,51 @@ class Engine:
 
         for t, j, eps_t, exec_t in zip(range(1, t_sim + 1), choices, eps, exec_ok.tolist()):
             agent = agents[j]
-            params = agent.params
-            p_t = price_hist[-1]
-            p_lag = price_hist[max(0, t - params.tau)]
-            r_hat = predict_return(params, agent.state, p_t, p_f, p_lag, eps_t)
+            params, state = agent.params, agent.state
+            tau = params.tau
+            p_lag = price_hist[t - tau] if t > tau else p0
+            r_hat = forecast(params, state, p_t, p_f, p_lag, eps_t)
             if r_hat is not None:
-                p_hat = predict_price(p_t, params.tau, r_hat)
-                order = decide_order(
-                    agent, p_t, p_hat, t, cfg.sigma_sq_order, cfg.v_max,
-                    cfg.tick_size, len(orders) + 1,
-                )
+                order = decide(agent, p_t, r_hat, t, sigma_sq, v_max, tick, len(orders) + 1)
                 if order is not None:
                     volume = order.volume
                     if record_ticks:
                         ticks.append(TickRecord(
-                            t, "OrderPlaced", book.last_trade_price, book.mid_price(p0),
+                            t, "OrderPlaced", book.last_trade_price, mid_price(p0),
                             book.best_bid(), book.best_ask(), volume, 0, self.n_opt,
                         ))
-                    trades = book.submit(order, execution_enabled=exec_t)
+                    trades = submit(order, exec_t)
                     # escrow is pledged after submit, which stores the tick count
                     if order.side is BUY:
-                        agent.state.committed_ticks += volume * order.ticks
+                        state.committed_ticks += volume * order.ticks
                     else:
-                        agent.state.committed_shares += volume
-                    for trade in trades:
-                        buy = orders[trade.buy_order_id]
-                        sell = orders[trade.sell_order_id]
-                        buyer, seller = states[buy.agent_id], states[sell.agent_id]
-                        vol = trade.volume
-                        cost = trade.price * vol
-                        # the buyer's cash moves first: the float order
-                        # matters when one agent is on both sides
-                        buyer.cash -= cost
-                        buyer.shares += vol
-                        buyer.committed_ticks -= vol * buy.ticks
-                        seller.cash += cost
-                        seller.shares -= vol
-                        seller.committed_shares -= vol
-                    all_trades.extend(trades)
-                    if trades and record_ticks:
-                        bb, ba = book.best_bid(), book.best_ask()
-                        mid = book.mid_price(p0)
+                        state.committed_shares += volume
+                    if trades:
                         for trade in trades:
-                            ticks.append(TickRecord(
-                                t, "TradeExecuted", trade.price, mid, bb, ba,
-                                0, trade.volume, self.n_opt,
-                            ))
+                            buy = orders[trade.buy_order_id]
+                            sell = orders[trade.sell_order_id]
+                            buyer, seller = states[buy.agent_id], states[sell.agent_id]
+                            vol = trade.volume
+                            cost = trade.price * vol
+                            # the buyer's cash moves first: the float order
+                            # matters when one agent is on both sides
+                            buyer.cash -= cost
+                            buyer.shares += vol
+                            buyer.committed_ticks -= vol * buy.ticks
+                            seller.cash += cost
+                            seller.shares -= vol
+                            seller.committed_shares -= vol
+                        all_trades.extend(trades)
+                        if record_ticks:
+                            bb, ba = book.best_bid(), book.best_ask()
+                            mid = mid_price(p0)
+                            for trade in trades:
+                                ticks.append(TickRecord(
+                                    t, "TradeExecuted", trade.price, mid, bb, ba,
+                                    0, trade.volume, self.n_opt,
+                                ))
 
-            for order, volume in book.expire(t):
+            for order, volume in expire(t):
                 state = states[order.agent_id]
                 if order.side is BUY:
                     state.committed_ticks -= volume * order.ticks
@@ -247,7 +248,8 @@ class Engine:
                         n_opt += 1
                 self.n_opt = n_opt
 
-            price_hist.append(book.mid_price(p0))
+            p_t = mid_price(p0)
+            price_hist.append(p_t)
             optimists_rate.append(self.n_opt / n)
             if on_step is not None:
                 on_step(self, t)

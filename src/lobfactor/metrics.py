@@ -12,7 +12,7 @@ compares it against reference clouds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -95,29 +95,43 @@ def hill_index(cloud: PointCloud) -> float:
     return cloud.size / total
 
 
+@lru_cache
+def _coupling(n_a: int, n_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The northwest-corner coupling of n_a against n_b != n_a points, as read-only
+    arrays: each segment's index into the sorted a and b sides, and its length.
+
+    Each of the n_a points carries n_b units of mass and each of the n_b
+    points n_a units, so the segments lie between the merged breakpoints
+    i*n_b and j*n_a on the common mass axis, left to right.
+    """
+    cuts = np.sort(np.concatenate((np.arange(n_a + 1) * n_b, np.arange(n_b + 1) * n_a)))
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    start = cuts[:-1]
+    coupling = (start // n_b, start // n_a, np.diff(cuts))
+    for array in coupling:
+        array.flags.writeable = False
+    return coupling
+
+
 def ot_distance(a: PointCloud, b: PointCloud) -> float:
     """Exact OT cost between uniform empirical measures, squared-distance ground cost.
 
     On the line the monotone (sorted) coupling is optimal for convex costs.
-    It is the northwest-corner coupling over integer masses (each of the K
-    points on one side carries L units, each of the L points on the other
-    carries K units), so no tolerance is lost to fractional arithmetic. The
-    coupling's segments lie between the merged breakpoints i*L and j*K on
-    the common mass axis; each segment moves its length between the points
-    whose mass intervals hold it, and the terms are accumulated left to
-    right, the order of a march over the corner.
+    It is the northwest-corner coupling over integer masses, so no tolerance
+    is lost to fractional arithmetic; it depends only on the two sizes and
+    is built once per pair of sizes. Each segment moves its length between
+    the points whose mass intervals hold it, and the terms are accumulated
+    left to right, the order of a march over the corner.
     """
     xa, xb = a.sorted_coords, b.sorted_coords
     n_a, n_b = xa.size, xb.size
     if n_a == n_b:
         d = xa - xb
         return float(np.dot(d, d)) / n_a
-    cuts = np.sort(np.concatenate((np.arange(n_a + 1) * n_b, np.arange(n_b + 1) * n_a)))
-    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
-    start = cuts[:-1]
-    d = xa[start // n_b] - xb[start // n_a]
+    index_a, index_b, lengths = _coupling(n_a, n_b)
+    d = xa[index_a] - xb[index_b]
     # cumsum adds strictly left to right; np.sum's pairwise order would move bits
-    return np.cumsum((np.diff(cuts) * d) * d)[-1] / (n_a * n_b)
+    return np.cumsum((lengths * d) * d)[-1] / (n_a * n_b)
 
 
 def theoretical_hill(z0: float, z1: float, z2: float) -> float:

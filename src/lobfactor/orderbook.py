@@ -53,7 +53,11 @@ def align_to_tick(price: float, tick: float) -> float:
     """
     if not math.isfinite(price):
         raise ValueError(f"price must be finite, got {price!r}")
-    price, tick = float(price), float(tick)
+    # exact types: a float subclass such as np.float64 has another repr
+    if type(price) is not float:
+        price = float(price)
+    if type(tick) is not float:
+        tick = float(tick)
     # Fast path: q = price / tick on floats is within a few ulps of the
     # decimal ratio (about 3.3e-16 * |q|, at most 2.2e-8 below 2**26, 45
     # times inside the 1e-6 window), so any q that far from a half tick
@@ -107,6 +111,8 @@ class Book:
         # live levels' tick counts, ascending; exact as levels open and empty
         self._bid_levels: list[int] = []  # best bid last
         self._ask_levels: list[int] = []  # best ask first
+        # each side's level queues and level list
+        self._sides = {BUY: (self.bids, self._bid_levels), SELL: (self.asks, self._ask_levels)}
         self._expiry_heap: list[tuple[int, int]] = []  # (expiry_step, order_id)
         self.orders: dict[int, Order] = {}  # every submitted order, by id
         # running per-side totals; volume conservation means
@@ -114,10 +120,6 @@ class Book:
         self.submitted_volume = {BUY: 0, SELL: 0}
         self.executed_volume = {BUY: 0, SELL: 0}
         self.expired_volume = {BUY: 0, SELL: 0}
-
-    def ticks(self, price: float) -> int:
-        """A price on the tick grid as its whole number of ticks."""
-        return int(round(price / self.tick))
 
     def best_bid(self) -> float | None:
         return self._bid_levels[-1] * self.tick if self._bid_levels else None
@@ -135,21 +137,7 @@ class Book:
         return fallback
 
     def resting_volume(self, side: Side) -> int:
-        levels = self.bids if side is BUY else self.asks
-        return sum(o.volume for q in levels.values() for o in q)
-
-    def _side(self, side: Side) -> tuple[dict[int, deque[Order]], list[int]]:
-        return (self.bids, self._bid_levels) if side is BUY else (self.asks, self._ask_levels)
-
-    def _rest(self, order: Order) -> None:
-        ticks = order.ticks
-        levels, keys = self._side(order.side)
-        queue = levels.get(ticks)
-        if queue is None:
-            queue = levels[ticks] = deque()
-            insort(keys, ticks)
-        queue.append(order)
-        heapq.heappush(self._expiry_heap, (order.expiry_step, order.order_id))
+        return sum(o.volume for q in self._sides[side][0].values() for o in q)
 
     def submit(self, order: Order, execution_enabled: bool = True) -> list[Trade]:
         """Match an incoming order while prices cross, then rest any residual.
@@ -158,62 +146,77 @@ class Book:
         crossing. Trades execute at the resting order's price, FIFO within a
         level. Returns the trades in execution sequence.
         """
-        if order.order_id in self.orders:
-            raise DuplicateOrderError(f"order_id {order.order_id} already submitted")
-        if order.volume < 1:
-            raise ValueError(f"order volume must be >= 1, got {order.volume}")
-        self.orders[order.order_id] = order
-        self.submitted_volume[order.side] += order.volume
-        ticks = order.ticks = self.ticks(order.limit_price)
+        order_id, side, volume = order.order_id, order.side, order.volume
+        if order_id in self.orders:
+            raise DuplicateOrderError(f"order_id {order_id} already submitted")
+        if volume < 1:
+            raise ValueError(f"order volume must be >= 1, got {volume}")
+        self.orders[order_id] = order
+        self.submitted_volume[side] += volume
+        # the limit as whole ticks, the order's level key
+        ticks = order.ticks = round(order.limit_price / self.tick)
 
         trades: list[Trade] = []
         if execution_enabled:
-            buying = order.side is BUY
-            opp_levels, keys = self._side(SELL if buying else BUY)
+            buying = side is BUY
+            opp_levels, keys = self._sides[SELL if buying else BUY]
             best = 0 if buying else -1  # index of the best opposite level
-            while order.volume > 0 and keys:
+            step = order.submitted_step
+            while volume and keys:
                 level = keys[best]
                 if (level > ticks) if buying else (level < ticks):
                     break
                 queue = opp_levels[level]
                 resting = queue[0]
-                vol = min(order.volume, resting.volume)
                 price = resting.limit_price
-                buy_id, sell_id = (
-                    (order.order_id, resting.order_id)
-                    if buying
-                    else (resting.order_id, order.order_id)
-                )
-                trades.append(Trade(buy_id, sell_id, price, vol, order.submitted_step))
-                order.volume -= vol
-                resting.volume -= vol
-                self.executed_volume[BUY] += vol
-                self.executed_volume[SELL] += vol
-                self.last_trade_price = price
-                if resting.volume == 0:
+                vol = resting.volume
+                if volume < vol:
+                    vol = volume
+                    resting.volume -= vol
+                else:
+                    resting.volume = 0
                     queue.popleft()
                     if not queue:
                         del opp_levels[level]
                         del keys[best]
+                buy_id, sell_id = (
+                    (order_id, resting.order_id) if buying else (resting.order_id, order_id)
+                )
+                trades.append(Trade(buy_id, sell_id, price, vol, step))
+                volume -= vol
+            if trades:
+                filled = order.volume - volume
+                self.executed_volume[BUY] += filled
+                self.executed_volume[SELL] += filled
+                self.last_trade_price = price
+                order.volume = volume
 
-        if order.volume > 0:
-            self._rest(order)
+        if volume:
+            levels, keys = self._sides[side]
+            queue = levels.get(ticks)
+            if queue is None:
+                queue = levels[ticks] = deque()
+                insort(keys, ticks)
+            queue.append(order)
+            heapq.heappush(self._expiry_heap, (order.expiry_step, order_id))
         return trades
 
-    def expire(self, step: int) -> list[tuple[Order, int]]:
+    def expire(self, step: int) -> list[tuple[Order, int]] | tuple[()]:
         """Drop every resting order whose expiry_step is <= step.
 
         Returns each dropped order with the volume it still had, in
         (expiry_step, order_id) order; the order's own volume is zeroed.
         """
-        dropped = []
         heap = self._expiry_heap
+        if not heap or heap[0][0] > step:
+            return ()
+        dropped = []
         while heap and heap[0][0] <= step:
             _, order_id = heapq.heappop(heap)
             order = self.orders[order_id]
             if order.volume == 0:
                 continue  # fully filled while resting
-            levels, keys = self._side(order.side)
+            levels, keys = self._sides[order.side]
             queue = levels[order.ticks]
             queue.remove(order)
             if not queue:

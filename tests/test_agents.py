@@ -16,11 +16,10 @@ from lobfactor.agents import (
     decide_order,
     horizon,
     init_population,
-    predict_price,
     predict_return,
     sample_pareto,
 )
-from lobfactor.orderbook import Side
+from lobfactor.orderbook import Side, align_to_tick
 from oracles import predict_return_raw, update_mood
 
 
@@ -178,16 +177,30 @@ def test_agent_params_are_frozen():
         a.params.w_f = 2.0
 
 
-def test_predict_price_compounds_over_horizon():
-    assert predict_price(300.0, 100, 0.001) == pytest.approx(300.0 * math.e**0.1)
-
-
-def test_predict_price_clamps_exponent():
-    assert predict_price(300.0, 10_000, 0.5) == pytest.approx(300.0 * math.e**10)
-    assert predict_price(300.0, 10_000, -0.5) == pytest.approx(300.0 * math.e**-10)
-
-
 # --------------------------------------------------------------- order sizing
+
+def r_toward(p_hat, p_t=300.0, tau=100):
+    """The forecast whose compounded target over tau steps is about p_hat."""
+    return math.log(p_hat / p_t) / tau
+
+
+def test_order_limit_compounds_the_forecast_over_the_horizon():
+    a = make_agent(alpha_j=0.1, tau=100, cash=1e12)
+    order = decide_order(a, 300.0, 0.001, 1, 1e-4, 50, 1e-4, 1)
+    assert order.limit_price == align_to_tick(300.0 * math.exp(100 * 0.001), 1e-4)
+    assert order.limit_price == pytest.approx(300.0 * math.e**0.1, abs=1e-4)
+
+
+def test_order_limit_clamps_the_exponent():
+    buyer = make_agent(alpha_j=0.1, tau=10_000, cash=1e12)
+    order = decide_order(buyer, 300.0, 0.5, 1, 1e-4, 50, 1e-4, 1)
+    assert order.side is Side.BUY
+    assert order.limit_price == align_to_tick(300.0 * math.e**10, 1e-4)
+    seller = make_agent(alpha_j=0.1, tau=10_000, shares=30)
+    order = decide_order(seller, 300.0, -0.5, 1, 1e-4, 50, 1e-4, 1)
+    assert order.side is Side.SELL
+    assert order.limit_price == align_to_tick(300.0 * math.e**-10, 1e-4)
+
 
 def test_desired_holding_arithmetic():
     # closed form: pi* = ln(303/300) / (0.1 * 1e-4 * 300) = 3.31678
@@ -195,56 +208,58 @@ def test_desired_holding_arithmetic():
     assert round(pi) == 3
 
     buyer = make_agent(alpha_j=0.1, shares=0, cash=1e12)
-    order = decide_order(buyer, 300.0, 303.0, 5, 1e-4, 10**9, 1e-4, 1)
+    order = decide_order(buyer, 300.0, r_toward(303.0), 5, 1e-4, 10**9, 1e-4, 1)
     assert order.side is Side.BUY and order.volume == 3
+    assert order.limit_price == 303.0
     assert order.expiry_step == 5 + buyer.params.tau
 
     seller = make_agent(alpha_j=0.1, shares=17, cash=1e12)
-    order = decide_order(seller, 300.0, 303.0, 5, 1e-4, 10**9, 1e-4, 1)
+    order = decide_order(seller, 300.0, r_toward(303.0), 5, 1e-4, 10**9, 1e-4, 1)
     assert order.side is Side.SELL and order.volume == 17 - 3
 
 
 def test_buy_capped_by_uncommitted_cash():
     a = make_agent(alpha_j=0.1, cash=1000.0, committed_ticks=4_000_000)  # 400.0 at tick 1e-4
-    order = decide_order(a, 300.0, 330.0, 1, 1e-4, 50, 1e-4, 1)
+    order = decide_order(a, 300.0, r_toward(330.0), 1, 1e-4, 50, 1e-4, 1)
     assert order.side is Side.BUY
-    assert order.volume == int(600.0 / order.limit_price)
+    assert order.volume == int(600.0 / order.limit_price) == 1
     assert order.volume * order.limit_price <= 600.0
 
 
 def test_sell_capped_by_uncommitted_shares():
     a = make_agent(alpha_j=0.1, cash=0.0, shares=30, committed_shares=12)
-    order = decide_order(a, 300.0, 270.0, 1, 1e-4, 50, 1e-4, 1)
+    order = decide_order(a, 300.0, r_toward(270.0), 1, 1e-4, 50, 1e-4, 1)
     assert order.side is Side.SELL and order.volume == 18
 
 
 def test_volume_cap_applies():
     a = make_agent(alpha_j=0.01, cash=1e12)  # pi* ~ 318 shares, far above cap
-    order = decide_order(a, 300.0, 330.0, 1, 1e-4, 50, 1e-4, 1)
+    order = decide_order(a, 300.0, r_toward(330.0), 1, 1e-4, 50, 1e-4, 1)
+    assert order.limit_price == 330.0
     assert order.volume == 50
 
 
 def test_tiny_gap_or_no_funds_abstains():
     a = make_agent(alpha_j=0.1, cash=0.0, shares=0)
-    assert decide_order(a, 300.0, 330.0, 1, 1e-4, 50, 1e-4, 1) is None  # no cash
+    assert decide_order(a, 300.0, r_toward(330.0), 1, 1e-4, 50, 1e-4, 1) is None  # no cash
     b = make_agent(alpha_j=1e6)
-    assert decide_order(b, 300.0, 300.0001, 1, 1e-4, 50, 1e-4, 1) is None  # pi* ~ 0
+    assert decide_order(b, 300.0, r_toward(300.0001), 1, 1e-4, 50, 1e-4, 1) is None  # pi* ~ 0
 
 
 @settings(max_examples=200)
 @given(
     cash=st.floats(0, 50_000), shares=st.integers(0, 200),
     committed_ticks=st.integers(0, 200_000_000), committed_shares=st.integers(0, 100),
-    p_hat=st.floats(10.0, 3000.0), alpha_j=st.floats(0.01, 5.0),
+    r_hat=st.floats(-0.2, 0.2), alpha_j=st.floats(0.01, 5.0),
 )
-def test_orders_never_overdraw(cash, shares, committed_ticks, committed_shares, p_hat, alpha_j):
+def test_orders_never_overdraw(cash, shares, committed_ticks, committed_shares, r_hat, alpha_j):
     committed_ticks = min(committed_ticks, int(cash / 1e-4))
     committed_shares = min(committed_shares, shares)
     a = make_agent(
         alpha_j=alpha_j, cash=cash, shares=shares,
         committed_ticks=committed_ticks, committed_shares=committed_shares,
     )
-    order = decide_order(a, 300.0, p_hat, 1, 1e-4, 50, 1e-4, 1)
+    order = decide_order(a, 300.0, r_hat, 1, 1e-4, 50, 1e-4, 1)
     if order is None:
         return
     assert 1 <= order.volume <= 50

@@ -200,14 +200,15 @@ class TestConservation:
                 assert 0 <= s.committed_shares <= s.shares
             # escrow mirrors the book exactly
             orders = eng.book.orders.values()
-            bid_ticks = sum(o.volume * eng.book.ticks(o.limit_price)
+            tick = eng.config.tick_size
+            bid_ticks = sum(o.volume * round(o.limit_price / tick)
                             for o in orders if o.side is Side.BUY and o.volume > 0)
             ask_volume = sum(o.volume for o in orders if o.side is Side.SELL and o.volume > 0)
             assert bid_ticks == sum(s.committed_ticks for s in states)
             assert ask_volume == sum(s.committed_shares for s in states)
             for o in orders:
                 if o.volume > 0:
-                    assert o.ticks == eng.book.ticks(o.limit_price)
+                    assert o.ticks == round(o.limit_price / tick)
 
         engine.run(on_step=check)
 
@@ -227,7 +228,7 @@ class TestOrderPastTwoPow26Ticks:
         # step 1: a sell of 5 rests until step 3; step 2: a buy of 2 fills part of it
         script = {1: (Side.SELL, 5, 3), 2: (Side.BUY, 2, 10)}
 
-        def scripted(agent, p_t, p_hat, step, sigma_sq, v_max, tick, order_id):
+        def scripted(agent, p_t, r_hat, step, sigma_sq, v_max, tick, order_id):
             if step not in script:
                 return None
             side, volume, expiry = script[step]
@@ -249,7 +250,7 @@ class TestOrderPastTwoPow26Ticks:
             )
 
         out = engine.run(on_step=snapshot)
-        assert book.ticks(self.PRICE) == self.TICKS
+        assert round(self.PRICE / cfg.tick_size) == self.TICKS
         assert seen[1] == ([(5, self.TICKS)], [self.TICKS], [], 0, 5)
         assert [(t.price, t.volume) for t in out.trades] == [(self.PRICE, 2)]
         assert seen[2] == ([(3, self.TICKS), (0, self.TICKS)], [self.TICKS], [], 0, 3)

@@ -90,6 +90,12 @@ FULL_SHAPE_TRIAL_DIGESTS = {
 }
 
 
+# sha256 of the tick log (each TickRecord as a tuple) of one default-shape
+# trial of scenario 7 at seed 1000: the small simulate shapes above pin the
+# log only at 300 steps and 40 agents
+FULL_SHAPE_TICK_LOG_DIGEST = "cef6000ec6b3bf12703356f97d5b495a9974ab49a365c07b90c6e604267ef80e"
+
+
 def digests(out_dir, names) -> dict[str, str]:
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
 
@@ -164,3 +170,11 @@ def test_full_shape_trial_matches_golden_digest(scenario):
     trial = ([astuple(trade) for trade in out.trades], out.mid_prices, out.optimists_rate)
     digest = hashlib.sha256(repr(trial).encode()).hexdigest()
     assert digest == FULL_SHAPE_TRIAL_DIGESTS[scenario]
+
+
+def test_full_shape_tick_log_matches_golden_digest():
+    population = dict(SCENARIO_POPULATION[7], cash=CashSpec(kind="pareto"))
+    config = SimulationConfig(population=PopulationConfig(**population), seed=1000)
+    out = run(config, record_ticks=True)
+    log = [astuple(record) for record in out.ticks]
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == FULL_SHAPE_TICK_LOG_DIGEST

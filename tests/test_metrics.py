@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lobfactor.metrics import (
     DegenerateSeriesError,
+    _coupling,
     PointCloud,
     build_tail_cloud,
     default_tail_k,
@@ -202,6 +203,20 @@ class TestOtDistance:
         assert np.array_equal(a.points, xa) and np.array_equal(b.points, xb)
         assert np.array_equal(a.sorted_coords, np.sort(xa))
         assert ot_distance(a, b) == first == ot_distance_loop(xa, xb)  # sorted views reused
+
+    @pytest.mark.parametrize("sizes", [(14, 1500), (1500, 14), (3, 5), (6, 4)])
+    def test_cached_coupling_serves_new_points_exactly(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        for _ in range(4):  # the same pair of sizes, back to back
+            xa, xb = rng.standard_t(3, sizes[0]), rng.standard_t(3, sizes[1])
+            assert ot_distance(PointCloud(xa), PointCloud(xb)) == ot_distance_loop(xa, xb)
+
+    def test_cached_coupling_is_read_only(self):
+        ot_distance(PointCloud(np.arange(3.0)), PointCloud(np.arange(5.0)))
+        for array in _coupling(3, 5):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert ot_distance(PointCloud([0.0, 1.0]), PointCloud([0.0, 0.5, 1.0])) == 1.0 / 12.0
 
 
 class TestTheoreticalHill:

@@ -248,7 +248,7 @@ def assert_quotes_match(b, ref):
     """Best quotes are the best naive resting prices in ticks, and each side's
     level list holds exactly its live levels, ascending."""
     for side, best, quote in ((Side.BUY, max, b.best_bid), (Side.SELL, min, b.best_ask)):
-        levels = [b.ticks(o.limit_price) for o in ref.resting if o.side is side]
+        levels = [round(o.limit_price / TICK) for o in ref.resting if o.side is side]
         assert quote() == (best(levels) * TICK if levels else None)
     assert b._bid_levels == sorted(b.bids)
     assert b._ask_levels == sorted(b.asks)
@@ -261,9 +261,15 @@ def test_random_streams_match_naive_oracle(stream):
     ref = NaiveBook(tick=TICK)
     for step, (side, off, vol, life, enabled) in enumerate(stream, start=1):
         price = align_to_tick(100 + off * TICK, TICK)
-        trades = b.submit(Order(step, 0, side, price, vol, step, step + life), enabled)
-        ref_trades = ref.submit(Order(step, 0, side, price, vol, step, step + life), enabled)
+        order = Order(step, 0, side, price, vol, step, step + life)
+        ref_order = Order(step, 0, side, price, vol, step, step + life)
+        trades = b.submit(order, enabled)
+        ref_trades = ref.submit(ref_order, enabled)
         assert [(t.buy_order_id, t.sell_order_id, t.price, t.volume) for t in trades] == ref_trades
+        # the counters written once per submit: the last trade's price and
+        # the incoming order's unfilled rest
+        assert b.last_trade_price == (ref.trades[-1][2] if ref.trades else None)
+        assert order.volume == ref_order.volume == vol - sum(t.volume for t in trades)
         assert_quotes_match(b, ref)
         assert [(o.order_id, v) for o, v in b.expire(step)] == ref.expire(step)
         assert_quotes_match(b, ref)
