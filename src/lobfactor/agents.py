@@ -127,24 +127,20 @@ def init_population(config: PopulationConfig, rng: np.random.Generator) -> list[
     shares = rng.integers(0, config.w_max + 1, n)
     optimist = rng.random(n) < config.p_optimist_init
 
-    agents = []
-    for j in range(n):
-        params = AgentParams(
-            w_f=float(w_f[j]),
-            w_c=float(w_c[j]),
-            w_m=float(w_m[j]),
-            w_n=float(w_n[j]),
-            tau=horizon(float(w_f[j]), float(w_c[j])),
-            tau_f=config.tau_f,
-            alpha_j=config.alpha * (1.0 + float(w_f[j])) / (1.0 + float(w_c[j])),
-        )
-        state = AgentState(
-            cash=float(cash[j]),
-            shares=int(shares[j]),
-            optimistic=bool(optimist[j]),
-        )
-        agents.append(Agent(j, params, state))
-    return agents
+    # horizon() and the risk-aversion rule, elementwise: the same float
+    # operations in the same order, so every value keeps its bits
+    up, down = 1.0 + w_f, 1.0 + w_c
+    tau = 100.0 * up / down + 0.5
+    alpha_j = config.alpha * up / down
+    taus = [max(1, int(x)) for x in tau.tolist()]  # Python ints of any size
+    return [
+        Agent(j, AgentParams(w_f=wf, w_c=wc, w_m=wm, w_n=wn, tau=tau_j,
+                             tau_f=config.tau_f, alpha_j=a),
+              AgentState(cash=c, shares=s, optimistic=o))
+        for j, (wf, wc, wm, wn, tau_j, a, c, s, o) in enumerate(zip(
+            w_f.tolist(), w_c.tolist(), w_m.tolist(), w_n.tolist(), taus,
+            alpha_j.tolist(), cash.tolist(), shares.tolist(), optimist.tolist()))
+    ]
 
 
 def predict_return(
@@ -197,17 +193,28 @@ def decide_order(
     elif g < -RETURN_HORIZON_CLAMP:
         g = -RETURN_HORIZON_CLAMP
     p_hat = p_t * math.exp(g)
-    limit = align_to_tick(p_hat, tick)
-    if limit < tick:
+    # A target of at least one tick aligns to a limit of at least one tick
+    # (alignment is monotone and keeps the tick itself), so the sizing can
+    # run first and the limit is aligned only for an order that can be
+    # placed. Any other target goes as when the limit came first: one that
+    # is not finite raises, and one that aligns below a tick places nothing.
+    if not tick <= p_hat < math.inf and align_to_tick(p_hat, tick) < tick:
         return None
     pi_star = math.log(p_hat / p_t) / (params.alpha_j * sigma_sq * p_t)
     delta = round(pi_star) - state.shares
     if delta > 0:
-        volume = int((state.cash - state.committed_ticks * tick) / limit)  # affordable
+        free_cash = state.cash - state.committed_ticks * tick
+        if free_cash <= 0.0:
+            return None
+        limit = align_to_tick(p_hat, tick)
+        volume = int(free_cash / limit)  # affordable
         side = BUY
     elif delta < 0:
-        delta = -delta
         volume = state.shares - state.committed_shares
+        if volume < 1:
+            return None
+        limit = align_to_tick(p_hat, tick)
+        delta = -delta
         side = SELL
     else:
         return None
@@ -219,4 +226,3 @@ def decide_order(
     if volume < 1:
         return None
     return Order(order_id, agent.agent_id, side, limit, volume, step, step + params.tau)
-

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
@@ -321,13 +320,15 @@ class ComboLedger:
     def record(self, scenario_no: int, base_seed: int, metrics: ComboMetrics) -> None:
         """One line: the resume key, the run digest, and every `ComboMetrics`
         field, with the combo flattened by `Combo.key()`."""
+        stylized = metrics.stylized
         rec = {
             "scenario": scenario_no,
             "combo_digest": metrics.combo.digest(),
             "base_seed": base_seed,
             "run_digest": self.run_digest,
-            **asdict(metrics),
+            **{f.name: getattr(metrics, f.name) for f in fields(ComboMetrics)},
             "combo": metrics.combo.key(),
+            "stylized": None if stylized is None else asdict(stylized),
         }
         self._done[self._key(rec)] = rec
         if self.path:
@@ -376,6 +377,9 @@ def calibrate(
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     # each result is recorded as it arrives, in enumeration order, so an
     # interrupted run keeps every combo finished before the interruption
+    if workers > 1:
+        # imported here: it loads multiprocessing, which no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         fresh = pool.map(_evaluate_task, tasks) if pool else map(_evaluate_task, tasks)
         for (idx, _), metrics in zip(pending, fresh):

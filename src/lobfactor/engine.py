@@ -131,7 +131,11 @@ def validate_config(config: SimulationConfig) -> None:
 
 
 class Engine:
-    """One trial's mutable state; exposed to per-step callbacks for inspection."""
+    """One trial's mutable state; exposed to per-step callbacks for inspection.
+
+    A callback must leave the book as it is: a step that submits and expires
+    no order keeps the mid it read last.
+    """
 
     def __init__(self, config: SimulationConfig):
         validate_config(config)
@@ -186,13 +190,16 @@ class Engine:
             tau = params.tau
             p_lag = price_hist[t - tau] if t > tau else p0
             r_hat = forecast(params, state, p_t, p_f, p_lag, eps_t)
+            touched = False  # whether this step submits or expires an order
             if r_hat is not None:
                 order = decide(agent, p_t, r_hat, t, sigma_sq, v_max, tick, len(orders) + 1)
                 if order is not None:
+                    touched = True
                     volume = order.volume
                     if record_ticks:
+                        # p_t is the book's mid: nothing has touched it since
                         ticks.append(TickRecord(
-                            t, "OrderPlaced", book.last_trade_price, mid_price(p0),
+                            t, "OrderPlaced", book.last_trade_price, p_t,
                             book.best_bid(), book.best_ask(), volume, 0, self.n_opt,
                         ))
                     trades = submit(order, exec_t)
@@ -226,12 +233,15 @@ class Engine:
                                     0, trade.volume, self.n_opt,
                                 ))
 
-            for order, volume in expire(t):
-                state = states[order.agent_id]
-                if order.side is BUY:
-                    state.committed_ticks -= volume * order.ticks
-                else:
-                    state.committed_shares -= volume
+            dropped = expire(t)
+            if dropped:
+                touched = True
+                for order, volume in dropped:
+                    state = states[order.agent_id]
+                    if order.side is BUY:
+                        state.committed_ticks -= volume * order.ticks
+                    else:
+                        state.committed_shares -= volume
 
             if mood_on and 0 < self.n_opt < n:
                 n_opt = self.n_opt
@@ -248,7 +258,8 @@ class Engine:
                         n_opt += 1
                 self.n_opt = n_opt
 
-            p_t = mid_price(p0)
+            if touched:  # else the book, hence its mid, is as it was
+                p_t = mid_price(p0)
             price_hist.append(p_t)
             optimists_rate.append(self.n_opt / n)
             if on_step is not None:

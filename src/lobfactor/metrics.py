@@ -73,11 +73,12 @@ def tail_log_ratios(abs_returns, k: int) -> np.ndarray:
     n = x.size
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= K < N, got K={k}, N={n}")
-    order = np.sort(x)[::-1]
-    pivot = order[k]
+    # the K+1 largest, in descending order; the rest need no order
+    top = np.sort(np.partition(x, n - k - 1)[n - k - 1:])[::-1]
+    pivot = top[k]
     if pivot <= 0.0:
         raise DegenerateSeriesError("tail pivot is zero; fewer than K+1 positive samples")
-    return np.log(order[:k] / pivot)
+    return np.log(top[:k] / pivot)
 
 
 def build_tail_cloud(abs_returns, k: int | None = None) -> PointCloud:

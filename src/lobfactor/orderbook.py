@@ -35,13 +35,22 @@ class DuplicateOrderError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _tick_fraction(tick: float) -> tuple[int, int] | None:
-    """The tick's shortest repr as an exact fraction (m, den), or None where
-    the fast path does not hold: a subnormal tick's repr can sit far from its
-    binary value, and past 1e300 the product r * tick can overflow."""
-    if not 1e-300 < abs(tick) < 1e300:
-        return None
-    return Decimal(repr(tick)).as_integer_ratio()
+def _tick_fraction(tick: float) -> tuple[int, int, float]:
+    """The tick's shortest repr as an exact fraction m / den, and the bound
+    on |price / tick| below which the float fast path may answer.
+
+    The bound is 0.0 where the fast path never holds: a subnormal tick's
+    repr can sit far from its binary value, and past 1e290 the product
+    r * tick, with |r| up to 2**52, can overflow. Elsewhere it is 2**52, or
+    less for a tick with a long decimal coefficient: the Decimal path's
+    product n * dtick is exact only while |n| times that coefficient stays
+    below 10**28, its context's 28 digits.
+    """
+    if not 1e-300 < abs(tick) < 1e290:
+        return 0, 1, 0.0
+    dtick = Decimal(repr(tick))
+    coef = int("".join(map(str, dtick.as_tuple().digits)))
+    return (*dtick.as_integer_ratio(), float(min(2**52, 10**28 // coef - 1)))
 
 
 def align_to_tick(price: float, tick: float) -> float:
@@ -58,19 +67,27 @@ def align_to_tick(price: float, tick: float) -> float:
         price = float(price)
     if type(tick) is not float:
         tick = float(tick)
-    # Fast path: q = price / tick on floats is within a few ulps of the
-    # decimal ratio (about 3.3e-16 * |q|, at most 2.2e-8 below 2**26, 45
-    # times inside the 1e-6 window), so any q that far from a half tick
-    # rounds like the decimal ratio does, and int / int true division gives
-    # the correctly rounded float of the decimal product r * tick. Near-ties,
-    # ratios past 2**26 and results of zero (whose sign Decimal keeps) take
-    # the Decimal path, which settles every tie.
-    frac = _tick_fraction(tick)
+    # Fast path, equal to the Decimal path wherever it answers. Let P and T
+    # be the decimal values of the reprs of price and tick, and Q = P / T.
+    # Each float is the nearest double to its repr (relative error at most
+    # 2**-53; a price with r != 0 is at least half a normal tick, so it is
+    # normal too), and the division adds one more rounding, so
+    # |q - Q| <= (3 * 2**-53 + O(2**-105)) * |Q| < 2**-51 * |q|. Accepting
+    # |q - r| < 0.5 - 1e-6 - |q| * 2**-50 thus leaves |Q - r| below
+    # 0.5 - 1e-6: r is Q rounded to nearest, and Q is no tie. Below 2**52
+    # the Decimal path's 28-digit quotient lies within 3e-12 of Q, far
+    # inside that margin, so it rounds to the same n = r; below q_max its
+    # product n * dtick is exact, and int / int true division gives the
+    # correctly rounded float of that exact product, as float(Decimal)
+    # does. Near-ties, ratios beyond the bound and results of zero (whose
+    # sign Decimal keeps) take the Decimal path, which settles every tie.
+    m, den, q_max = _tick_fraction(tick)
     q = price / tick
-    if frac is not None and abs(q) < 2**26:
+    size = abs(q)
+    if size < q_max:
         r = math.floor(q + 0.5)
-        if r and abs(q - r) < 0.5 - 1e-6:
-            return r * frac[0] / frac[1]
+        if r and abs(q - r) < 0.5 - 1e-6 - size * 2**-50:
+            return r * m / den
     dtick = Decimal(repr(tick))
     n = (Decimal(repr(price)) / dtick).to_integral_value(rounding=ROUND_HALF_UP)
     return float(n * dtick)

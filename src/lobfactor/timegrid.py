@@ -10,8 +10,8 @@ index corresponds to that fraction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +42,13 @@ class TransactionPath:
             prev = f
         if self.fractions[-1] != 1.0:
             raise ValueError("final fraction must be exactly 1")
+
+    @cached_property
+    def fraction_array(self) -> np.ndarray:
+        """The fractions as a read-only float array, built once per path."""
+        array = np.array(self.fractions)
+        array.flags.writeable = False
+        return array
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,7 @@ def bar_indices(path: TransactionPath, t_total: int) -> list[int]:
     """Trade index targeted by each minute: round-half-up of fraction*t_total."""
     if t_total < 1:
         raise DegenerateTrialError("no trades to index")
-    return [math.floor(f * t_total + 0.5) for f in path.fractions]
+    return np.floor(path.fraction_array * t_total + 0.5).astype(np.int64).tolist()
 
 
 def assign_calendar_time(sim, path: TransactionPath, p0: float,

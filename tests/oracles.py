@@ -4,6 +4,10 @@ predict_return_raw is the forecast on the raw weights, each coefficient and
 the weight total computed on every call; agents.predict_return reads them
 precomputed on AgentParams, and the two must agree bit for bit.
 
+decide_order_aligned_first is the sizing rule as it reads when the limit is
+aligned before anything else; agents.decide_order sizes first and aligns
+only for an order it can place, and the two must return equal orders.
+
 update_mood is the per-agent conformity rule that the engine applies inline
 in its mood pass: it flips an agent's optimistic bool. in_no_exec_window is the step-by-step form of the windows
 the engine turns into one boolean mask: no trade may carry a step inside a
@@ -28,7 +32,8 @@ from itertools import permutations
 
 import numpy as np
 
-from lobfactor.agents import AgentParams, AgentState
+from lobfactor.agents import RETURN_HORIZON_CLAMP, Agent, AgentParams, AgentState
+from lobfactor.orderbook import Order, Side, align_to_tick
 
 
 def predict_return_raw(
@@ -52,6 +57,43 @@ def predict_return_raw(
     if params.w_n > 0.0:
         acc += params.w_n * eps
     return acc / total
+
+
+def decide_order_aligned_first(
+    agent: Agent,
+    p_t: float,
+    r_hat: float,
+    step: int,
+    sigma_sq: float,
+    v_max: int,
+    tick: float,
+    order_id: int,
+) -> Order | None:
+    params, state = agent.params, agent.state
+    g = params.tau * r_hat
+    if g > RETURN_HORIZON_CLAMP:
+        g = RETURN_HORIZON_CLAMP
+    elif g < -RETURN_HORIZON_CLAMP:
+        g = -RETURN_HORIZON_CLAMP
+    p_hat = p_t * math.exp(g)
+    limit = align_to_tick(p_hat, tick)
+    if limit < tick:
+        return None
+    pi_star = math.log(p_hat / p_t) / (params.alpha_j * sigma_sq * p_t)
+    delta = round(pi_star) - state.shares
+    if delta > 0:
+        volume = int((state.cash - state.committed_ticks * tick) / limit)  # affordable
+        side = Side.BUY
+    elif delta < 0:
+        delta = -delta
+        volume = state.shares - state.committed_shares
+        side = Side.SELL
+    else:
+        return None
+    volume = min(delta, v_max, volume)
+    if volume < 1:
+        return None
+    return Order(order_id, agent.agent_id, side, limit, volume, step, step + params.tau)
 
 
 def update_mood(

@@ -20,7 +20,7 @@ from lobfactor.agents import (
     sample_pareto,
 )
 from lobfactor.orderbook import Side, align_to_tick
-from oracles import predict_return_raw, update_mood
+from oracles import decide_order_aligned_first, predict_return_raw, update_mood
 
 
 def make_agent(
@@ -64,16 +64,24 @@ def test_pareto_sample_mean_and_ks():
 
 # ------------------------------------------------------------ derived params
 
-def test_horizon_and_risk_aversion_scaling():
-    cfg = PopulationConfig(n_agents=500, lambda_f=10.0, lambda_c=2.0, alpha=0.2)
+@pytest.mark.parametrize("kind", ["uniform", "pareto"])
+@pytest.mark.parametrize("n_agents", [1, 7, 200])
+def test_horizon_and_risk_aversion_scaling(kind, n_agents):
+    """The population's horizons and risk aversions are bit-equal to the
+    scalar rule on each agent's own draws, and every value is a Python
+    scalar, never a numpy one."""
+    cfg = PopulationConfig(n_agents=n_agents, lambda_f=10.0, lambda_c=2.0, alpha=0.2,
+                           cash=CashSpec(kind=kind))
     agents = init_population(cfg, np.random.default_rng(7))
+    assert [a.agent_id for a in agents] == list(range(n_agents))
     for a in agents:
-        expected_tau = max(1, int(100.0 * (1 + a.params.w_f) / (1 + a.params.w_c) + 0.5))
-        assert a.params.tau == expected_tau
-        assert a.params.alpha_j == pytest.approx(
-            0.2 * (1 + a.params.w_f) / (1 + a.params.w_c)
-        )
-        assert a.params.tau_f == 200
+        p, s = a.params, a.state
+        assert p.tau == horizon(p.w_f, p.w_c)
+        assert p.alpha_j.hex() == (0.2 * (1.0 + p.w_f) / (1.0 + p.w_c)).hex()
+        assert p.tau_f == 200
+        assert type(p.tau) is int and type(s.shares) is int
+        assert type(s.cash) is float and type(s.optimistic) is bool
+        assert all(type(w) is float for w in (p.w_f, p.w_c, p.w_m, p.w_n))
 
 
 def test_horizon_edge_values():
@@ -267,6 +275,48 @@ def test_orders_never_overdraw(cash, shares, committed_ticks, committed_shares, 
         assert order.volume * order.limit_price <= cash - committed_ticks * 1e-4 + 1e-9
     else:
         assert order.volume <= shares - committed_shares
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    cash=st.floats(0, 1e6), cash_all_committed=st.booleans(),
+    committed_ticks=st.integers(0, 10**10), shares=st.integers(0, 300),
+    committed_shares=st.integers(0, 300), r_hat=st.floats(-0.3, 0.3),
+    p_t=st.floats(1e-6, 1e5), tick=st.sampled_from((1e-4, 0.01, 0.25)),
+    tau=st.integers(1, 1000), alpha_j=st.floats(1e-3, 5.0),
+)
+@example(cash=0.0, cash_all_committed=False, committed_ticks=0, shares=0,
+         committed_shares=0, r_hat=0.05, p_t=300.0, tick=1e-4, tau=100, alpha_j=0.1)
+@example(cash=5e3, cash_all_committed=True, committed_ticks=10**7, shares=40,
+         committed_shares=40, r_hat=0.05, p_t=300.0, tick=1e-4, tau=100, alpha_j=0.1)
+@example(cash=5e3, cash_all_committed=False, committed_ticks=0, shares=40,
+         committed_shares=40, r_hat=-0.05, p_t=300.0, tick=1e-4, tau=100, alpha_j=0.1)
+@example(cash=5e3, cash_all_committed=False, committed_ticks=0, shares=40,
+         committed_shares=0, r_hat=-0.05, p_t=3e-5, tick=1e-4, tau=100, alpha_j=0.1)
+@example(cash=5e3, cash_all_committed=False, committed_ticks=0, shares=0,
+         committed_shares=0, r_hat=0.002, p_t=6e-5, tick=1e-4, tau=100, alpha_j=0.1)
+def test_sizing_first_places_the_orders_aligning_first_does(
+    cash, cash_all_committed, committed_ticks, shares, committed_shares, r_hat, p_t, tick,
+    tau, alpha_j,
+):
+    """Zero free cash and zero free shares included; targets below one tick
+    take the aligning-first order."""
+    if cash_all_committed:
+        cash = committed_ticks * tick
+    a = make_agent(alpha_j=alpha_j, tau=tau, cash=cash, shares=shares,
+                   committed_ticks=committed_ticks,
+                   committed_shares=min(committed_shares, shares))
+    args = (p_t, r_hat, 3, 1e-4, 50, tick, 9)
+    assert decide_order(a, *args) == decide_order_aligned_first(a, *args)
+
+
+@pytest.mark.parametrize("p_t, r_hat", [(300.0, math.nan), (math.inf, 0.01),
+                                        (1e308, 0.05), (-math.inf, 0.01)])
+def test_non_finite_target_raises(p_t, r_hat):
+    a = make_agent(alpha_j=0.1, cash=1e6, shares=10)
+    for decide in (decide_order, decide_order_aligned_first):
+        with pytest.raises(ValueError):
+            decide(a, p_t, r_hat, 1, 1e-4, 50, 1e-4, 1)
 
 
 # ----------------------------------------------------------------------- mood

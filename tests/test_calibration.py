@@ -1,5 +1,6 @@
 """Scenario enumeration, combo evaluation, grid calibration, and sweeps."""
 
+import concurrent.futures
 import dataclasses
 import json
 
@@ -313,7 +314,7 @@ class TestCalibrate:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(calibration_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         for cpus in (2, 64, 1, None):  # three combos are pending each time
             monkeypatch.setattr(calibration_mod.os, "cpu_count", lambda: cpus)
             calibrate(0, self.EXP, small_base(), refs=[], paths=paths, workers=64)

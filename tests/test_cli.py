@@ -955,15 +955,26 @@ class TestExperimentTables:
 
 
 class TestConsoleScript:
-    def test_version_runs(self):
-        root = Path(__file__).resolve().parents[1]
-        pyproject = tomllib.loads((root / "pyproject.toml").read_text())
-        assert pyproject["project"]["scripts"]["lobfactor"] == "lobfactor.cli:main"
-        assert pyproject["project"]["version"] == lobfactor.__version__
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def python(self, *args: str) -> subprocess.CompletedProcess:
+        """A fresh interpreter that imports lobfactor from this checkout."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "lobfactor.cli", "--version"],
-                              capture_output=True, text=True, env=env)
+            p for p in (str(self.ROOT / "src"), env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+    def test_version_runs(self):
+        pyproject = tomllib.loads((self.ROOT / "pyproject.toml").read_text())
+        assert pyproject["project"]["scripts"]["lobfactor"] == "lobfactor.cli:main"
+        assert pyproject["project"]["version"] == lobfactor.__version__
+        proc = self.python("-m", "lobfactor.cli", "--version")
         assert proc.returncode == 0
         assert "lobfactor" in proc.stdout
+
+    def test_import_loads_no_process_pool(self):
+        """Only a run with more than one worker needs multiprocessing."""
+        proc = self.python("-c", "import sys, lobfactor.cli; print(sorted(m for m in sys.modules "
+                           "if m in ('multiprocessing', 'concurrent.futures.process')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -156,6 +156,24 @@ class TestWindowsAndTicks:
         assert first.mid_price == 300.0
         assert first.market_price is None
 
+    @pytest.mark.parametrize("mood", [{}, {"lambda_m": 0.05, "nu": 0.3}])
+    def test_mids_are_the_book_mid_after_each_step(self, mood):
+        """Steps that submit and expire nothing keep the mid they had, and an
+        order row carries the mid after the step before (p0 before step 1)."""
+        # short horizons, so that orders expire inside the run
+        cfg = small_config(seed=3, lambda_f=1.0, **mood)
+        seen = []
+        trial = Engine(cfg)
+        out = trial.run(on_step=lambda eng, t: seen.append(eng.book.mid_price(cfg.p0)))
+        assert sum(trial.book.expired_volume.values()) > 0
+        assert out.mid_prices == seen
+        if mood:
+            assert any(0.0 < r < 1.0 for r in out.optimists_rate)
+        before = [cfg.p0, *seen]
+        placed = [r for r in out.ticks if r.event == "OrderPlaced"]
+        assert placed and len({r.mid_price for r in placed}) > 1
+        assert all(r.mid_price == before[r.step - 1] for r in placed)
+
 
 class TestTickLogOff:
     """Calibration runs without the tick log; nothing else may change."""

@@ -69,6 +69,8 @@ class TestTailLogRatios:
         expected = [np.log(srt[i] / srt[k]) for i in range(k)]
         got = tail_log_ratios(xs, k)
         assert got == pytest.approx(expected, abs=1e-12)
+        full = np.sort(np.asarray(xs))[::-1]  # every value, sorted
+        assert np.array_equal(got, np.log(full[:k] / full[k]))
         assert np.all(got >= 0)
         assert np.all(np.diff(got) <= 1e-15)
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lobfactor import orderbook
 from lobfactor.orderbook import Book, DuplicateOrderError, Order, Side, align_to_tick
 
 TICK = 0.01
@@ -115,6 +116,13 @@ def test_align_keeps_the_sign_of_zero():
     assert math.copysign(1.0, align_to_tick(0.3e-4, 1e-4)) == 1.0
 
 
+def test_align_rounds_past_the_float_limit_to_infinity():
+    # a multiple of a huge tick can exceed the largest float: Decimal rounds
+    # it to inf, and the float path must not raise OverflowError instead
+    assert align_to_tick(1.7976931348623157e308, 1e299) == math.inf
+    assert align_to_tick(-1.7976931348623157e308, 3e298) == -math.inf
+
+
 def test_align_non_finite_rejected():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
@@ -141,8 +149,10 @@ def decimal_tie(n: int, tick: float) -> float:
 def test_align_edges_match_rational_oracle(tick):
     """Exact ties, ties one ulp off, ties 1e-7 tick off (inside the window
     where the float fast path defers to Decimal) and 2e-6 tick off (outside
-    it), ratios on either side of 2**26 and near-ties far above it, all
-    mirrored to negative prices, as floats and as numpy scalars."""
+    it), ratios on either side of 2**26, near-ties far above it, and ties
+    and near-ties at 2**26 to 2**52 ticks just inside and just outside the
+    window scaled by the ratio, all mirrored to negative prices, as floats
+    and as numpy scalars."""
     prices = []
     for n in (0, 1, 7, 2_999_999, 3_000_000, 2**26 - 2, 2**26 - 1, 2**26, 2**26 + 1):
         tie = decimal_tie(n, tick)
@@ -155,11 +165,52 @@ def test_align_edges_match_rational_oracle(tick):
         for off in (1e-3, 1e-4, 1e-5, 3e-6, 1e-6, -1e-6, -3e-6, -1e-5, -1e-4, -1e-3):
             q = Fraction(2**e + 12345) + Fraction(1, 2) + Fraction(off)
             prices.append(float(q * Fraction(repr(tick))))
+    # the fast path defers to Decimal within 1e-6 + q * 2**-50 of a tie; off
+    # 0 is the float nearest the tie, which is the tie where one exists
+    for e in range(26, 53):
+        window = 1e-6 + 2.0**e * 2**-50
+        for off in (0.0, 0.5 * window, -0.5 * window, 2 * window, -2 * window):
+            q = Fraction(2**e + 12345) + Fraction(1, 2) + Fraction(off)
+            prices.append(float(q * Fraction(repr(tick))))
     prices += [-p for p in prices]
     for price in prices:
         want = align_oracle(price, tick)
         assert align_to_tick(price, tick) == want, (price, tick)
         assert align_to_tick(np.float64(price), np.float64(tick)) == want, (price, tick)
+
+
+def no_decimal(*args):
+    raise AssertionError("took the Decimal path")
+
+
+def test_align_takes_no_decimal_detour_away_from_ties(monkeypatch):
+    """Ratios up to 1e14 ticks: every price more than a tenth of a tick from
+    a tie aligns on floats alone, as the rational oracle does."""
+    tick = 1e-4
+    align_to_tick(1.0, tick)  # caches the tick's fraction, which Decimal builds
+    rng = np.random.default_rng(22)
+    prices = []
+    while len(prices) < 10_000:
+        price = float(10 ** rng.uniform(3, 10))
+        q = Fraction(repr(price)) / Fraction(repr(tick))
+        if abs(q - math.floor(q) - Fraction(1, 2)) > Fraction(1, 10):
+            prices.append(price)
+    want = [align_oracle(price, tick) for price in prices]
+    monkeypatch.setattr(orderbook, "Decimal", no_decimal)
+    assert [align_to_tick(price, tick) for price in prices] == want
+
+
+def test_align_defers_to_decimal_where_its_product_rounds(monkeypatch):
+    """With a 17-digit tick, n * tick needs more than the Decimal context's
+    28 digits once n passes about 3.3e11; the float path leaves those
+    ratios to Decimal, even a quarter tick from a tie."""
+    tick = 0.1 + 0.2  # 0.30000000000000004
+    below, above = (float((n + Fraction(1, 4)) * Fraction(repr(tick))) for n in (10**11, 10**12))
+    align_to_tick(below, tick)  # caches the tick's fraction, which Decimal builds
+    monkeypatch.setattr(orderbook, "Decimal", no_decimal)
+    assert align_to_tick(below, tick) == align_oracle(below, tick)
+    with pytest.raises(AssertionError, match="Decimal"):
+        align_to_tick(above, tick)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e5))

@@ -1,6 +1,7 @@
 """Calendar-time resampling against hand enumerations and prefix-sum oracles."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ class TestAssignCalendarTime:
         path = TransactionPath(pad_fractions([0.0, 0.049, 0.05, 0.1, 0.25, 0.3]))
         assert bar_indices(path, 10)[:6] == [0, 0, 1, 1, 3, 3]
         assert bar_indices(path, 10)[-1] == 10
+
+    @pytest.mark.parametrize("shape", ["uniform", "ushape"])
+    def test_indices_match_the_scalar_rounding(self, shape):
+        rng = np.random.default_rng(31)
+        for t_total in (1, 2, 7, 299, 300, 301, 12_345, 2**40 + 1):
+            path = synthetic_reference_path(rng, shape, 30_000)
+            got = bar_indices(path, t_total)
+            assert got == [math.floor(f * t_total + 0.5) for f in path.fractions]
+            assert all(type(i) is int for i in got)
 
     def test_ten_trade_hand_enumeration(self):
         sim = make_sim(10)
