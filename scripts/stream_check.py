@@ -1,15 +1,19 @@
-"""Check that a random-stream change leaves the mood statistics as they were.
+"""Check that a change to the random stream or to the prices leaves the
+per-trial statistics as they were, with moods off and on.
 
 Usage: python scripts/stream_check.py OLD_SRC NEW_SRC
 
 Each argument is a lobfactor checkout or its src/ directory (unpack the
 parent commit with `git archive`); each runs in its own subprocess, since
-both import as `lobfactor`. Seeds 2000-2049 of scenarios 3 (mood) and 7
-(Pareto cash, chartist, mood) at the default shape give per-trial consensus
-step, daily optimist-rate spread, trades and Hill index (on calendar bars
-along the default synthetic paths), compared by two-sample KS. Prints the
-8 p-values as JSON with each side's count of trials without a Hill index.
-A p below 0.01 is a defect to find; never re-pick seeds to hide it.
+both import as `lobfactor`. Seeds 2000-2049 of scenarios 0 (no component)
+and 2 (chartist), which run no mood pass, and of scenarios 3 (mood) and 7
+(Pareto cash, chartist, mood), all at the default shape, give per-trial
+consensus step, daily optimist-rate spread, trades and Hill index (on
+calendar bars along the default synthetic paths), compared by two-sample
+KS. With moods off the optimist rate is constant, so its two statistics
+read p = 1 there. Prints the 16 p-values as JSON with each side's count of
+trials without a Hill index. A p below 0.01 is a defect to find; never
+re-pick seeds to hide it.
 """
 
 import json
@@ -20,7 +24,8 @@ from pathlib import Path
 
 SEEDS = range(2000, 2050)
 MOOD = dict(lambda_m=3e-5, nu=0.5, alpha=0.2)
-SCENARIOS = {3: (MOOD, "uniform"), 7: ({**MOOD, "lambda_c": 2.0}, "pareto")}
+SCENARIOS = {0: ({}, "uniform"), 2: ({"lambda_c": 2.0}, "uniform"),
+             3: (MOOD, "uniform"), 7: ({**MOOD, "lambda_c": 2.0}, "pareto")}
 STATS = ("consensus_step", "daily_spread", "trades", "hill")
 
 

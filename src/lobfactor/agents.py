@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orderbook import BUY, SELL, Order, align_to_tick
+from .orderbook import BUY, SELL, Order, align_to_tick, price_of
 
 RETURN_HORIZON_CLAMP = 10.0  # bound on tau * r_hat inside exp()
 
@@ -181,10 +181,12 @@ def decide_order(
 
     The target p_hat = p_t * exp(tau * r_hat) compounds the forecast over the
     agent's horizon, with the exponent clamped to +-RETURN_HORIZON_CLAMP, and
-    the order's limit is p_hat aligned to the tick. The gap between desired and
-    current shares sets side and size; size is capped by v_max, by
-    uncommitted cash at the limit price (no borrowing), and by uncommitted
-    shares (no short selling). Returns None when the agent has nothing to do.
+    the order's limit is p_hat aligned to whole ticks; a limit below one tick
+    places nothing, and a target that is not finite raises ValueError. The gap
+    between desired and current shares sets side and size; size is capped by
+    v_max, by uncommitted cash at the limit price (no borrowing), and by
+    uncommitted shares (no short selling). Returns None when the agent has
+    nothing to do.
     """
     params, state = agent.params, agent.state
     g = params.tau * r_hat
@@ -193,27 +195,17 @@ def decide_order(
     elif g < -RETURN_HORIZON_CLAMP:
         g = -RETURN_HORIZON_CLAMP
     p_hat = p_t * math.exp(g)
-    # A target of at least one tick aligns to a limit of at least one tick
-    # (alignment is monotone and keeps the tick itself), so the sizing can
-    # run first and the limit is aligned only for an order that can be
-    # placed. Any other target goes as when the limit came first: one that
-    # is not finite raises, and one that aligns below a tick places nothing.
-    if not tick <= p_hat < math.inf and align_to_tick(p_hat, tick) < tick:
+    ticks = align_to_tick(p_hat, tick)
+    if ticks < 1:
         return None
     pi_star = math.log(p_hat / p_t) / (params.alpha_j * sigma_sq * p_t)
     delta = round(pi_star) - state.shares
     if delta > 0:
-        free_cash = state.cash - state.committed_ticks * tick
-        if free_cash <= 0.0:
-            return None
-        limit = align_to_tick(p_hat, tick)
-        volume = int(free_cash / limit)  # affordable
+        free_cash = state.cash - price_of(state.committed_ticks, tick)
+        volume = int(free_cash / price_of(ticks, tick))  # affordable
         side = BUY
     elif delta < 0:
         volume = state.shares - state.committed_shares
-        if volume < 1:
-            return None
-        limit = align_to_tick(p_hat, tick)
         delta = -delta
         side = SELL
     else:
@@ -225,4 +217,4 @@ def decide_order(
         volume = v_max
     if volume < 1:
         return None
-    return Order(order_id, agent.agent_id, side, limit, volume, step, step + params.tau)
+    return Order(order_id, agent.agent_id, side, ticks, volume, step, step + params.tau)

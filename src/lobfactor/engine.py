@@ -11,9 +11,9 @@ mixed step's mood row as that step runs: one permutation of the agents,
 then one uniform per agent. A (config, seed) pair fully pins the output.
 
 Escrow is held in whole ticks on each agent's state. Each order pledges it
-once, after the book has stored the order's tick count: its whole volume at
-that count for a buy, its shares for a sell. Each fill and each expiry then
-releases its share of it, so the escrow always mirrors the resting orders.
+once: its whole volume at its tick count for a buy, its shares for a sell.
+Each fill and each expiry then releases its share of it, so the escrow
+always mirrors the resting orders.
 
 The tick log (one row per order and per trade, with the quotes around it)
 is recorded only when asked for: the `simulate` command keeps it, while the
@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .agents import (
+    RETURN_HORIZON_CLAMP,
     Agent,
     PopulationConfig,
     decide_order,
@@ -125,6 +126,12 @@ def validate_config(config: SimulationConfig) -> None:
     if math.log(pop.cash.c_min) + 53 / pop.cash.beta * math.log(2) > math.log(np.finfo(float).max):
         raise ConfigurationError("cash c_min * 2**(53 / beta), the largest Pareto draw, "
                                  "must be finite")
+    # a first order's limit lies within e**RETURN_HORIZON_CLAMP of p0; its
+    # tick count, price / tick, must be a finite float
+    if not math.isfinite(max(config.p0, config.fundamental_price)
+                         * math.exp(RETURN_HORIZON_CLAMP) / config.tick_size):
+        raise ConfigurationError(f"max(p0, fundamental_price) * e**{RETURN_HORIZON_CLAMP:g} "
+                                 "/ tick_size must be finite")
     for window in config.no_exec_windows:
         if len(window) != 2 or not 1 <= window[0] <= window[1]:
             raise ConfigurationError(f"bad no-exec window {window}")
@@ -203,7 +210,6 @@ class Engine:
                             book.best_bid(), book.best_ask(), volume, 0, self.n_opt,
                         ))
                     trades = submit(order, exec_t)
-                    # escrow is pledged after submit, which stores the tick count
                     if order.side is BUY:
                         state.committed_ticks += volume * order.ticks
                     else:

@@ -19,8 +19,8 @@ from lobfactor.agents import (
     predict_return,
     sample_pareto,
 )
-from lobfactor.orderbook import Side, align_to_tick
-from oracles import decide_order_aligned_first, predict_return_raw, update_mood
+from lobfactor.orderbook import Side, align_to_tick, price_of
+from oracles import predict_return_raw, update_mood
 
 
 def make_agent(
@@ -195,19 +195,19 @@ def r_toward(p_hat, p_t=300.0, tau=100):
 def test_order_limit_compounds_the_forecast_over_the_horizon():
     a = make_agent(alpha_j=0.1, tau=100, cash=1e12)
     order = decide_order(a, 300.0, 0.001, 1, 1e-4, 50, 1e-4, 1)
-    assert order.limit_price == align_to_tick(300.0 * math.exp(100 * 0.001), 1e-4)
-    assert order.limit_price == pytest.approx(300.0 * math.e**0.1, abs=1e-4)
+    assert order.ticks == align_to_tick(300.0 * math.exp(100 * 0.001), 1e-4)
+    assert price_of(order.ticks, 1e-4) == pytest.approx(300.0 * math.e**0.1, abs=1e-4)
 
 
 def test_order_limit_clamps_the_exponent():
     buyer = make_agent(alpha_j=0.1, tau=10_000, cash=1e12)
     order = decide_order(buyer, 300.0, 0.5, 1, 1e-4, 50, 1e-4, 1)
     assert order.side is Side.BUY
-    assert order.limit_price == align_to_tick(300.0 * math.e**10, 1e-4)
+    assert order.ticks == align_to_tick(300.0 * math.e**10, 1e-4)
     seller = make_agent(alpha_j=0.1, tau=10_000, shares=30)
     order = decide_order(seller, 300.0, -0.5, 1, 1e-4, 50, 1e-4, 1)
     assert order.side is Side.SELL
-    assert order.limit_price == align_to_tick(300.0 * math.e**-10, 1e-4)
+    assert order.ticks == align_to_tick(300.0 * math.e**-10, 1e-4)
 
 
 def test_desired_holding_arithmetic():
@@ -218,7 +218,7 @@ def test_desired_holding_arithmetic():
     buyer = make_agent(alpha_j=0.1, shares=0, cash=1e12)
     order = decide_order(buyer, 300.0, r_toward(303.0), 5, 1e-4, 10**9, 1e-4, 1)
     assert order.side is Side.BUY and order.volume == 3
-    assert order.limit_price == 303.0
+    assert order.ticks == 3_030_000
     assert order.expiry_step == 5 + buyer.params.tau
 
     seller = make_agent(alpha_j=0.1, shares=17, cash=1e12)
@@ -230,8 +230,9 @@ def test_buy_capped_by_uncommitted_cash():
     a = make_agent(alpha_j=0.1, cash=1000.0, committed_ticks=4_000_000)  # 400.0 at tick 1e-4
     order = decide_order(a, 300.0, r_toward(330.0), 1, 1e-4, 50, 1e-4, 1)
     assert order.side is Side.BUY
-    assert order.volume == int(600.0 / order.limit_price) == 1
-    assert order.volume * order.limit_price <= 600.0
+    limit = price_of(order.ticks, 1e-4)
+    assert order.volume == int(600.0 / limit) == 1
+    assert order.volume * limit <= 600.0
 
 
 def test_sell_capped_by_uncommitted_shares():
@@ -243,7 +244,7 @@ def test_sell_capped_by_uncommitted_shares():
 def test_volume_cap_applies():
     a = make_agent(alpha_j=0.01, cash=1e12)  # pi* ~ 318 shares, far above cap
     order = decide_order(a, 300.0, r_toward(330.0), 1, 1e-4, 50, 1e-4, 1)
-    assert order.limit_price == 330.0
+    assert order.ticks == 3_300_000
     assert order.volume == 50
 
 
@@ -272,51 +273,28 @@ def test_orders_never_overdraw(cash, shares, committed_ticks, committed_shares, 
         return
     assert 1 <= order.volume <= 50
     if order.side is Side.BUY:
-        assert order.volume * order.limit_price <= cash - committed_ticks * 1e-4 + 1e-9
+        assert order.volume * price_of(order.ticks, 1e-4) <= cash - committed_ticks * 1e-4 + 1e-9
     else:
         assert order.volume <= shares - committed_shares
 
 
-@settings(max_examples=500, deadline=None)
-@given(
-    cash=st.floats(0, 1e6), cash_all_committed=st.booleans(),
-    committed_ticks=st.integers(0, 10**10), shares=st.integers(0, 300),
-    committed_shares=st.integers(0, 300), r_hat=st.floats(-0.3, 0.3),
-    p_t=st.floats(1e-6, 1e5), tick=st.sampled_from((1e-4, 0.01, 0.25)),
-    tau=st.integers(1, 1000), alpha_j=st.floats(1e-3, 5.0),
-)
-@example(cash=0.0, cash_all_committed=False, committed_ticks=0, shares=0,
-         committed_shares=0, r_hat=0.05, p_t=300.0, tick=1e-4, tau=100, alpha_j=0.1)
-@example(cash=5e3, cash_all_committed=True, committed_ticks=10**7, shares=40,
-         committed_shares=40, r_hat=0.05, p_t=300.0, tick=1e-4, tau=100, alpha_j=0.1)
-@example(cash=5e3, cash_all_committed=False, committed_ticks=0, shares=40,
-         committed_shares=40, r_hat=-0.05, p_t=300.0, tick=1e-4, tau=100, alpha_j=0.1)
-@example(cash=5e3, cash_all_committed=False, committed_ticks=0, shares=40,
-         committed_shares=0, r_hat=-0.05, p_t=3e-5, tick=1e-4, tau=100, alpha_j=0.1)
-@example(cash=5e3, cash_all_committed=False, committed_ticks=0, shares=0,
-         committed_shares=0, r_hat=0.002, p_t=6e-5, tick=1e-4, tau=100, alpha_j=0.1)
-def test_sizing_first_places_the_orders_aligning_first_does(
-    cash, cash_all_committed, committed_ticks, shares, committed_shares, r_hat, p_t, tick,
-    tau, alpha_j,
-):
-    """Zero free cash and zero free shares included; targets below one tick
-    take the aligning-first order."""
-    if cash_all_committed:
-        cash = committed_ticks * tick
-    a = make_agent(alpha_j=alpha_j, tau=tau, cash=cash, shares=shares,
-                   committed_ticks=committed_ticks,
-                   committed_shares=min(committed_shares, shares))
-    args = (p_t, r_hat, 3, 1e-4, 50, tick, 9)
-    assert decide_order(a, *args) == decide_order_aligned_first(a, *args)
+@pytest.mark.parametrize("p_t, placed", [(3e-5, False), (6e-5, True)])
+def test_target_below_half_a_tick_places_nothing(p_t, placed):
+    """A target under half a tick aligns to 0 ticks and places nothing; one
+    from half a tick up places an order at 1 tick."""
+    a = make_agent(alpha_j=0.1, cash=5e3, shares=40)
+    order = decide_order(a, p_t, -0.001, 3, 1e-4, 50, 1e-4, 9)
+    assert (order is not None) is placed
+    if placed:
+        assert order.ticks == 1 and order.side is Side.SELL
 
 
 @pytest.mark.parametrize("p_t, r_hat", [(300.0, math.nan), (math.inf, 0.01),
                                         (1e308, 0.05), (-math.inf, 0.01)])
 def test_non_finite_target_raises(p_t, r_hat):
     a = make_agent(alpha_j=0.1, cash=1e6, shares=10)
-    for decide in (decide_order, decide_order_aligned_first):
-        with pytest.raises(ValueError):
-            decide(a, p_t, r_hat, 1, 1e-4, 50, 1e-4, 1)
+    with pytest.raises(ValueError):
+        decide_order(a, p_t, r_hat, 1, 1e-4, 50, 1e-4, 1)
 
 
 # ----------------------------------------------------------------------- mood

@@ -42,6 +42,7 @@ from lobfactor.cli import (
 )
 from lobfactor.engine import MAX_W_MAX, SimulationConfig, validate_config
 from lobfactor.metrics import DegenerateSeriesError, StylizedFactReport
+from lobfactor.orderbook import price_of
 from lobfactor.timegrid import MINUTES_PER_DAY
 
 
@@ -178,6 +179,8 @@ class TestBuildConfig:
         ('{"simulation": {"p0": 1e309}}', []),
         ('{"simulation": {"fundamental_price": 1e309}}', []),
         ('{"simulation": {"tick_size": 1e309}}', []),
+        # positive, but a price's tick count, 300 / 5e-324, is inf
+        ('{"simulation": {"tick_size": 5e-324}}', []),
         ('{"simulation": {"sigma_sq_order": 1e309}}', []),
         ('{"simulation": {"t_sim": "long"}}', []),
         ('{"simulation": {"population": {"n_agents": 30.5}}}', []),
@@ -397,6 +400,40 @@ class TestSimulate:
         assert [row[0] for row in rows] == ["seed7"]
         prices = read_bar_price_rows(out / "bars.csv")
         assert [p.size for p in prices] == [MINUTES_PER_DAY]
+
+    def test_default_run_prices_are_whole_ticks(self, tmp_path):
+        """In a default-shape tick log, every quote and trade price is
+        price_of a whole tick count, and every mid is the quote midpoint, or
+        the last trade price (p0 before any trade) where a side is empty."""
+        out = tmp_path / "run"
+        assert main(["simulate", "--seed", "5", "--out", str(out)]) == EXIT_OK
+        config = SimulationConfig()
+        tick = config.tick_size
+        with open(out / "ticks.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # a trade row's mid is read after all of its step's trades
+        last_trade_of_step = {row["step"]: float(row["market_price"])
+                              for row in rows if row["event"] == "TradeExecuted"}
+        assert len(rows) > 1000 and last_trade_of_step
+        for row in rows:
+            prices = {k: float(row[k]) for k in ("best_bid", "best_ask", "market_price") if row[k]}
+            for x in prices.values():
+                assert x == price_of(round(x / tick), tick), row
+            if "best_bid" in prices and "best_ask" in prices:
+                want = (prices["best_bid"] + prices["best_ask"]) / 2.0
+            elif row["event"] == "TradeExecuted":
+                want = last_trade_of_step[row["step"]]
+            else:
+                want = prices.get("market_price", config.p0)
+            assert float(row["mid_price"]) == want, row
+
+    def test_tiny_normal_tick_runs(self, sim_config, tmp_path):
+        document = json.loads(Path(sim_config).read_text())
+        document["simulation"]["tick_size"] = 1e-300
+        config = write_json(tmp_path / "tiny.json", document)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_OK
+        assert "TradeExecuted" in (out / "ticks.csv").read_text()
 
     def test_seed_flag_changes_output(self, sim_config, tmp_path):
         out_a = tmp_path / "a"

@@ -20,7 +20,7 @@ from lobfactor.engine import (
     run,
     validate_config,
 )
-from lobfactor.orderbook import Order, Side, align_to_tick
+from lobfactor.orderbook import Order, Side, align_to_tick, price_of
 from oracles import daily_mood_change_rate, in_no_exec_window, update_mood
 
 
@@ -39,6 +39,9 @@ class TestValidation:
     def test_valid_default_passes(self):
         validate_config(SimulationConfig())
 
+    def test_tiny_normal_tick_admitted(self):
+        validate_config(SimulationConfig(tick_size=1e-300))
+
     @pytest.mark.parametrize("patch", [
         dict(t_sim=0),
         dict(t_sim=MAX_T_SIM + 1),
@@ -51,6 +54,8 @@ class TestValidation:
         dict(p0=float("inf")),
         dict(fundamental_price=float("inf")),
         dict(tick_size=float("nan")),
+        dict(tick_size=5e-324),  # positive, but 300 / tick_size is inf
+        dict(p0=1e305),  # a limit e**10 above p0 is no finite float
         dict(sigma_sq_order=float("inf")),
         dict(seed=-1),
     ])
@@ -214,27 +219,24 @@ class TestConservation:
             for s in states:
                 assert s.cash >= -1e-9
                 assert s.shares >= 0
-                assert 0 <= s.committed_ticks * eng.config.tick_size <= s.cash + 1e-9
+                assert 0 <= price_of(s.committed_ticks, eng.config.tick_size) <= s.cash + 1e-9
                 assert 0 <= s.committed_shares <= s.shares
             # escrow mirrors the book exactly
             orders = eng.book.orders.values()
-            tick = eng.config.tick_size
-            bid_ticks = sum(o.volume * round(o.limit_price / tick)
+            bid_ticks = sum(o.volume * o.ticks
                             for o in orders if o.side is Side.BUY and o.volume > 0)
             ask_volume = sum(o.volume for o in orders if o.side is Side.SELL and o.volume > 0)
             assert bid_ticks == sum(s.committed_ticks for s in states)
             assert ask_volume == sum(s.committed_shares for s in states)
-            for o in orders:
-                if o.volume > 0:
-                    assert o.ticks == round(o.limit_price / tick)
 
         engine.run(on_step=check)
 
 
 class TestOrderPastTwoPow26Ticks:
     """1106164.5835 at tick 1e-4 is 11061645835 ticks in decimal, but its
-    float ratio is 11061645834.999998: the one tick count the book stores
-    must be the rounded one, for the level key and the escrow alike."""
+    float ratio is 11061645834.999998: alignment must give the rounded count,
+    price_of must map it back to the price, and the book keys, escrows and
+    prices the order by that one count."""
 
     PRICE = 1106164.5835
     TICKS = 11061645835
@@ -242,7 +244,8 @@ class TestOrderPastTwoPow26Ticks:
     def test_rest_fill_in_part_then_expire(self, monkeypatch):
         cfg = SimulationConfig(population=PopulationConfig(n_agents=2), t_sim=4,
                                no_exec_windows=(), seed=0)
-        assert align_to_tick(self.PRICE, cfg.tick_size) == self.PRICE
+        assert align_to_tick(self.PRICE, cfg.tick_size) == self.TICKS
+        assert price_of(self.TICKS, cfg.tick_size) == self.PRICE
         # step 1: a sell of 5 rests until step 3; step 2: a buy of 2 fills part of it
         script = {1: (Side.SELL, 5, 3), 2: (Side.BUY, 2, 10)}
 
@@ -250,7 +253,7 @@ class TestOrderPastTwoPow26Ticks:
             if step not in script:
                 return None
             side, volume, expiry = script[step]
-            return Order(order_id, agent.agent_id, side, self.PRICE, volume, step, expiry)
+            return Order(order_id, agent.agent_id, side, self.TICKS, volume, step, expiry)
 
         monkeypatch.setattr(engine_mod, "decide_order", scripted)
         engine = Engine(cfg)
@@ -268,7 +271,6 @@ class TestOrderPastTwoPow26Ticks:
             )
 
         out = engine.run(on_step=snapshot)
-        assert round(self.PRICE / cfg.tick_size) == self.TICKS
         assert seen[1] == ([(5, self.TICKS)], [self.TICKS], [], 0, 5)
         assert [(t.price, t.volume) for t in out.trades] == [(self.PRICE, 2)]
         assert seen[2] == ([(3, self.TICKS), (0, self.TICKS)], [self.TICKS], [], 0, 3)

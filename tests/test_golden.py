@@ -35,46 +35,47 @@ SCENARIO_POPULATION = {
     7: {"cash": {"kind": "pareto"}, "lambda_c": 2.0, "lambda_m": 3e-5, "nu": 0.5},
 }
 
-# scenarios 3 and 7 (and METRICS_DIGESTS, which pools their bars) moved
-# when mood rows came to be drawn step by step on their own child stream
+# Every digest below moved in 0.3.0, when book quotes came to be
+# price_of(level, tick) like trade prices: quotes, and so mids, bars, series
+# and every score built from them, moved in their last bits, while trades
+# kept their steps, volumes and prices.
 SIMULATE_DIGESTS = {
     0: {
-        "ticks.csv": "22946a116b6dfce38f4910c17bc5929665a2c5461ef0afbfc9c05287fc346ceb",
-        "bars.csv": "420699231353dc5afb89dce2f7850557ac7e31d561faafcd2c092f5cc0ea2091",
-        "series.csv": "37ad8bf58a2b02c6624b74ee3ab05eb5614b4073f600ffdb935c5c03554eaaff",
+        "ticks.csv": "8c52ed620d5c0dcefac0cbe530bb5a17df342b6f712c01e5bd2f3632b6ee80f8",
+        "bars.csv": "cef06b269e764a7938e26993aff7f41335c812fcd5a22f2f26f092a8a0b71c74",
+        "series.csv": "b72060a2177a36ed4dcf0bbac66ee7398bb35f99d5038d0691e0a78e5f6279b9",
     },
     2: {
-        "ticks.csv": "2ac7989b09d0b2f46d4698b3fdad7403ba6bf0bcf8f131d21aa5e18ea4d036a6",
-        "bars.csv": "2cd829942a6309596a4fde03101745e61f881a8155a7da203c5f98046acbc3ba",
-        "series.csv": "b8989d9051afce79fd3f9ee950b00e40178489a124f31f4dc044fc12f1718b3f",
+        "ticks.csv": "ae3c0d94ed00af08d0573e6b477e2451bbb83f3f4d1247a95b1bc7cbc0350323",
+        "bars.csv": "81ce9bcbf8a6459af90ef14143378cb4a70d115bf3c6a5b44fda0e8dbec43460",
+        "series.csv": "048b1460afbd22efc1f83da13dfc7651032f9aeabd7389ebd1a1b451365b5a03",
     },
     3: {
-        "ticks.csv": "724119fb0ab40bce54365032459bec255c9ca2384b99b33a4ef15e69f20b6855",
-        "bars.csv": "169ce287850cb3a532561130fb305ba12927ffd1c704070bf668c90c7fcbc02a",
-        "series.csv": "acd508fc8cd265a0045ef56ff930c01f4c416ee9af0edadbc02c87c341078838",
+        "ticks.csv": "9ce6de768f8e108103e0af4ed30534400bdf8c944455f513572741e0c046dc2a",
+        "bars.csv": "4c303c9c9a77ae732e0702f1d40c18291b0ac6533c71f50ca8c2d0831d2a6a02",
+        "series.csv": "43e328dbc1028e677adff83cfa14d593127ce0f1e4b405bd58864ba005971381",
     },
     7: {
-        "ticks.csv": "8684e2ae326b5e3b57044841de7114823cd080d9911870223207b9856a749d93",
-        "bars.csv": "12e5b9fae2203498a4f8131745a71543a7d877af2f8d2292ec6503d26df5caf3",
-        "series.csv": "493a5858c673de8267e5c9ef0aee240a2978b6ae64852dfa71075574d8881411",
+        "ticks.csv": "fce604b75a51dd1f8488233ff9b9c823ef55ad875e00536d101085d19422a42d",
+        "bars.csv": "002b69026825ade3a3064c31873ace1fb69e23e2a984c8325323372a0cecff67",
+        "series.csv": "0c0c9728e9911d169fd18280cc8d3dc4f94b3eaa6b9a81f69426ece2d555e5fb",
     },
 }
 
 # metrics over the pooled bars.csv of the four simulate runs above, scored
 # against the bars of scenarios 0 and 7
 METRICS_DIGESTS = {
-    "report.json": "6d22a0b033a725e05dc8e7c5c3cbd19c5a635c835a3162a1ba4230d7686ee377",
-    "tail_cloud.csv": "af3469d9e5fc8f7888b63033e7fd19fa2c9e36a8dad8533972253f3631c92be7",
+    "report.json": "7144161ae6b1b5e3a71a6f7b3ccf38b66090530d0c29d9f73a89ae8e3936e206",
+    "tail_cloud.csv": "99bd1ad6da713dbf1af3395a2f1f43e5cf9a596041d3bf2282324ad826cd0e04",
 }
 
-# ledger.jsonl moved with the tool version (0.2.0), through its run_digest
-# field alone; every other ledger field is unchanged
+# ledger.jsonl moves with the tool version too, through its run_digest field
 EXPERIMENT_DIGESTS = {
-    "table2.csv": "20e207a674b26299e95181fe943971e4fb4ddffc8e9e3ba1c0de0fabc1d14b03",
-    "table4.csv": "1f41faefa7520eef4d50edc4fe5e04dca1fd02aeaf23cf03483967adbf1741cf",
-    "fig5.csv": "ecfd5234a5ad749ab6ab07f460d2ddbe0d279dbaeb78d6a769036547c03cac23",
-    "synergy.csv": "b6ceaee14c067773d4e555585fdff771f91ca8d7f7c8d58fe75fbb84a843bcdb",
-    "ledger.jsonl": "bfccfcd5bd889353c38982bc5339e14776208e7fa5ecf0a1619d2d9d0159344f",
+    "table2.csv": "e46de78644e1cdd2f89f1d783268acc3e7641c6aff33a33ce8839c40f9a5deb6",
+    "table4.csv": "00ac8773a3751a75baf0dfe5ec45c9b2f8b54a7c10306f7389547052fd5761a0",
+    "fig5.csv": "0da779e71d4d90ab083c51af315d89c22f31c1d3e9586445346e14a6466f4bc8",
+    "synergy.csv": "181cbec5ba23cd5785050463e0c8c31ca2512c6bad7c41de1603b7455938de75",
+    "ledger.jsonl": "2eac57faf5f61a7a52516ce17132b0e196baa777ee9f4ee8e59952dbe4f1611d",
 }
 
 
@@ -83,17 +84,17 @@ EXPERIMENT_DIGESTS = {
 # above stay far from the day's full length and population. Scenario 3 at
 # this seed is a frozen day (one trade), so its digest pins the mood pass.
 FULL_SHAPE_TRIAL_DIGESTS = {
-    0: "2979b8848e36460374c92ae7207eb51b83e1fb7dcefd9ea6cc9c1dc1d89d49b2",
-    2: "83d049a9c193ac5e9a58cad7e9840232ee70c8a6949cd44cdec5e32c1bca0d46",
-    3: "c8ec25a633365620d1a1318ff004254975a59f3c153c9c17ca4ddaa7c9393e87",
-    7: "76e3e7efcbf599f7a04360d7a663d66c8a15d9b1c53a657d21e23faec071b29b",
+    0: "49240f5522fa7246070f9a91d0f2c8dc0dc9a299d17a7f8fa2c059a2c705219c",
+    2: "370045bd789ba62bd18d11b6d1815af0814657a79d415aa52650df0bc0e959d7",
+    3: "c90407a830f0b2e96764a5e5d8e676dee6ca3b9244574ba5125e2345d45acbbf",
+    7: "2ea913e6e1aa2d60f41a0c5e3c9c34a4f2cc170e3355fad18b277980b367bb42",
 }
 
 
 # sha256 of the tick log (each TickRecord as a tuple) of one default-shape
 # trial of scenario 7 at seed 1000: the small simulate shapes above pin the
 # log only at 300 steps and 40 agents
-FULL_SHAPE_TICK_LOG_DIGEST = "cef6000ec6b3bf12703356f97d5b495a9974ab49a365c07b90c6e604267ef80e"
+FULL_SHAPE_TICK_LOG_DIGEST = "17f208b4365e0205467ed0686e1ae1ea2b89e3c521a25e5f46e0fc44d46b9a6c"
 
 
 def digests(out_dir, names) -> dict[str, str]:
