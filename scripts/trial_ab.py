@@ -10,10 +10,12 @@ combos of the mood-off scenarios 0, 1, 2 and 4 at seed 1000 (a `quartet`
 round's trials), scenarios 0, 2, 3 and 7 at seeds 1000-1002 with the tick
 log (the `simulate` trials), and 6 mood-only combos of scenario 3 at
 seeds 1000-1002. Trial by trial, the side that runs first alternates; both
-sides must give equal trades, mids, optimist shares and tick logs. Prints,
-per rep and per set, the CPU ratio OLD / NEW (above 1: NEW is faster), then
-the median ratio over the reps. One process sees less noise than separate
-benchmark processes do, but it times trials only, not a whole command.
+sides must give equal trades, mids, optimist shares and tick logs, and each
+agent must end the trial with the same cash (bit for bit), shares, escrow
+(committed ticks and shares) and mood. Prints, per rep and per set, the CPU
+ratio OLD / NEW (above 1: NEW is faster), then the median ratio over the
+reps. One process sees less noise than separate benchmark processes do, but
+it times trials only, not a whole command.
 """
 
 import argparse
@@ -34,7 +36,7 @@ SEEDS = (1000, 1001, 1002)
 
 
 def load_side(tree: str):
-    """`run` and the trial set of one checkout: [(set name, config, record_ticks)]."""
+    """`Engine` and the trial set of one checkout: [(set name, config, record_ticks)]."""
     src = Path(tree) / "src" if (Path(tree) / "src").is_dir() else Path(tree)
     for name in [m for m in sys.modules if m == "lobfactor" or m.startswith("lobfactor.")]:
         del sys.modules[name]
@@ -42,7 +44,7 @@ def load_side(tree: str):
     try:
         from lobfactor.agents import CashSpec, PopulationConfig
         from lobfactor.calibration import ParameterGrid, build_config, enumerate_combos
-        from lobfactor.engine import SimulationConfig, run
+        from lobfactor.engine import Engine, SimulationConfig
     finally:
         sys.path.pop(0)
 
@@ -62,15 +64,23 @@ def load_side(tree: str):
         for combo in enumerate_combos(3, mood_grid, CashSpec())
         for s in SEEDS
     ]
-    return run, trials
+    return Engine, trials
 
 
-def timed(run, config, record_ticks: bool):
+def end_state(agent) -> tuple:
+    """What a trial leaves on one agent; checkouts before the single agent
+    record keep it on `agent.state`."""
+    s = getattr(agent, "state", agent)
+    return s.cash.hex(), s.shares, s.committed_ticks, s.committed_shares, s.optimistic
+
+
+def timed(engine_cls, config, record_ticks: bool):
     start = time.process_time()
-    out = run(config, record_ticks=record_ticks)
+    engine = engine_cls(config)
+    out = engine.run(record_ticks=record_ticks)
     cpu = time.process_time() - start
     result = ([astuple(t) for t in out.trades], out.mid_prices, out.optimists_rate,
-              [astuple(r) for r in out.ticks])
+              [astuple(r) for r in out.ticks], [end_state(a) for a in engine.agents])
     return cpu, result
 
 
@@ -89,8 +99,8 @@ def main() -> None:
             order = (0, 1) if (rep + i) % 2 else (1, 0)
             results = [None, None]
             for side in order:
-                run, trials = sides[side]
-                seconds, results[side] = timed(run, trials[i][1], record_ticks)
+                engine_cls, trials = sides[side]
+                seconds, results[side] = timed(engine_cls, trials[i][1], record_ticks)
                 cpu[name][side] += seconds
                 cpu["all"][side] += seconds
             assert results[0] == results[1], f"trial {i} ({name}) differs"

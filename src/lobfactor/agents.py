@@ -47,8 +47,9 @@ class PopulationConfig:
     p_optimist_init: float = 0.5
 
 
-@dataclass(frozen=True)
-class AgentParams:
+@dataclass(slots=True)
+class Agent:
+    agent_id: int
     w_f: float
     w_c: float
     w_m: float
@@ -56,20 +57,6 @@ class AgentParams:
     tau: int  # forecast horizon and order lifetime, steps
     tau_f: int
     alpha_j: float
-    # derived once, each the float the forecast would compute first on
-    # every call: the fundamental and chartist coefficients and the weight total
-    f_coef: float = field(init=False, repr=False)
-    c_coef: float = field(init=False, repr=False)
-    w_total: float = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "f_coef", self.w_f / self.tau_f)
-        object.__setattr__(self, "c_coef", self.w_c / self.tau)
-        object.__setattr__(self, "w_total", self.w_f + self.w_c + self.w_m + self.w_n)
-
-
-@dataclass
-class AgentState:
     cash: float
     shares: int
     optimistic: bool
@@ -78,25 +65,25 @@ class AgentState:
     # negative while several orders are live
     committed_ticks: int = 0
     committed_shares: int = 0
+    # derived once, each the float the forecast would compute first on
+    # every call: the fundamental and chartist coefficients and the weight total
+    f_coef: float = field(init=False, repr=False)
+    c_coef: float = field(init=False, repr=False)
+    w_total: float = field(init=False, repr=False)
 
-
-@dataclass
-class Agent:
-    agent_id: int
-    params: AgentParams
-    state: AgentState
+    def __post_init__(self) -> None:
+        self.f_coef = self.w_f / self.tau_f
+        self.c_coef = self.w_c / self.tau
+        self.w_total = self.w_f + self.w_c + self.w_m + self.w_n
 
 
 def sample_pareto(c_min: float, beta: float, u):
-    """Inverse-CDF Pareto draw(s) with scale c_min and shape beta, from u in (0, 1).
-
-    A scalar u gives a float; an array gives elementwise draws.
-    """
+    """Inverse-CDF Pareto draws with scale c_min and shape beta, elementwise
+    over an array u of uniforms in (0, 1)."""
     x = np.asarray(u, dtype=float)
     if not np.all((x > 0.0) & (x < 1.0)):
         raise ValueError(f"u must lie strictly inside (0, 1), got {u!r}")
-    draws = c_min * x ** (-1.0 / beta)
-    return float(draws) if x.ndim == 0 else draws
+    return c_min * x ** (-1.0 / beta)
 
 
 def horizon(w_f: float, w_c: float) -> int:
@@ -134,36 +121,28 @@ def init_population(config: PopulationConfig, rng: np.random.Generator) -> list[
     alpha_j = config.alpha * up / down
     taus = [max(1, int(x)) for x in tau.tolist()]  # Python ints of any size
     return [
-        Agent(j, AgentParams(w_f=wf, w_c=wc, w_m=wm, w_n=wn, tau=tau_j,
-                             tau_f=config.tau_f, alpha_j=a),
-              AgentState(cash=c, shares=s, optimistic=o))
+        Agent(j, wf, wc, wm, wn, tau_j, config.tau_f, a, c, s, o)
         for j, (wf, wc, wm, wn, tau_j, a, c, s, o) in enumerate(zip(
             w_f.tolist(), w_c.tolist(), w_m.tolist(), w_n.tolist(), taus,
             alpha_j.tolist(), cash.tolist(), shares.tolist(), optimist.tolist()))
     ]
 
 
-def predict_return(
-    params: AgentParams,
-    state: AgentState,
-    p_t: float,
-    p_f: float,
-    p_lag: float,
-    eps: float,
-) -> float | None:
+def predict_return(agent: Agent, p_t: float, p_f: float, p_lag: float,
+                   eps: float) -> float | None:
     """Weighted-average one-step log-return forecast; None if all weights are zero."""
-    total = params.w_total
+    total = agent.w_total
     if total == 0.0:
         return None
     acc = 0.0
-    if params.w_f > 0.0:
-        acc += params.f_coef * math.log(p_f / p_t)
-    if params.w_c > 0.0:
-        acc += params.c_coef * math.log(p_t / p_lag)
-    if params.w_m > 0.0:
-        acc += params.w_m * (1.0 if state.optimistic else -1.0)
-    if params.w_n > 0.0:
-        acc += params.w_n * eps
+    if agent.w_f > 0.0:
+        acc += agent.f_coef * math.log(p_f / p_t)
+    if agent.w_c > 0.0:
+        acc += agent.c_coef * math.log(p_t / p_lag)
+    if agent.w_m > 0.0:
+        acc += agent.w_m * (1.0 if agent.optimistic else -1.0)
+    if agent.w_n > 0.0:
+        acc += agent.w_n * eps
     return acc / total
 
 
@@ -185,11 +164,11 @@ def decide_order(
     places nothing, and a target that is not finite raises ValueError. The gap
     between desired and current shares sets side and size; size is capped by
     v_max, by uncommitted cash at the limit price (no borrowing), and by
-    uncommitted shares (no short selling). Returns None when the agent has
-    nothing to do.
+    uncommitted shares (no short selling). A desired holding too large for a
+    float, its denominator underflowing to 0 included, counts as unbounded
+    toward the forecast's side. Returns None when the agent has nothing to do.
     """
-    params, state = agent.params, agent.state
-    g = params.tau * r_hat
+    g = agent.tau * r_hat
     if g > RETURN_HORIZON_CLAMP:
         g = RETURN_HORIZON_CLAMP
     elif g < -RETURN_HORIZON_CLAMP:
@@ -198,14 +177,20 @@ def decide_order(
     ticks = align_to_tick(p_hat, tick)
     if ticks < 1:
         return None
-    pi_star = math.log(p_hat / p_t) / (params.alpha_j * sigma_sq * p_t)
-    delta = round(pi_star) - state.shares
+    log_ratio = math.log(p_hat / p_t)
+    try:
+        delta = round(log_ratio / (agent.alpha_j * sigma_sq * p_t)) - agent.shares
+    except (ZeroDivisionError, OverflowError):
+        # the denominator underflowed to 0 or the quotient passed the largest
+        # float: the desired holding is unbounded on the forecast's side, so
+        # only v_max, cash and free shares cap the order
+        delta = math.copysign(math.inf, log_ratio) if log_ratio else -agent.shares
     if delta > 0:
-        free_cash = state.cash - price_of(state.committed_ticks, tick)
-        volume = int(free_cash / price_of(ticks, tick))  # affordable
+        affordable = (agent.cash - price_of(agent.committed_ticks, tick)) / price_of(ticks, tick)
+        volume = int(affordable) if affordable < v_max else v_max  # int(inf) would raise
         side = BUY
     elif delta < 0:
-        volume = state.shares - state.committed_shares
+        volume = agent.shares - agent.committed_shares
         delta = -delta
         side = SELL
     else:
@@ -217,4 +202,4 @@ def decide_order(
         volume = v_max
     if volume < 1:
         return None
-    return Order(order_id, agent.agent_id, side, ticks, volume, step, step + params.tau)
+    return Order(order_id, agent.agent_id, side, ticks, volume, step, step + agent.tau)

@@ -10,7 +10,7 @@ when nu > 0, a child stream (`SeedSequence(seed).spawn(1)[0]`) draws each
 mixed step's mood row as that step runs: one permutation of the agents,
 then one uniform per agent. A (config, seed) pair fully pins the output.
 
-Escrow is held in whole ticks on each agent's state. Each order pledges it
+Escrow is held in whole ticks on each agent's record. Each order pledges it
 once: its whole volume at its tick count for a buy, its shares for a sell.
 Each fill and each expiry then releases its share of it, so the escrow
 always mirrors the resting orders.
@@ -150,7 +150,7 @@ class Engine:
         self.rng = np.random.default_rng(config.seed)
         self.agents: list[Agent] = init_population(config.population, self.rng)
         self.book = Book(tick=config.tick_size)
-        self.n_opt = sum(a.state.optimistic for a in self.agents)
+        self.n_opt = sum(a.optimistic for a in self.agents)
 
     def run(self, on_step: Callable | None = None, *,
             record_ticks: bool = True) -> SimulationOutput:
@@ -182,7 +182,6 @@ class Engine:
         submit, expire, mid_price = book.submit, book.expire, book.mid_price
         forecast, decide = predict_return, decide_order
         agents = self.agents
-        states = [agent.state for agent in agents]
         p0, p_f = cfg.p0, cfg.fundamental_price
         sigma_sq, v_max, tick = cfg.sigma_sq_order, cfg.v_max, cfg.tick_size
         p_t = p0
@@ -193,10 +192,9 @@ class Engine:
 
         for t, j, eps_t, exec_t in zip(range(1, t_sim + 1), choices, eps, exec_ok.tolist()):
             agent = agents[j]
-            params, state = agent.params, agent.state
-            tau = params.tau
+            tau = agent.tau
             p_lag = price_hist[t - tau] if t > tau else p0
-            r_hat = forecast(params, state, p_t, p_f, p_lag, eps_t)
+            r_hat = forecast(agent, p_t, p_f, p_lag, eps_t)
             touched = False  # whether this step submits or expires an order
             if r_hat is not None:
                 order = decide(agent, p_t, r_hat, t, sigma_sq, v_max, tick, len(orders) + 1)
@@ -211,14 +209,14 @@ class Engine:
                         ))
                     trades = submit(order, exec_t)
                     if order.side is BUY:
-                        state.committed_ticks += volume * order.ticks
+                        agent.committed_ticks += volume * order.ticks
                     else:
-                        state.committed_shares += volume
+                        agent.committed_shares += volume
                     if trades:
                         for trade in trades:
                             buy = orders[trade.buy_order_id]
                             sell = orders[trade.sell_order_id]
-                            buyer, seller = states[buy.agent_id], states[sell.agent_id]
+                            buyer, seller = agents[buy.agent_id], agents[sell.agent_id]
                             vol = trade.volume
                             cost = trade.price * vol
                             # the buyer's cash moves first: the float order
@@ -243,24 +241,24 @@ class Engine:
             if dropped:
                 touched = True
                 for order, volume in dropped:
-                    state = states[order.agent_id]
+                    agent = agents[order.agent_id]
                     if order.side is BUY:
-                        state.committed_ticks -= volume * order.ticks
+                        agent.committed_ticks -= volume * order.ticks
                     else:
-                        state.committed_shares -= volume
+                        agent.committed_shares -= volume
 
             if mood_on and 0 < self.n_opt < n:
                 n_opt = self.n_opt
                 perm = mood_rng.permutation(n).tolist()
                 urow = mood_rng.random(n).tolist()
                 for k in perm:
-                    state = states[k]
-                    if state.optimistic:
+                    agent = agents[k]
+                    if agent.optimistic:
                         if urow[k] < to_pessimist[n_opt]:
-                            state.optimistic = False
+                            agent.optimistic = False
                             n_opt -= 1
                     elif urow[k] < to_optimist[n_opt]:
-                        state.optimistic = True
+                        agent.optimistic = True
                         n_opt += 1
                 self.n_opt = n_opt
 

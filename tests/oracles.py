@@ -2,7 +2,7 @@
 
 predict_return_raw is the forecast on the raw weights, each coefficient and
 the weight total computed on every call; agents.predict_return reads them
-precomputed on AgentParams, and the two must agree bit for bit.
+precomputed on the Agent record, and the two must agree bit for bit.
 
 price_of_exact is a whole number of ticks times the tick's repr, in rational
 arithmetic, rounded once to a float; orderbook.price_of and every book price
@@ -33,29 +33,23 @@ from itertools import permutations
 
 import numpy as np
 
-from lobfactor.agents import AgentParams, AgentState
+from lobfactor.agents import Agent
 
 
-def predict_return_raw(
-    params: AgentParams,
-    state: AgentState,
-    p_t: float,
-    p_f: float,
-    p_lag: float,
-    eps: float,
-) -> float | None:
-    total = params.w_f + params.w_c + params.w_m + params.w_n
+def predict_return_raw(agent: Agent, p_t: float, p_f: float, p_lag: float,
+                       eps: float) -> float | None:
+    total = agent.w_f + agent.w_c + agent.w_m + agent.w_n
     if total == 0.0:
         return None
     acc = 0.0
-    if params.w_f > 0.0:
-        acc += params.w_f / params.tau_f * math.log(p_f / p_t)
-    if params.w_c > 0.0:
-        acc += params.w_c / params.tau * math.log(p_t / p_lag)
-    if params.w_m > 0.0:
-        acc += params.w_m * (1.0 if state.optimistic else -1.0)
-    if params.w_n > 0.0:
-        acc += params.w_n * eps
+    if agent.w_f > 0.0:
+        acc += agent.w_f / agent.tau_f * math.log(p_f / p_t)
+    if agent.w_c > 0.0:
+        acc += agent.w_c / agent.tau * math.log(p_t / p_lag)
+    if agent.w_m > 0.0:
+        acc += agent.w_m * (1.0 if agent.optimistic else -1.0)
+    if agent.w_n > 0.0:
+        acc += agent.w_n * eps
     return acc / total
 
 
@@ -64,23 +58,23 @@ def price_of_exact(n: int, tick: float) -> float:
 
 
 def update_mood(
-    state: AgentState,
+    agent: Agent,
     n_opt: int,
     n_pes: int,
     n_total: int,
     nu: float,
     u: float,
-) -> AgentState:
+) -> Agent:
     """One conformity draw: flip toward the opposite camp with probability
     nu * (opposite camp size) / n_total. All-optimist and all-pessimist
-    states are absorbing. Mutates and returns the state."""
-    if state.optimistic:
+    states are absorbing. Mutates and returns the agent."""
+    if agent.optimistic:
         if u < nu * n_pes / n_total:
-            state.optimistic = False
+            agent.optimistic = False
     else:
         if u < nu * n_opt / n_total:
-            state.optimistic = True
-    return state
+            agent.optimistic = True
+    return agent
 
 
 def in_no_exec_window(step: int, windows) -> bool:

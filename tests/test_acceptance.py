@@ -154,17 +154,17 @@ def test_c7_determinism_and_conservation(tmp_path):
         totals = {}
 
         def check(engine, step):
-            cash = sum(a.state.cash for a in engine.agents)
-            shares = sum(a.state.shares for a in engine.agents)
+            cash = sum(a.cash for a in engine.agents)
+            shares = sum(a.shares for a in engine.agents)
             if not totals:
                 totals["cash"], totals["shares"] = cash, shares
             assert abs(cash - totals["cash"]) < 1e-6
             assert shares == totals["shares"]
             for agent in engine.agents:
-                assert agent.state.cash >= -1e-9
-                escrow = agent.state.committed_ticks * engine.config.tick_size
-                assert 0 <= escrow <= agent.state.cash + 1e-9
-                assert 0 <= agent.state.committed_shares <= agent.state.shares
+                assert agent.cash >= -1e-9
+                escrow = agent.committed_ticks * engine.config.tick_size
+                assert 0 <= escrow <= agent.cash + 1e-9
+                assert 0 <= agent.committed_shares <= agent.shares
 
         run(trial_config, on_step=check)
 

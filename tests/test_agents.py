@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from lobfactor.agents import (
     Agent,
-    AgentParams,
-    AgentState,
     CashSpec,
     PopulationConfig,
     decide_order,
@@ -28,33 +26,32 @@ def make_agent(
     w_f=0.0, w_c=0.0, w_m=0.0, w_n=0.0, tau_f=200,
     committed_ticks=0, committed_shares=0,
 ):
-    params = AgentParams(w_f, w_c, w_m, w_n, tau, tau_f, alpha_j)
-    state = AgentState(cash, shares, optimistic, committed_ticks, committed_shares)
-    return Agent(0, params, state)
+    return Agent(0, w_f, w_c, w_m, w_n, tau, tau_f, alpha_j, cash, shares, optimistic,
+                 committed_ticks, committed_shares)
 
 
 # ---------------------------------------------------------------- pareto cash
 
 def test_pareto_u_near_one_gives_scale():
-    assert sample_pareto(5000.0, 1.5, 1.0 - 1e-15) == pytest.approx(5000.0, rel=1e-12)
+    draws = sample_pareto(5000.0, 1.5, np.array([1.0 - 1e-15]))
+    assert draws[0] == pytest.approx(5000.0, rel=1e-12)
 
 
 def test_pareto_boundary_u_rejected():
     for u in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
-            sample_pareto(5000.0, 1.5, u)
+            sample_pareto(5000.0, 1.5, np.array([0.5, u]))
 
 
 def test_pareto_sample_mean_and_ks():
     rng = np.random.default_rng(42)
     u = rng.random(100_000)
     u[u == 0.0] = 0.5
-    x = np.array([sample_pareto(5000.0, 1.5, float(ui)) for ui in u[:10_000]])
+    x = sample_pareto(5000.0, 1.5, u)
     # closed-form mean beta*c_min/(beta-1) = 15000; heavy tail so loose band
     assert x.min() >= 5000.0
-    # KS distance of the full vectorized draw against the exact CDF
-    x_all = 5000.0 * u ** (-1.0 / 1.5)
-    xs = np.sort(x_all)
+    # KS distance of the draws against the exact CDF
+    xs = np.sort(x)
     cdf = 1.0 - (5000.0 / xs) ** 1.5
     ecdf_hi = np.arange(1, xs.size + 1) / xs.size
     ecdf_lo = np.arange(0, xs.size) / xs.size
@@ -67,21 +64,23 @@ def test_pareto_sample_mean_and_ks():
 @pytest.mark.parametrize("kind", ["uniform", "pareto"])
 @pytest.mark.parametrize("n_agents", [1, 7, 200])
 def test_horizon_and_risk_aversion_scaling(kind, n_agents):
-    """The population's horizons and risk aversions are bit-equal to the
-    scalar rule on each agent's own draws, and every value is a Python
-    scalar, never a numpy one."""
+    """The population's horizons, risk aversions and derived forecast
+    coefficients are bit-equal to their scalar rules on each agent's own
+    draws, and every value is a Python scalar, never a numpy one."""
     cfg = PopulationConfig(n_agents=n_agents, lambda_f=10.0, lambda_c=2.0, alpha=0.2,
                            cash=CashSpec(kind=kind))
     agents = init_population(cfg, np.random.default_rng(7))
     assert [a.agent_id for a in agents] == list(range(n_agents))
     for a in agents:
-        p, s = a.params, a.state
-        assert p.tau == horizon(p.w_f, p.w_c)
-        assert p.alpha_j.hex() == (0.2 * (1.0 + p.w_f) / (1.0 + p.w_c)).hex()
-        assert p.tau_f == 200
-        assert type(p.tau) is int and type(s.shares) is int
-        assert type(s.cash) is float and type(s.optimistic) is bool
-        assert all(type(w) is float for w in (p.w_f, p.w_c, p.w_m, p.w_n))
+        assert a.tau == horizon(a.w_f, a.w_c)
+        assert a.alpha_j.hex() == (0.2 * (1.0 + a.w_f) / (1.0 + a.w_c)).hex()
+        assert a.tau_f == 200
+        assert a.f_coef.hex() == (a.w_f / a.tau_f).hex()
+        assert a.c_coef.hex() == (a.w_c / a.tau).hex()
+        assert a.w_total.hex() == (a.w_f + a.w_c + a.w_m + a.w_n).hex()
+        assert type(a.tau) is int and type(a.shares) is int
+        assert type(a.cash) is float and type(a.optimistic) is bool
+        assert all(type(w) is float for w in (a.w_f, a.w_c, a.w_m, a.w_n))
 
 
 def test_horizon_edge_values():
@@ -93,15 +92,15 @@ def test_horizon_edge_values():
 def test_init_population_draw_statistics():
     cfg = PopulationConfig(n_agents=100_000, lambda_f=10.0, lambda_c=0.0)
     agents = init_population(cfg, np.random.default_rng(3))
-    w_f = np.array([a.params.w_f for a in agents])
+    w_f = np.array([a.w_f for a in agents])
     assert abs(w_f.mean() - 10.0) < 0.2
-    assert all(a.params.w_c == 0.0 for a in agents[:100])
-    frac_opt = np.mean([a.state.optimistic for a in agents])
+    assert all(a.w_c == 0.0 for a in agents[:100])
+    frac_opt = np.mean([a.optimistic for a in agents])
     assert abs(frac_opt - 0.5) < 0.01
-    cash = np.array([a.state.cash for a in agents])
+    cash = np.array([a.cash for a in agents])
     assert cash.min() > 0.0 and cash.max() < 30_000.0
     assert abs(cash.mean() - 15_000.0) < 300.0
-    shares = np.array([a.state.shares for a in agents])
+    shares = np.array([a.shares for a in agents])
     assert shares.min() >= 0 and shares.max() <= 50
 
 
@@ -110,7 +109,7 @@ def test_init_population_pareto_cash():
         n_agents=200_000, cash=CashSpec(kind="pareto", c_min=5000.0, beta=1.5)
     )
     agents = init_population(cfg, np.random.default_rng(11))
-    cash = np.array([a.state.cash for a in agents])
+    cash = np.array([a.cash for a in agents])
     assert cash.min() >= 5000.0
     assert abs(np.median(cash) - 5000.0 * 2 ** (1 / 1.5)) < 100.0
 
@@ -119,21 +118,21 @@ def test_init_population_pareto_cash():
 
 def test_fundamental_only_forecast():
     a = make_agent(w_f=1.0)
-    r = predict_return(a.params, a.state, 270.0, 300.0, 270.0, 0.0)
+    r = predict_return(a, 270.0, 300.0, 270.0, 0.0)
     assert r == pytest.approx(math.log(300.0 / 270.0) / 200.0)
     assert r == pytest.approx(5.268e-4, rel=1e-3)
 
 
 def test_mood_only_forecast_is_plus_minus_one():
     a = make_agent(w_m=2.5, optimistic=True)
-    assert predict_return(a.params, a.state, 300.0, 300.0, 300.0, 0.0) == 1.0
-    a.state.optimistic = False
-    assert predict_return(a.params, a.state, 300.0, 300.0, 300.0, 0.0) == -1.0
+    assert predict_return(a, 300.0, 300.0, 300.0, 0.0) == 1.0
+    a.optimistic = False
+    assert predict_return(a, 300.0, 300.0, 300.0, 0.0) == -1.0
 
 
 def test_all_zero_weights_abstains():
     a = make_agent()
-    assert predict_return(a.params, a.state, 300.0, 300.0, 300.0, 0.0) is None
+    assert predict_return(a, 300.0, 300.0, 300.0, 0.0) is None
 
 
 @given(
@@ -142,10 +141,10 @@ def test_all_zero_weights_abstains():
 )
 def test_zero_mood_weight_matches_three_term_form(w_f, w_c, w_n, eps, p_t, p_lag):
     a = make_agent(w_f=w_f, w_c=w_c, w_n=w_n, tau=horizon(w_f, w_c))
-    r = predict_return(a.params, a.state, p_t, 300.0, p_lag, eps)
+    r = predict_return(a, p_t, 300.0, p_lag, eps)
     expected = (
         w_f / 200.0 * math.log(300.0 / p_t)
-        + w_c / a.params.tau * math.log(p_t / p_lag)
+        + w_c / a.tau * math.log(p_t / p_lag)
         + w_n * eps
     ) / (w_f + w_c + w_n)
     assert r == pytest.approx(expected, rel=1e-12)
@@ -174,15 +173,9 @@ def test_forecast_is_bit_equal_to_the_raw_weight_formula(
 ):
     a = make_agent(w_f=w_f, w_c=w_c, w_m=w_m, w_n=w_n, tau=tau, tau_f=tau_f,
                    optimistic=optimistic)
-    got = predict_return(a.params, a.state, p_t, 300.0, p_lag, eps)
-    expected = predict_return_raw(a.params, a.state, p_t, 300.0, p_lag, eps)
+    got = predict_return(a, p_t, 300.0, p_lag, eps)
+    expected = predict_return_raw(a, p_t, 300.0, p_lag, eps)
     assert repr(got) == repr(expected)  # repr tells every float bit pattern apart
-
-
-def test_agent_params_are_frozen():
-    a = make_agent(w_f=1.0)
-    with pytest.raises(AttributeError):
-        a.params.w_f = 2.0
 
 
 # --------------------------------------------------------------- order sizing
@@ -219,7 +212,7 @@ def test_desired_holding_arithmetic():
     order = decide_order(buyer, 300.0, r_toward(303.0), 5, 1e-4, 10**9, 1e-4, 1)
     assert order.side is Side.BUY and order.volume == 3
     assert order.ticks == 3_030_000
-    assert order.expiry_step == 5 + buyer.params.tau
+    assert order.expiry_step == 5 + buyer.tau
 
     seller = make_agent(alpha_j=0.1, shares=17, cash=1e12)
     order = decide_order(seller, 300.0, r_toward(303.0), 5, 1e-4, 10**9, 1e-4, 1)
@@ -297,6 +290,28 @@ def test_non_finite_target_raises(p_t, r_hat):
         decide_order(a, p_t, r_hat, 1, 1e-4, 50, 1e-4, 1)
 
 
+@pytest.mark.parametrize("alpha_j, sigma_sq", [
+    (5e-324, 1e-4),  # alpha_j * sigma_sq * p_t underflows to 0
+    (1e-300, 1e-20),  # nonzero, but the desired holding passes the largest float
+])
+@pytest.mark.parametrize("r_hat, side, volume", [
+    (0.01, Side.BUY, 50),  # capped by v_max
+    (-0.01, Side.SELL, 18),  # capped by free shares
+    (0.0, Side.SELL, 18),  # a zero log-ratio still wants 0 shares
+])
+def test_unbounded_desired_holding_is_capped(alpha_j, sigma_sq, r_hat, side, volume):
+    a = make_agent(alpha_j=alpha_j, cash=1e12, shares=30, committed_shares=12)
+    order = decide_order(a, 300.0, r_hat, 1, sigma_sq, 50, 1e-4, 1)
+    assert (order.side, order.volume) == (side, volume)
+
+
+def test_affordable_volume_past_the_largest_float_is_capped():
+    # cash over a one-tick price is inf: v_max caps the order
+    a = make_agent(alpha_j=0.1, cash=1.7e308)
+    order = decide_order(a, 3e-4, 0.01, 1, 1e-4, 50, 1e-4, 1)
+    assert (order.side, order.volume) == (Side.BUY, 50)
+
+
 # ----------------------------------------------------------------------- mood
 
 def test_mood_flip_frequency_matches_probability():
@@ -304,24 +319,24 @@ def test_mood_flip_frequency_matches_probability():
     flips = 0
     trials = 100_000
     for u in rng.random(trials):
-        s = AgentState(0.0, 0, optimistic=False)
+        s = make_agent(optimistic=False)
         update_mood(s, 150, 50, 200, 0.5, float(u))
         flips += s.optimistic
     assert flips / trials == pytest.approx(0.375, abs=0.005)
 
 
 def test_consensus_states_absorb():
-    s = AgentState(0.0, 0, optimistic=True)
+    s = make_agent(optimistic=True)
     for u in np.linspace(0.0, 0.999, 50):
         update_mood(s, 200, 0, 200, 0.7, float(u))
         assert s.optimistic
-    s = AgentState(0.0, 0, optimistic=False)
+    s = make_agent(optimistic=False)
     for u in np.linspace(0.0, 0.999, 50):
         update_mood(s, 0, 200, 200, 0.7, float(u))
         assert not s.optimistic
 
 
 def test_zero_nu_freezes_moods():
-    s = AgentState(0.0, 0, optimistic=False)
+    s = make_agent(optimistic=False)
     update_mood(s, 199, 1, 200, 0.0, 0.0)
     assert not s.optimistic

@@ -435,6 +435,15 @@ class TestSimulate:
         assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_OK
         assert "TradeExecuted" in (out / "ticks.csv").read_text()
 
+    def test_subnormal_risk_aversion_runs(self, sim_config, tmp_path):
+        # every sizing denominator alpha_j * sigma_sq * p_t underflows to 0
+        document = json.loads(Path(sim_config).read_text())
+        document["simulation"]["population"]["alpha"] = 5e-324
+        config = write_json(tmp_path / "tiny.json", document)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_OK
+        assert "TradeExecuted" in (out / "ticks.csv").read_text()
+
     def test_seed_flag_changes_output(self, sim_config, tmp_path):
         out_a = tmp_path / "a"
         main(["simulate", "--config", sim_config, "--out", str(out_a)])
