@@ -12,9 +12,12 @@ log (the `simulate` trials), and 6 mood-only combos of scenario 3 at
 seeds 1000-1002. Trial by trial, the side that runs first alternates; both
 sides must give equal trades, mids, optimist shares and tick logs, and each
 agent must end the trial with the same cash (bit for bit), shares, escrow
-(committed ticks and shares) and mood. Prints, per rep and per set, the CPU
-ratio OLD / NEW (above 1: NEW is faster), then the median ratio over the
-reps. One process sees less noise than separate benchmark processes do, but
+(committed ticks and shares) and mood. A trial that trades must also give
+equal calendar output on the first default synthetic path: its bar log
+returns and per-minute volumes, compared as plain lists outside the timed
+section, so tuple and array forms compare alike. Prints, per rep and per
+set, the CPU ratio OLD / NEW (above 1: NEW is faster), then the median ratio
+over the reps. One process sees less noise than separate benchmark processes do, but
 it times trials only, not a whole command.
 """
 
@@ -24,6 +27,8 @@ import sys
 import time
 from dataclasses import astuple, replace
 from pathlib import Path
+
+import numpy as np
 
 # component settings of the simulate scenarios
 SIMULATE_POPULATIONS = {
@@ -36,7 +41,8 @@ SEEDS = (1000, 1001, 1002)
 
 
 def load_side(tree: str):
-    """`Engine` and the trial set of one checkout: [(set name, config, record_ticks)]."""
+    """`Engine`, the calendar output of a trial and the trial set of one
+    checkout: [(set name, config, record_ticks)]."""
     src = Path(tree) / "src" if (Path(tree) / "src").is_dir() else Path(tree)
     for name in [m for m in sys.modules if m == "lobfactor" or m.startswith("lobfactor.")]:
         del sys.modules[name]
@@ -44,9 +50,20 @@ def load_side(tree: str):
     try:
         from lobfactor.agents import CashSpec, PopulationConfig
         from lobfactor.calibration import ParameterGrid, build_config, enumerate_combos
+        from lobfactor.cli import load_paths, resolve_config
         from lobfactor.engine import Engine, SimulationConfig
+        from lobfactor.timegrid import assign_calendar_time, bar_volumes, log_returns
     finally:
         sys.path.pop(0)
+
+    path = load_paths(resolve_config(None, None, "experiment"), None)[0]
+
+    def calendar(out, p0):
+        """Bar log returns and per-minute volumes on `path`, or None without trades."""
+        if not out.trades:
+            return None
+        returns = log_returns(assign_calendar_time(out, path, p0))
+        return np.asarray(returns).tolist(), np.asarray(bar_volumes(out, path)).tolist()
 
     base = SimulationConfig()
     trials = [
@@ -64,7 +81,7 @@ def load_side(tree: str):
         for combo in enumerate_combos(3, mood_grid, CashSpec())
         for s in SEEDS
     ]
-    return Engine, trials
+    return Engine, calendar, trials
 
 
 def end_state(agent) -> tuple:
@@ -74,13 +91,14 @@ def end_state(agent) -> tuple:
     return s.cash.hex(), s.shares, s.committed_ticks, s.committed_shares, s.optimistic
 
 
-def timed(engine_cls, config, record_ticks: bool):
+def timed(engine_cls, calendar, config, record_ticks: bool):
     start = time.process_time()
     engine = engine_cls(config)
     out = engine.run(record_ticks=record_ticks)
     cpu = time.process_time() - start
     result = ([astuple(t) for t in out.trades], out.mid_prices, out.optimists_rate,
-              [astuple(r) for r in out.ticks], [end_state(a) for a in engine.agents])
+              [astuple(r) for r in out.ticks], [end_state(a) for a in engine.agents],
+              calendar(out, config.p0))
     return cpu, result
 
 
@@ -91,16 +109,16 @@ def main() -> None:
     parser.add_argument("--reps", type=int, default=5)
     args = parser.parse_args()
     sides = [load_side(args.old_src), load_side(args.new_src)]
-    names = sorted({name for name, _, _ in sides[0][1]}) + ["all"]
+    names = sorted({name for name, _, _ in sides[0][2]}) + ["all"]
     ratios = {name: [] for name in names}
     for rep in range(1, args.reps + 1):
         cpu = {name: [0.0, 0.0] for name in names}
-        for i, (name, _, record_ticks) in enumerate(sides[0][1]):
+        for i, (name, _, record_ticks) in enumerate(sides[0][2]):
             order = (0, 1) if (rep + i) % 2 else (1, 0)
             results = [None, None]
             for side in order:
-                engine_cls, trials = sides[side]
-                seconds, results[side] = timed(engine_cls, trials[i][1], record_ticks)
+                engine_cls, calendar, trials = sides[side]
+                seconds, results[side] = timed(engine_cls, calendar, trials[i][1], record_ticks)
                 cpu[name][side] += seconds
                 cpu["all"][side] += seconds
             assert results[0] == results[1], f"trial {i} ({name}) differs"

@@ -205,7 +205,7 @@ def trial_series(
         path = paths[trial_path_index(exp.path_seed, i, len(paths))]
         bars = assign_calendar_time(out, path, cfg.p0, day_id=f"seed{cfg.seed}")
         returns_parts.append(log_returns(bars))
-        volume_parts.append(np.asarray(bar_volumes(out, path)[1:], dtype=float))
+        volume_parts.append(bar_volumes(out, path)[1:])
     return returns_parts, volume_parts, n_degenerate
 
 

@@ -404,7 +404,7 @@ def write_ticks_csv(ticks: list[TickRecord], path) -> None:
 
 def write_bars_csv(bars_list: list[BarSeries], path) -> None:
     _write_csv(path, BARS_CSV_HEADER,
-               ((bars.day_id, *bars.mid_prices) for bars in bars_list))
+               ((bars.day_id, *bars.mid_prices.tolist()) for bars in bars_list))
 
 
 def cmd_simulate(args, resolved: dict) -> int:

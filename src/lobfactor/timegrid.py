@@ -11,7 +11,6 @@ index corresponds to that fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,43 +25,46 @@ class DegenerateTrialError(ValueError):
     """A trial produced no trades and cannot be resampled."""
 
 
-@dataclass(frozen=True)
+def _minute_array(values, what: str) -> np.ndarray:
+    """`values` copied into a read-only float array of one entry per minute."""
+    array = np.array(values, dtype=float)
+    if array.shape != (MINUTES_PER_DAY,):
+        raise ValueError(f"{what} must have shape ({MINUTES_PER_DAY},), got {array.shape}")
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class TransactionPath:
     """Cumulative fraction of the day's transactions completed by each minute."""
 
-    fractions: tuple[float, ...]
+    fractions: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.fractions) != MINUTES_PER_DAY:
-            raise ValueError(f"path must have {MINUTES_PER_DAY} minutes, got {len(self.fractions)}")
-        prev = 0.0
-        for f in self.fractions:
-            if f < prev - 1e-12 or not (0.0 <= f <= 1.0):
-                raise ValueError("fractions must be nondecreasing within [0, 1]")
-            prev = f
-        if self.fractions[-1] != 1.0:
+        f = _minute_array(self.fractions, "path")
+        if not ((0.0 <= f) & (f <= 1.0)).all() or (f[1:] < f[:-1] - 1e-12).any():
+            raise ValueError("fractions must be nondecreasing within [0, 1]")
+        if f[-1] != 1.0:
             raise ValueError("final fraction must be exactly 1")
+        object.__setattr__(self, "fractions", f)
 
-    @cached_property
-    def fraction_array(self) -> np.ndarray:
-        """The fractions as a read-only float array, built once per path."""
-        array = np.array(self.fractions)
-        array.flags.writeable = False
-        return array
+    def __reduce__(self):
+        # rebuild through the constructor, so a copy sent to a worker is read-only too
+        return TransactionPath, (self.fractions,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarSeries:
     """One synthetic trading day: 300 one-minute bar prices."""
 
-    mid_prices: tuple[float, ...]
+    mid_prices: np.ndarray
     day_id: str
 
     def __post_init__(self) -> None:
-        if len(self.mid_prices) != MINUTES_PER_DAY:
-            raise ValueError(f"bar series must have {MINUTES_PER_DAY} bars, got {len(self.mid_prices)}")
-        if any(p <= 0 for p in self.mid_prices):
+        prices = _minute_array(self.mid_prices, "bar series")
+        if not (prices > 0).all():
             raise ValueError("bar prices must be positive")
+        object.__setattr__(self, "mid_prices", prices)
 
 
 def scaled_path_from_counts(counts) -> TransactionPath:
@@ -72,17 +74,16 @@ def scaled_path_from_counts(counts) -> TransactionPath:
     total = int(arr.sum())
     if total == 0:
         raise DegenerateDayError("day has zero transactions")
-    cum = np.cumsum(arr)
-    fractions = cum / total
+    fractions = np.cumsum(arr) / total
     fractions[-1] = 1.0  # exact by construction; pin against float division
-    return TransactionPath(tuple(float(f) for f in fractions))
+    return TransactionPath(fractions)
 
 
-def bar_indices(path: TransactionPath, t_total: int) -> list[int]:
+def bar_indices(path: TransactionPath, t_total: int) -> np.ndarray:
     """Trade index targeted by each minute: round-half-up of fraction*t_total."""
     if t_total < 1:
         raise DegenerateTrialError("no trades to index")
-    return np.floor(path.fraction_array * t_total + 0.5).astype(np.int64).tolist()
+    return np.floor(path.fractions * t_total + 0.5).astype(np.int64)
 
 
 def assign_calendar_time(sim, path: TransactionPath, p0: float,
@@ -95,28 +96,25 @@ def assign_calendar_time(sim, path: TransactionPath, p0: float,
     last price forward. A trial without trades raises DegenerateTrialError.
     """
     trades = sim.trades
-    prices = []
-    for i in bar_indices(path, len(trades)):
-        if i == 0:
-            prices.append(p0)
-        else:
-            step = trades[i - 1].step
-            prices.append(sim.mid_prices[step - 1])  # mid recorded at that step
-    return BarSeries(tuple(prices), day_id=day_id)
+    steps = [0] + [t.step for t in trades]  # trade number 0 is the open, at step 0
+    prices = [p0, *sim.mid_prices]  # entry t: the mid recorded after step t
+    return BarSeries([prices[steps[i]] for i in bar_indices(path, len(trades)).tolist()],
+                     day_id=day_id)
 
 
-def bar_volumes(sim, path: TransactionPath) -> tuple[int, ...]:
+def bar_volumes(sim, path: TransactionPath) -> np.ndarray:
     """Executed shares per minute under the same trade-index assignment."""
     trades = sim.trades
     # a minute's trades end at its index, or at the furthest earlier one
     ends = np.maximum.accumulate(bar_indices(path, len(trades)))
     shares_before = np.cumsum([0] + [t.volume for t in trades])
-    return tuple(np.diff(shares_before[ends], prepend=0).tolist())
+    volumes = np.diff(shares_before[ends], prepend=0)
+    volumes.flags.writeable = False
+    return volumes
 
 
 def log_returns(bars: BarSeries) -> np.ndarray:
-    p = np.asarray(bars.mid_prices, dtype=float)
-    return np.diff(np.log(p))
+    return np.diff(np.log(bars.mid_prices))
 
 
 def synthetic_reference_path(rng: np.random.Generator, shape: str,

@@ -188,10 +188,10 @@ def test_c8_calendar_time_resampling():
     fractions = head + (1.0,) * (MINUTES_PER_DAY - len(head))
     path = TransactionPath(fractions)
     # floor(f * 10 + 0.5): 0, 0, 1, 3, 6, 9, then 10 for every padded minute
-    assert bar_indices(path, 10)[:7] == [0, 0, 1, 3, 6, 9, 10]
+    assert bar_indices(path, 10)[:7].tolist() == [0, 0, 1, 3, 6, 9, 10]
     bars = assign_calendar_time(sim, path, p0=300.0)
     expected_head = (300.0, 300.0, 301.0, 303.0, 306.0, 309.0)
-    assert bars.mid_prices[:6] == expected_head
+    assert tuple(bars.mid_prices[:6].tolist()) == expected_head
     assert set(bars.mid_prices[6:]) == {310.0}
 
     rng = np.random.default_rng(88)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ class TestScaledPath:
     def test_all_in_first_minute_step_function(self):
         counts = [7] + [0] * (MINUTES_PER_DAY - 1)
         path = scaled_path_from_counts(counts)
-        assert path.fractions == tuple([1.0] * MINUTES_PER_DAY)
+        assert path.fractions.tolist() == [1.0] * MINUTES_PER_DAY
 
     def test_zero_day_rejected(self):
         with pytest.raises(DegenerateDayError):
@@ -101,10 +102,48 @@ class TestScaledPath:
             TransactionPath(tuple([0.5] * MINUTES_PER_DAY))
 
 
+class TestDayArrays:
+    """Paths and bar days hold one read-only float array, whatever form they
+    are built from; perfbench builds its paths from tuples."""
+
+    KINDS = {
+        "path": (TransactionPath, "fractions", np.linspace(0.0, 1.0, MINUTES_PER_DAY)),
+        "bars": (lambda v: BarSeries(v, "d"), "mid_prices",
+                 np.linspace(100.0, 200.0, MINUTES_PER_DAY)),
+    }
+    BAD_MINUTES = {
+        "nan": pad_fractions([math.nan]),
+        "2d": np.ones((2, MINUTES_PER_DAY)),
+        "short": (1.0,) * (MINUTES_PER_DAY - 1),
+    }
+
+    @pytest.mark.parametrize("form", [tuple, list, np.array])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_any_input_form_gives_a_read_only_float_array(self, kind, form):
+        make, name, values = self.KINDS[kind]
+        array = getattr(make(form(values.tolist())), name)
+        assert array.dtype == np.float64 and not array.flags.writeable
+        assert array.tolist() == values.tolist()
+
+    def test_a_pickled_path_stays_read_only(self):
+        path = pickle.loads(pickle.dumps(scaled_path_from_counts([1] * MINUTES_PER_DAY)))
+        assert not path.fractions.flags.writeable
+
+    @pytest.mark.parametrize("bad", BAD_MINUTES.values(), ids=BAD_MINUTES.keys())
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_malformed_minutes_rejected(self, kind, bad):
+        with pytest.raises(ValueError):
+            self.KINDS[kind][0](bad)
+
+    def test_nonpositive_bar_price_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            BarSeries(pad_fractions([0.0]), "d")
+
+
 class TestAssignCalendarTime:
     def test_half_up_rounding_of_trade_indices(self):
         path = TransactionPath(pad_fractions([0.0, 0.049, 0.05, 0.1, 0.25, 0.3]))
-        assert bar_indices(path, 10)[:6] == [0, 0, 1, 1, 3, 3]
+        assert bar_indices(path, 10)[:6].tolist() == [0, 0, 1, 1, 3, 3]
         assert bar_indices(path, 10)[-1] == 10
 
     @pytest.mark.parametrize("shape", ["uniform", "ushape"])
@@ -113,14 +152,14 @@ class TestAssignCalendarTime:
         for t_total in (1, 2, 7, 299, 300, 301, 12_345, 2**40 + 1):
             path = synthetic_reference_path(rng, shape, 30_000)
             got = bar_indices(path, t_total)
-            assert got == [math.floor(f * t_total + 0.5) for f in path.fractions]
-            assert all(type(i) is int for i in got)
+            assert got.tolist() == [math.floor(f * t_total + 0.5) for f in path.fractions.tolist()]
+            assert got.dtype == np.int64
 
     def test_ten_trade_hand_enumeration(self):
         sim = make_sim(10)
         path = TransactionPath(pad_fractions([0.0, 0.049, 0.05, 0.1, 0.25, 0.3]))
         bars = assign_calendar_time(sim, path, p0=300.0)
-        assert bars.mid_prices[:6] == (300.0, 300.0, 301.0, 301.0, 303.0, 303.0)
+        assert bars.mid_prices[:6].tolist() == [300.0, 300.0, 301.0, 301.0, 303.0, 303.0]
         assert set(bars.mid_prices[6:]) == {310.0}
 
     def test_leading_zero_fractions_take_p0(self):
@@ -163,14 +202,14 @@ class TestAssignCalendarTime:
         idx = bar_indices(path, n_trades)
         for i, f in zip(idx, path.fractions):
             assert abs(i / n_trades - f) < 1.0 / n_trades
-        assert idx == sorted(idx)
+        assert idx.tolist() == sorted(idx)
 
     def test_bar_volumes_partition_trades(self):
         sim = make_sim(10)
         path = TransactionPath(pad_fractions([0.0, 0.049, 0.05, 0.1, 0.25, 0.3]))
         vols = bar_volumes(sim, path)
         # indices [0, 0, 1, 1, 3, 3, 10, 10, ...]: volumes 1, then 2+3, then 4..10
-        assert vols[:7] == (0, 0, 1, 0, 5, 0, sum(range(4, 11)))
+        assert vols[:7].tolist() == [0, 0, 1, 0, 5, 0, sum(range(4, 11))]
         assert sum(vols) == sum(t.volume for t in sim.trades)
 
     @settings(max_examples=60, deadline=None)
@@ -181,15 +220,17 @@ class TestAssignCalendarTime:
         sim = make_sim(n_trades)
         path = scaled_path_from_counts(counts)
         vols = bar_volumes(sim, path)
-        assert vols == bar_volumes_loop(sim.trades, bar_indices(path, n_trades))
-        assert all(type(v) is int for v in vols)
+        assert vols.tolist() == list(bar_volumes_loop(sim.trades, bar_indices(path, n_trades)))
+        assert vols.dtype == np.int64 and not vols.flags.writeable
+        assert vols.sum() == sum(t.volume for t in sim.trades)
 
     def test_bar_volumes_ignore_an_index_that_steps_back(self):
         # fractions may dip by up to 1e-12, which can pull an index back by one
         sim = make_sim(1)
         path = TransactionPath(pad_fractions([0.5, 0.5 - 1e-13]))
-        assert bar_indices(path, 1)[:3] == [1, 0, 1]
-        assert bar_volumes(sim, path) == bar_volumes_loop(sim.trades, bar_indices(path, 1))
+        assert bar_indices(path, 1)[:3].tolist() == [1, 0, 1]
+        expected = bar_volumes_loop(sim.trades, bar_indices(path, 1))
+        assert bar_volumes(sim, path).tolist() == list(expected)
 
 
 class TestLogReturns:
@@ -249,7 +290,7 @@ class TestCsvIO:
         out = tmp_path / "bars.csv"
         write_bars_csv(bars, out)
         back = read_bar_price_rows(out)
-        assert [tuple(prices) for prices in back] == [b.mid_prices for b in bars]
+        assert [prices.tolist() for prices in back] == [b.mid_prices.tolist() for b in bars]
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == BARS_CSV_HEADER
@@ -269,7 +310,7 @@ class TestCsvIO:
             writer.writerow([2] * MINUTES_PER_DAY)
         paths = load_paths(DEFAULT_CONFIG, str(out))
         assert len(paths) == 2
-        assert paths[0].fractions == paths[1].fractions  # same shape after scaling
+        assert np.array_equal(paths[0].fractions, paths[1].fractions)  # same shape after scaling
 
     def test_counts_non_integer_diagnostic(self, tmp_path):
         out = tmp_path / "counts.csv"
