@@ -1,4 +1,4 @@
-"""Scenario matrix, grid search, and the chartist-intensity sweep.
+"""Scenario matrix, combo scoring, and grid search with a resumable ledger.
 
 Eight scenarios toggle three candidate components (Pareto cash, chartist
 weight, mood weight). For each scenario the searchable parameters are the
@@ -31,7 +31,6 @@ from .metrics import (
     ot_distance,
     standardize,
     stylized_facts,
-    theoretical_hill,
 )
 from .timegrid import TransactionPath, assign_calendar_time, bar_volumes, log_returns
 
@@ -406,46 +405,3 @@ def make_student_t_refs(spec: RefsSpec) -> list[PointCloud]:
 def scenario_stylized_facts(result: CalibrationResult) -> StylizedFactReport | None:
     """Stylized facts at a scenario's best combo, from its calibration pass."""
     return result.best.stylized
-
-
-def sweep_lambda_c(grid: ParameterGrid, per_combo: list[ComboMetrics]) -> list[dict]:
-    """Hill index versus chartist intensity for the chartist scenarios.
-
-    Aggregates the per-combo results of calibrating scenarios 0, 1, 2 and 4
-    and simulates nothing. For each nonzero lambda_c: Hill per alpha for
-    scenario 2 (uniform cash) and scenario 4 (Pareto cash), plus the
-    additive prediction built per alpha from scenarios 0, 1, 2; each series
-    reported as mean and std across the alpha grid. Unstable combos drop out
-    of the aggregation.
-    """
-    # these scenarios pin lambda_m and nu to 0, so cash kind, lambda_c and
-    # alpha pick out a combo; its Hill index is None when unstable
-    hill_of = {(m.combo.cash.kind, m.combo.lambda_c, m.combo.alpha): m.hill for m in per_combo}
-
-    def hills(cash_kind: str, lambda_c: float) -> dict[float, float | None]:
-        return {a: hill_of[cash_kind, lambda_c, a] for a in grid.alpha}
-
-    z0 = hills("uniform", 0.0)
-    z1 = hills("pareto", 0.0)
-    rows = []
-    for lc in [v for v in grid.lambda_c if v > 0]:
-        z2 = hills("uniform", lc)
-        z4 = hills("pareto", lc)
-        theo = [
-            theoretical_hill(z0[a], z1[a], z2[a])
-            for a in grid.alpha
-            if None not in (z0[a], z1[a], z2[a])
-        ]
-        for series, values in (
-            ("sim2", [v for v in z2.values() if v is not None]),
-            ("sim4", [v for v in z4.values() if v is not None]),
-            ("theoretical", theo),
-        ):
-            rows.append({
-                "lambda_c": lc,
-                "series": series,
-                "hill_mean": float(np.mean(values)) if values else None,
-                "hill_std": float(np.std(values)) if values else None,
-                "n_points": len(values),
-            })
-    return rows

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import islice
 from operator import attrgetter
 from pathlib import Path
@@ -24,202 +22,28 @@ from types import NoneType
 import numpy as np
 
 from . import __version__
-from .calibration import (
-    CalibrationError,
-    ComboLedger,
-    ExperimentConfig,
-    LedgerError,
-    ParameterGrid,
-    RefsSpec,
-    calibrate,
-    enumerate_combos,
-    make_student_t_refs,
-    sweep_lambda_c,
-    trial_path_index,
-)
-from .engine import ConfigurationError, SimulationConfig, TickRecord, run, validate_config
-from .metrics import (
-    DegenerateSeriesError,
-    build_tail_cloud,
-    hill_index,
-    ot_distance,
-    standardize,
-    stylized_facts,
-    theoretical_hill,
-)
-from .timegrid import (
-    MINUTES_PER_DAY,
-    BarSeries,
-    DegenerateDayError,
-    TransactionPath,
-    assign_calendar_time,
-    scaled_path_from_counts,
-    synthetic_reference_path,
-)
+from .calibration import (CalibrationError, ComboLedger, LedgerError, RefsSpec, calibrate,
+                          enumerate_combos, make_student_t_refs, trial_path_index)
+# perfbench and scripts read resolve_config and parameter_grid from this module
+from .config import (MAX_COUNT, ConfigError, config_digest, experiment_config, parameter_grid,
+                     read_input, resolve_config, run_digest, simulation_config)
+from .engine import TickRecord, run
+from .metrics import (ABS_AUTOCORR_LAGS, DegenerateSeriesError, build_tail_cloud, hill_index,
+                      ot_distance, standardize, stylized_facts)
+from .tables import (FIG5_COLUMNS, QUARTET, SYNERGY_COLUMNS, TABLE2_COLUMNS, TABLE4_COLUMNS,
+                     sweep_lambda_c, synergy_rows, table2_rows, table4_rows)
+from .timegrid import (MINUTES_PER_DAY, BarSeries, DegenerateDayError, TransactionPath,
+                       assign_calendar_time, price_log_returns, scaled_path_from_counts,
+                       synthetic_reference_path)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DEGENERATE = 4
 
-class ConfigError(ValueError):
-    pass
-
 
 class DataError(ValueError):
     pass
-
-
-def _json(value):
-    """A dataclass default as a JSON value: tuples become lists."""
-    return json.loads(json.dumps(value))
-
-
-@dataclass(frozen=True)
-class _Document:
-    """A whole config document: one section per typed config."""
-
-    simulation: SimulationConfig = field(default_factory=SimulationConfig)
-    experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-
-
-DEFAULT_CONFIG: dict = _json(asdict(_Document()))
-
-
-def read_input(file, what: str, error: type[ValueError]) -> str:
-    """An input file's text; one not readable as UTF-8 raises `error` naming it once."""
-    try:
-        return Path(file).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:  # an OSError's text names the file again
-        raise error(f"{what} file {file}: {getattr(exc, 'strerror', None) or exc}") from None
-
-
-def resolve_config(config_path: str | None, seed_flag: int | None, command: str,
-                   trials_flag: int | None = None) -> dict:
-    """Defaults <- config file <- --seed and --trials, written back from the typed
-    configs so equal configs digest alike; any value out of bounds raises ConfigError."""
-    override: dict = {}
-    if config_path is not None:
-        try:
-            override = json.loads(read_input(config_path, "config", ConfigError))
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-            raise ConfigError(f"config file {config_path}: not valid JSON: {exc}") from None
-        if not isinstance(override, dict):
-            raise ConfigError(f"config file {config_path}: not a JSON object")
-    doc = _build(_Document, override, "")
-    seed = ("experiment", "base_seed") if command == "experiment" else ("simulation", "seed")
-    for (section, name), flag in ((seed, seed_flag), (("experiment", "trials"), trials_flag)):
-        if flag is not None:
-            doc = replace(doc, **{section: replace(getattr(doc, section), **{name: flag})})
-    _check(doc)
-    return _json(asdict(doc))
-
-
-def config_digest(resolved: dict) -> str:
-    blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def run_digest(resolved: dict, refs_files: list[str] | None, paths_file: str | None) -> str:
-    """sha256 of the resolved config's digest, the bytes of each input file
-    and the tool version: what a ledger line must match to be reused on
-    resume. The version bumps whenever a change alters an output byte, so a
-    resume never mixes lines of two programs."""
-    def file_digest(file: str) -> str:
-        return hashlib.sha256(Path(file).read_bytes()).hexdigest()
-
-    inputs = {"config": config_digest(resolved),
-              "refs": [file_digest(file) for file in refs_files or []],
-              "paths": file_digest(paths_file) if paths_file else None,
-              "version": __version__}
-    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
-
-
-def _build(cls, section, path: str):
-    """A `cls` from a partial config section over its defaults, each given
-    value checked against the type of its field's default."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"config field {path} must be an object")
-    default, names = cls(), {f.name for f in fields(cls)}
-    values = {}
-    for key, value in section.items():
-        field_path = f"{path}.{key}" if path else key
-        if key not in names:
-            raise ConfigError(f"unknown config field: {field_path}")
-        values[key] = _convert(getattr(default, key), value, field_path)
-    return replace(default, **values)
-
-
-def _convert(default, value, path: str):
-    """`value` as the type of `default`: dataclasses field by field, tuples
-    element by element, an int where a float is due, and an integral float
-    where an int is; a bool or a string only where the default is one."""
-    if value is None:
-        raise ConfigError(f"config field {path} is missing a value")
-    if is_dataclass(default):
-        return _build(type(default), value, path)
-    if isinstance(default, tuple):
-        if not isinstance(value, list):
-            raise ConfigError(f"config field {path} must be a list, got {value!r}")
-        return tuple(_convert(default[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-    kind = type(default)
-    try:
-        if kind in (bool, str) or isinstance(value, (bool, str)):
-            if type(value) is not kind:
-                raise TypeError
-            return value
-        converted = kind(value)
-        if isinstance(value, float) and converted != value:
-            raise ValueError  # a fraction cut off, or NaN
-        return converted
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config field {path} must be of type {kind.__name__}, "
-                          f"got {value!r}") from None
-
-
-_MAX_COUNT = 10**12  # a path day's mean count, and each paths-file count: no int64 wrap
-_EXPERIMENT_BOUNDS = (  # (field, least, greatest) of each experiment number
-    ("trials", 1, math.inf), ("base_seed", 0, math.inf), ("path_seed", 0, math.inf),
-    ("refs.seed", 0, math.inf), ("paths.seed", 0, math.inf),
-    ("refs.count", 1, 10**3),  # each is an OT against every combo's pool: 55x the default 18
-    ("refs.n_samples", 2, 10**7),  # standardizing needs 2; 10**7 draws are 80 MB per reference
-    ("refs.df", math.ulp(0.0), sys.float_info.max),  # numpy's Student-t needs a finite df > 0
-    ("paths.count", 1, 10**4),  # a path is 300 boxed floats, 10 kB: 10**4 paths are 100 MB
-    ("paths.mean_total", 1, _MAX_COUNT),  # a path day must be able to hold a transaction
-)
-
-
-def _check(doc: _Document) -> None:
-    """Raise a ConfigError naming a value of `doc` out of bounds, grid axis values included."""
-    sim = doc.simulation
-    configs = [("simulation config", sim)] + [
-        (f"experiment.grid.{axis.name}",
-         replace(sim, population=replace(sim.population, **{axis.name: value})))
-        for axis in fields(ParameterGrid) for value in getattr(doc.experiment.grid, axis.name)]
-    for path, config in configs:
-        try:
-            validate_config(config)
-        except ConfigurationError as exc:
-            raise ConfigError(f"invalid {path}: {exc}") from None
-    for path, low, high in _EXPERIMENT_BOUNDS:
-        value = attrgetter(path)(doc.experiment)
-        if not low <= value <= high:
-            bound = f">= {low}" if value < low else f"<= {high}"
-            raise ConfigError(f"config field experiment.{path} must be {bound}, got {value}")
-
-
-# the section readers: plain builds of a document that resolve_config checked
-def simulation_config(resolved: dict) -> SimulationConfig:
-    return _build(SimulationConfig, resolved["simulation"], "simulation")
-
-
-def experiment_config(resolved: dict) -> ExperimentConfig:
-    return _build(ExperimentConfig, resolved["experiment"], "experiment")
-
-
-def parameter_grid(resolved: dict) -> ParameterGrid:
-    """The experiment's search grid; perfbench/inputs.py reads it."""
-    return experiment_config(resolved).grid
 
 
 def load_paths(resolved: dict, paths_file: str | None) -> list[TransactionPath]:
@@ -240,7 +64,7 @@ def load_paths(resolved: dict, paths_file: str | None) -> list[TransactionPath]:
 # per kind of cell: its dtype, its open bounds, and those bounds in words
 _CELLS = {"number": (float, -math.inf, math.inf, "finite"),
           "price": (float, 0, math.inf, "positive and finite"),
-          "count": (np.int64, -1, _MAX_COUNT + 1, f"an integer in [0, {_MAX_COUNT}]")}
+          "count": (np.int64, -1, MAX_COUNT + 1, f"an integer in [0, {MAX_COUNT}]")}
 
 
 def _parse(noun: str, cells: list[str]) -> np.ndarray | None:
@@ -288,7 +112,7 @@ def read_bar_price_rows(file, what: str = "bars") -> list[np.ndarray]:
 
 
 def pooled_bar_returns(files: list[str], what: str = "bars") -> np.ndarray:
-    return np.concatenate([np.diff(np.log(prices)) for file in files
+    return np.concatenate([price_log_returns(prices) for file in files
                            for prices in read_bar_price_rows(file, what)])
 
 
@@ -336,13 +160,6 @@ def write_manifest(out_dir: Path, command: str, resolved: dict,
     return target
 
 
-TABLE2_COLUMNS = ("scenario", "cash_kind", "lambda_c", "lambda_m", "nu", "alpha",
-                  "hill", "k_used", "mean_ot", "ot_std", "n_trials", "n_degenerate",
-                  "n_pooled")
-TABLE4_COLUMNS = ("scenario", "kurtosis", "vol_volume_corr",
-                  "abs_autocorr_1", "abs_autocorr_10", "abs_autocorr_20", "abs_autocorr_30")
-SYNERGY_COLUMNS = ("observed_hill_4", "theoretical_hill_4", "observed_lower")
-FIG5_COLUMNS = ("lambda_c", "series", "hill_mean", "hill_std", "n_points")
 SERIES_COLUMNS = ("step", "mid_price", "log_return", "optimists_rate")
 TICKS_CSV_COLUMNS = ("step", "event", "market_price", "mid_price", "best_bid", "best_ask",
                      "order_volume", "exec_volume", "n_optimists")
@@ -441,7 +258,7 @@ def cmd_metrics(args, resolved: dict) -> int:
     if not args.bars:
         raise ConfigError("metrics requires at least one bars CSV")
     pooled = pooled_bar_returns(args.bars)
-    lags = tuple(lag for lag in (1, 10, 20, 30) if pooled.size > lag + 1)
+    lags = tuple(lag for lag in ABS_AUTOCORR_LAGS if pooled.size > lag + 1)
     if not lags:
         raise DataError(f"too few returns for metrics: {pooled.size}")
     refs = [ref_cloud(file) for file in args.refs or []]
@@ -520,36 +337,20 @@ def cmd_experiment(args, resolved: dict) -> int:
     results = {n: calibrate(n, exp, base, refs, paths, ledger=ledger, workers=args.workers)
                for n in scenarios}
 
-    table2, table4 = [], []
-    for n in scenarios:
-        best = results[n].best
-        c, facts = best.combo, best.stylized  # facts are None where undefined
-        table2.append((n, c.cash.kind, c.lambda_c, c.lambda_m, c.nu, c.alpha, best.hill,
-                       best.k_used, best.mean_ot, best.ot_std, best.n_trials,
-                       best.n_degenerate, best.n_pooled))
-        cells = (None,) * 6 if facts is None else (
-            facts.kurtosis, facts.vol_volume_corr,
-            *(facts.abs_autocorr.get(lag) for lag in (1, 10, 20, 30)))
-        table4.append((n, *cells))
+    for n, result in results.items():
+        best = result.best
         print(f"scenario {n}: hill={best.hill:.4f} mean_ot={best.mean_ot:.6f} "
-              f"combo={c.key()}")
-    _write_csv(out_dir / "table2.csv", TABLE2_COLUMNS, table2)
-    _write_csv(out_dir / "table4.csv", TABLE4_COLUMNS, table4)
-    outputs = [ledger_path.name, "table2.csv", "table4.csv"]
-
-    if {0, 1, 2, 4} <= set(scenarios):
-        # does the combined scenario 4 sit below the additive prediction?
-        hills = {n: results[n].best.hill for n in (0, 1, 2, 4)}
-        theoretical = theoretical_hill(hills[0], hills[1], hills[2])
-        _write_csv(out_dir / "synergy.csv", SYNERGY_COLUMNS,
-                   [(hills[4], theoretical, hills[4] < theoretical)])
-        sweep = sweep_lambda_c(exp.grid, [m for n in (0, 1, 2, 4) for m in results[n].per_combo])
-        _write_csv(out_dir / "fig5.csv", FIG5_COLUMNS,
-                   [[r[c] for c in FIG5_COLUMNS] for r in sweep])
-        outputs += ["synergy.csv", "fig5.csv"]
+              f"combo={best.combo.key()}")
+    tables = {"table2.csv": (TABLE2_COLUMNS, table2_rows(results)),
+              "table4.csv": (TABLE4_COLUMNS, table4_rows(results))}
+    if set(QUARTET) <= results.keys():
+        tables["synergy.csv"] = (SYNERGY_COLUMNS, synergy_rows(results))
+        tables["fig5.csv"] = (FIG5_COLUMNS, sweep_lambda_c(exp.grid, results))
+    for name, (columns, rows) in tables.items():
+        _write_csv(out_dir / name, columns, rows)
 
     write_manifest(out_dir, "experiment", resolved,
-                   (exp.base_seed, exp.base_seed + exp.trials - 1), outputs)
+                   (exp.base_seed, exp.base_seed + exp.trials - 1), [ledger_path.name, *tables])
     print(f"experiment: {len(scenarios)} scenarios x {exp.trials} trials -> {out_dir}")
     return EXIT_OK
 

@@ -17,6 +17,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 
+ABS_AUTOCORR_LAGS = (1, 10, 20, 30)  # the |return| autocorrelation lags every report gives
+
+
 class DegenerateSeriesError(ValueError):
     """A statistic is undefined on the given series (zero variance, zero tail)."""
 
@@ -147,7 +150,8 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 
-def stylized_facts(returns, volumes=None, lags: tuple[int, ...] = (1, 10, 20, 30)) -> StylizedFactReport:
+def stylized_facts(returns, volumes=None,
+                   lags: tuple[int, ...] = ABS_AUTOCORR_LAGS) -> StylizedFactReport:
     """Excess kurtosis, |return|-volume correlation, |return| autocorrelation."""
     r = np.asarray(returns, dtype=float)
     if r.size <= max(lags) + 1:

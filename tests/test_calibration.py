@@ -1,4 +1,4 @@
-"""Scenario enumeration, combo evaluation, grid calibration, and sweeps."""
+"""Scenario enumeration, combo evaluation, grid calibration, and the combo ledger."""
 
 import concurrent.futures
 import dataclasses
@@ -23,7 +23,6 @@ from lobfactor.calibration import (
     enumerate_combos,
     evaluate_combo,
     make_student_t_refs,
-    sweep_lambda_c,
     trial_path_index,
     trial_series,
 )
@@ -488,44 +487,3 @@ class TestStudentTRefs:
         assert len(refs) == 18
         assert refs[0].points.shape == (1500,)
 
-
-def quartet_per_combo(grid: ParameterGrid, score) -> list[ComboMetrics]:
-    """Per-combo results of scenarios 0, 1, 2 and 4, each scored by ``score``."""
-    return [score(combo) for n in (0, 1, 2, 4)
-            for combo in enumerate_combos(n, grid, CashSpec())]
-
-
-class TestSweepLambdaC:
-    @staticmethod
-    def _hill_falls_with_lambda_c(combo):
-        # hill falls with lambda_c, offset by cash kind and alpha
-        base = 4.0 - 0.4 * combo.lambda_c - (0.5 if combo.cash.kind == "pareto" else 0.0)
-        return _fake_metrics(combo, mean_ot=1.0, hill=base + combo.alpha)
-
-    def test_row_structure_and_values(self):
-        grid = ParameterGrid(lambda_c=(0.0, 1.5, 2.5), alpha=(0.1, 0.3))
-        rows = sweep_lambda_c(grid, quartet_per_combo(grid, self._hill_falls_with_lambda_c))
-        assert [(r["lambda_c"], r["series"]) for r in rows] == [
-            (1.5, "sim2"), (1.5, "sim4"), (1.5, "theoretical"),
-            (2.5, "sim2"), (2.5, "sim4"), (2.5, "theoretical"),
-        ]
-        by = {(r["lambda_c"], r["series"]): r for r in rows}
-        # sim2 at lc: mean over alpha of 4.0 - 0.4*lc + alpha
-        assert by[(1.5, "sim2")]["hill_mean"] == pytest.approx(4.0 - 0.6 + 0.2)
-        assert by[(2.5, "sim4")]["hill_mean"] == pytest.approx(4.0 - 1.0 - 0.5 + 0.2)
-        # theoretical: z1 + z2 - z0 = (3.5+a) + (4-0.4lc+a) - (4+a) = 3.5 - 0.4lc + a
-        assert by[(2.5, "theoretical")]["hill_mean"] == pytest.approx(3.5 - 1.0 + 0.2)
-        assert all(r["n_points"] == 2 for r in rows)
-
-    def test_unstable_points_drop_from_aggregate(self):
-        def score(combo):
-            if combo.cash.kind == "uniform" and combo.lambda_c > 0 and combo.alpha == 0.1:
-                return _fake_metrics(combo, 0.0, 0.0, unstable=True)
-            return _fake_metrics(combo, mean_ot=1.0, hill=3.0)
-
-        grid = ParameterGrid(lambda_c=(0.0, 2.0), alpha=(0.1, 0.3))
-        rows = sweep_lambda_c(grid, quartet_per_combo(grid, score))
-        by = {(r["lambda_c"], r["series"]): r for r in rows}
-        assert by[(2.0, "sim2")]["n_points"] == 1
-        assert by[(2.0, "theoretical")]["n_points"] == 1
-        assert by[(2.0, "sim4")]["n_points"] == 2

@@ -1,5 +1,6 @@
 """CLI behavior: config resolution, subcommands, exit codes, artifacts."""
 
+import ast
 import copy
 import csv
 import io
@@ -21,10 +22,10 @@ from schemas import MANIFEST_SCHEMA, METRICS_REPORT_SCHEMA
 import lobfactor
 import lobfactor.calibration as calibration_mod
 import lobfactor.cli as cli_mod
+import lobfactor.config as config_mod
 from lobfactor.calibration import ComboMetrics, ExperimentConfig
 from lobfactor.cli import (
     BARS_CSV_HEADER,
-    DEFAULT_CONFIG,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_DEGENERATE,
@@ -40,6 +41,7 @@ from lobfactor.cli import (
     run_digest,
     simulation_config,
 )
+from lobfactor.config import DEFAULT_CONFIG
 from lobfactor.engine import MAX_W_MAX, SimulationConfig, validate_config
 from lobfactor.metrics import DegenerateSeriesError, StylizedFactReport
 from lobfactor.orderbook import price_of
@@ -258,7 +260,7 @@ class TestBuildConfig:
         assert run_digest(resolved, [str(data)], None) != first  # same bytes, other role
         assert run_digest(resolve_config(None, 5, "experiment"), None, str(data)) != first
         with monkeypatch.context() as patch:
-            patch.setattr(cli_mod, "__version__", "0.0.0")  # another program
+            patch.setattr(config_mod, "__version__", "0.0.0")  # another program
             assert run_digest(resolved, None, str(data)) != first
         data.write_text("2\n")
         assert run_digest(resolved, None, str(data)) != first
@@ -1027,3 +1029,28 @@ class TestConsoleScript:
                            "if m in ('multiprocessing', 'concurrent.futures.process')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def names_read_from_cli(source: str) -> set[str]:
+    """Each X of a `from lobfactor.cli import X` and of a `cli.X` read."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "lobfactor.cli":
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "cli"):
+            names.add(node.attr)
+    return names
+
+
+def test_benchmark_and_scripts_read_only_names_the_cli_has():
+    """perfbench/ and scripts/ read config loaders from lobfactor.cli; the
+    benchmark's checks run only in benchmark runs and no test imports the
+    scripts, so a name lost from cli would show nowhere else."""
+    root = Path(__file__).resolve().parents[1]
+    names = set().union(*(names_read_from_cli(file.read_text())
+                          for folder in ("perfbench", "scripts")
+                          for file in sorted((root / folder).glob("*.py"))))
+    assert {"resolve_config", "simulation_config", "parameter_grid", "load_paths",
+            "main"} <= names
+    assert sorted(name for name in names if not hasattr(cli_mod, name)) == []

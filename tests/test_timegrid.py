@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from lobfactor.cli import (
     BARS_CSV_HEADER,
-    DEFAULT_CONFIG,
     DataError,
     load_paths,
     read_bar_price_rows,
     write_bars_csv,
 )
+from lobfactor.config import DEFAULT_CONFIG
 from lobfactor.orderbook import Trade
 from lobfactor.timegrid import (
     MINUTES_PER_DAY,
