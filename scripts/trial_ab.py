@@ -16,8 +16,10 @@ agent must end the trial with the same cash (bit for bit), shares, escrow
 equal calendar output on the first default synthetic path: its bar log
 returns and per-minute volumes, compared as plain lists outside the timed
 section, so tuple and array forms compare alike. Prints, per rep and per
-set, the CPU ratio OLD / NEW (above 1: NEW is faster), then the median ratio
-over the reps. One process sees less noise than separate benchmark processes do, but
+set, the CPU ratio OLD / NEW (above 1: NEW is faster), then each set's
+median ratio over the reps, with its least and greatest. Trades and tick
+rows compare as plain tuples, whether their record types are dataclasses or
+NamedTuples. One process sees less noise than separate benchmark processes do, but
 it times trials only, not a whole command.
 """
 
@@ -91,13 +93,19 @@ def end_state(agent) -> tuple:
     return s.cash.hex(), s.shares, s.committed_ticks, s.committed_shares, s.optimistic
 
 
+def as_tuple(record) -> tuple:
+    """A trade or tick row as a plain tuple, whether its record type is a
+    dataclass or a NamedTuple."""
+    return tuple(record) if isinstance(record, tuple) else astuple(record)
+
+
 def timed(engine_cls, calendar, config, record_ticks: bool):
     start = time.process_time()
     engine = engine_cls(config)
     out = engine.run(record_ticks=record_ticks)
     cpu = time.process_time() - start
-    result = ([astuple(t) for t in out.trades], out.mid_prices, out.optimists_rate,
-              [astuple(r) for r in out.ticks], [end_state(a) for a in engine.agents],
+    result = ([as_tuple(t) for t in out.trades], out.mid_prices, out.optimists_rate,
+              [as_tuple(r) for r in out.ticks], [end_state(a) for a in engine.agents],
               calendar(out, config.p0))
     return cpu, result
 
@@ -128,8 +136,9 @@ def main() -> None:
             ratios[name].append(old / new)
             line.append(f"{name} {old * 1e3:.0f}/{new * 1e3:.0f} ms = {old / new:.3f}")
         print(f"rep {rep}: " + ", ".join(line), flush=True)
-    print("median CPU ratio OLD/NEW: "
-          + ", ".join(f"{name} {statistics.median(r):.3f}" for name, r in ratios.items()))
+    print("median CPU ratio OLD/NEW (min-max): "
+          + ", ".join(f"{name} {statistics.median(r):.3f} ({min(r):.3f}-{max(r):.3f})"
+                      for name, r in ratios.items()))
 
 
 if __name__ == "__main__":

@@ -12,13 +12,18 @@ desired holding, hence an order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .orderbook import BUY, SELL, Order, align_to_tick, price_of
+from .orderbook import BUY, SELL, Order, align_to_tick, price_of, tick_fraction
 
 RETURN_HORIZON_CLAMP = 10.0  # bound on tau * r_hat inside exp()
+# a limit's price is below 2 * p_hat * (1 + 2**-53)**2, since its tick count
+# is at most p_hat / tick + 1/2 and at least 1 (so tick <= 2 * p_hat): under
+# this target it is finite, and only above it can it pass the largest float
+_PRICE_CHECKED_ABOVE = sys.float_info.max / 4
 
 
 @dataclass
@@ -160,13 +165,15 @@ def decide_order(
 
     The target p_hat = p_t * exp(tau * r_hat) compounds the forecast over the
     agent's horizon, with the exponent clamped to +-RETURN_HORIZON_CLAMP, and
-    the order's limit is p_hat aligned to whole ticks; a limit below one tick
-    places nothing, and a target that is not finite raises ValueError. The gap
-    between desired and current shares sets side and size; size is capped by
-    v_max, by uncommitted cash at the limit price (no borrowing), and by
-    uncommitted shares (no short selling). A desired holding too large for a
-    float, its denominator underflowing to 0 included, counts as unbounded
-    toward the forecast's side. Returns None when the agent has nothing to do.
+    the order's limit is p_hat aligned to whole ticks. A limit below one tick
+    places nothing, and so does a target whose tick count is not finite or a
+    limit whose price, price_of(ticks, tick), passes the largest float: the
+    book could not quote it. The gap between desired and current shares sets
+    side and size; size is capped by v_max, by uncommitted cash at the limit
+    price (no borrowing), and by uncommitted shares (no short selling). A
+    desired holding too large for a float, its denominator underflowing to 0
+    included, counts as unbounded toward the forecast's side. Returns None
+    when the agent has nothing to do.
     """
     g = agent.tau * r_hat
     if g > RETURN_HORIZON_CLAMP:
@@ -174,9 +181,17 @@ def decide_order(
     elif g < -RETURN_HORIZON_CLAMP:
         g = -RETURN_HORIZON_CLAMP
     p_hat = p_t * math.exp(g)
-    ticks = align_to_tick(p_hat, tick)
+    try:
+        ticks = align_to_tick(p_hat, tick)
+    except ValueError:  # p_hat / tick is inf or nan
+        return None
     if ticks < 1:
         return None
+    if p_hat > _PRICE_CHECKED_ABOVE:
+        try:
+            price_of(ticks, tick)
+        except OverflowError:
+            return None
     log_ratio = math.log(p_hat / p_t)
     try:
         delta = round(log_ratio / (agent.alpha_j * sigma_sq * p_t)) - agent.shares
@@ -186,7 +201,10 @@ def decide_order(
         # only v_max, cash and free shares cap the order
         delta = math.copysign(math.inf, log_ratio) if log_ratio else -agent.shares
     if delta > 0:
-        affordable = (agent.cash - price_of(agent.committed_ticks, tick)) / price_of(ticks, tick)
+        # both prices inline, as price_of computes them, from the tick's
+        # exact fraction read once
+        m, den = tick_fraction(tick)
+        affordable = (agent.cash - agent.committed_ticks * m / den) / (ticks * m / den)
         volume = int(affordable) if affordable < v_max else v_max  # int(inf) would raise
         side = BUY
     elif delta < 0:

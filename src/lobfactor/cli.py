@@ -15,7 +15,6 @@ import json
 import math
 import sys
 from itertools import islice
-from operator import attrgetter
 from pathlib import Path
 from types import NoneType
 
@@ -161,8 +160,7 @@ def write_manifest(out_dir: Path, command: str, resolved: dict,
 
 
 SERIES_COLUMNS = ("step", "mid_price", "log_return", "optimists_rate")
-TICKS_CSV_COLUMNS = ("step", "event", "market_price", "mid_price", "best_bid", "best_ask",
-                     "order_volume", "exec_volume", "n_optimists")
+TICKS_CSV_COLUMNS = TickRecord._fields
 BARS_CSV_HEADER = ("day_id",) + tuple(f"m{m:03d}" for m in range(1, MINUTES_PER_DAY + 1))
 
 
@@ -216,7 +214,7 @@ def _write_csv(path, columns: tuple[str, ...], rows) -> None:
 def write_ticks_csv(ticks: list[TickRecord], path) -> None:
     """Stable column order and shortest round-trip floats, so equal runs
     serialize to identical bytes."""
-    _write_csv(path, TICKS_CSV_COLUMNS, map(attrgetter(*TICKS_CSV_COLUMNS), ticks))
+    _write_csv(path, TICKS_CSV_COLUMNS, ticks)
 
 
 def write_bars_csv(bars_list: list[BarSeries], path) -> None:

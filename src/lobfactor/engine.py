@@ -10,10 +10,18 @@ when nu > 0, a child stream (`SeedSequence(seed).spawn(1)[0]`) draws each
 mixed step's mood row as that step runs: one permutation of the agents,
 then one uniform per agent. A (config, seed) pair fully pins the output.
 
-Escrow is held in whole ticks on each agent's record. Each order pledges it
-once: its whole volume at its tick count for a buy, its shares for a sell.
-Each fill and each expiry then releases its share of it, so the escrow
-always mirrors the resting orders.
+Escrow is held in whole ticks on each agent's record. Each order pledges
+what of it rests after its own fills: that volume at its tick count for a
+buy, those shares for a sell. Each later fill and each expiry then releases
+its share of it, so the escrow always mirrors the resting orders. Stale
+orders are dropped only on steps at or past the book's `next_expiry`, the
+first step that can have one.
+
+`Engine.run`, and `run` over the engine's whole life, hold Python's cyclic
+garbage collector paused (the caller's setting comes back on any exit). A
+trial makes no reference cycles, so reference counting frees everything it
+drops whether or not the collector runs, and no value the trial computes
+reads the collector's state: outputs do not depend on it.
 
 The tick log (one row per order and per trade, with the quotes around it)
 is recorded only when asked for: the `simulate` command keeps it, while the
@@ -23,9 +31,11 @@ with `record_ticks=False`. Skipping it changes no other output.
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +62,19 @@ class ConfigurationError(ValueError):
     """A simulation config failed validation."""
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector; restore the caller's setting on
+    any exit. Safe for a trial, which makes no reference cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass
 class SimulationConfig:
     population: PopulationConfig = field(default_factory=PopulationConfig)
@@ -65,8 +88,9 @@ class SimulationConfig:
     seed: int = 0
 
 
-@dataclass(slots=True)
-class TickRecord:
+class TickRecord(NamedTuple):
+    """One tick-log row, its fields in ticks.csv's column order."""
+
     step: int
     event: str  # "OrderPlaced" | "TradeExecuted"
     market_price: float | None  # last trade price; the trade price on trade rows
@@ -141,7 +165,8 @@ class Engine:
     """One trial's mutable state; exposed to per-step callbacks for inspection.
 
     A callback must leave the book as it is: a step that submits and expires
-    no order keeps the mid it read last.
+    no order keeps the mid it read last. It may set `n_opt`, the optimist
+    count, which the next step then reads.
     """
 
     def __init__(self, config: SimulationConfig):
@@ -152,6 +177,7 @@ class Engine:
         self.book = Book(tick=config.tick_size)
         self.n_opt = sum(a.optimistic for a in self.agents)
 
+    @_gc_paused()
     def run(self, on_step: Callable | None = None, *,
             record_ticks: bool = True) -> SimulationOutput:
         cfg = self.config
@@ -189,6 +215,8 @@ class Engine:
         ticks: list[TickRecord] = []
         all_trades: list[Trade] = []
         optimists_rate: list[float] = []
+        n_opt = self.n_opt
+        rate = n_opt / n
 
         for t, j, eps_t, exec_t in zip(range(1, t_sim + 1), choices, eps, exec_ok.tolist()):
             agent = agents[j]
@@ -205,28 +233,36 @@ class Engine:
                         # p_t is the book's mid: nothing has touched it since
                         ticks.append(TickRecord(
                             t, "OrderPlaced", book.last_trade_price, p_t,
-                            book.best_bid(), book.best_ask(), volume, 0, self.n_opt,
+                            book.best_bid(), book.best_ask(), volume, 0, n_opt,
                         ))
                     trades = submit(order, exec_t)
+                    # what rests of the order is pledged; each trade moves
+                    # the buyer's cash first, which matters to the floats
+                    # when one agent is on both sides
                     if order.side is BUY:
-                        agent.committed_ticks += volume * order.ticks
-                    else:
-                        agent.committed_shares += volume
-                    if trades:
+                        agent.committed_ticks += order.volume * order.ticks
                         for trade in trades:
-                            buy = orders[trade.buy_order_id]
-                            sell = orders[trade.sell_order_id]
-                            buyer, seller = agents[buy.agent_id], agents[sell.agent_id]
+                            seller = agents[orders[trade.sell_order_id].agent_id]
                             vol = trade.volume
                             cost = trade.price * vol
-                            # the buyer's cash moves first: the float order
-                            # matters when one agent is on both sides
-                            buyer.cash -= cost
-                            buyer.shares += vol
-                            buyer.committed_ticks -= vol * buy.ticks
+                            agent.cash -= cost
                             seller.cash += cost
                             seller.shares -= vol
                             seller.committed_shares -= vol
+                        agent.shares += volume - order.volume
+                    else:
+                        agent.committed_shares += order.volume
+                        for trade in trades:
+                            buy = orders[trade.buy_order_id]
+                            buyer = agents[buy.agent_id]
+                            vol = trade.volume
+                            cost = trade.price * vol
+                            buyer.cash -= cost
+                            buyer.shares += vol
+                            buyer.committed_ticks -= vol * buy.ticks
+                            agent.cash += cost
+                        agent.shares -= volume - order.volume
+                    if trades:
                         all_trades.extend(trades)
                         if record_ticks:
                             bb, ba = book.best_bid(), book.best_ask()
@@ -234,21 +270,21 @@ class Engine:
                             for trade in trades:
                                 ticks.append(TickRecord(
                                     t, "TradeExecuted", trade.price, mid, bb, ba,
-                                    0, trade.volume, self.n_opt,
+                                    0, trade.volume, n_opt,
                                 ))
 
-            dropped = expire(t)
-            if dropped:
-                touched = True
-                for order, volume in dropped:
-                    agent = agents[order.agent_id]
-                    if order.side is BUY:
-                        agent.committed_ticks -= volume * order.ticks
-                    else:
-                        agent.committed_shares -= volume
+            if t >= book.next_expiry:
+                dropped = expire(t)
+                if dropped:
+                    touched = True
+                    for order, volume in dropped:
+                        agent = agents[order.agent_id]
+                        if order.side is BUY:
+                            agent.committed_ticks -= volume * order.ticks
+                        else:
+                            agent.committed_shares -= volume
 
-            if mood_on and 0 < self.n_opt < n:
-                n_opt = self.n_opt
+            if mood_on and 0 < n_opt < n:
                 perm = mood_rng.permutation(n).tolist()
                 urow = mood_rng.random(n).tolist()
                 for k in perm:
@@ -260,14 +296,19 @@ class Engine:
                     elif urow[k] < to_optimist[n_opt]:
                         agent.optimistic = True
                         n_opt += 1
-                self.n_opt = n_opt
+                if n_opt != self.n_opt:
+                    self.n_opt = n_opt
+                    rate = n_opt / n
 
             if touched:  # else the book, hence its mid, is as it was
                 p_t = mid_price(p0)
             price_hist.append(p_t)
-            optimists_rate.append(self.n_opt / n)
+            optimists_rate.append(rate)
             if on_step is not None:
                 on_step(self, t)
+                if self.n_opt != n_opt:  # the callback set the moods' count
+                    n_opt = self.n_opt
+                    rate = n_opt / n
 
         return SimulationOutput(
             ticks=ticks,
@@ -277,8 +318,11 @@ class Engine:
         )
 
 
+@_gc_paused()
 def run(config: SimulationConfig, on_step: Callable | None = None, *,
         record_ticks: bool = True) -> SimulationOutput:
     """Run one trial. Byte-identical outputs for identical (config, seed);
-    with record_ticks off the tick log stays empty and nothing else changes."""
+    with record_ticks off the tick log stays empty and nothing else changes.
+    The collector resumes only after the engine, with its book's orders, is
+    freed, so it has only the output left to scan."""
     return Engine(config).run(on_step=on_step, record_ticks=record_ticks)

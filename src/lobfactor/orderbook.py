@@ -35,7 +35,7 @@ class DuplicateOrderError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _tick_fraction(tick: float) -> tuple[int, int]:
+def tick_fraction(tick: float) -> tuple[int, int]:
     """The tick's shortest repr as an exact fraction (m, den)."""
     # float() first: a numpy scalar's repr names its type
     return Decimal(repr(float(tick))).as_integer_ratio()
@@ -46,7 +46,7 @@ def price_of(ticks: int, tick: float) -> float:
     m / den the exact value of the tick's repr. Int true division rounds
     the exact quotient correctly at any size, so this is the float nearest
     to ticks times the decimal tick."""
-    m, den = _tick_fraction(tick)
+    m, den = tick_fraction(tick)
     return ticks * m / den
 
 
@@ -86,6 +86,9 @@ class Book:
     """Two-sided book; price levels keyed by integer tick counts.
 
     Every price it reports, quote or trade, is price_of(level, tick).
+    `next_expiry` is the least expiry step of the orders that have rested
+    and not yet been expired (inf when there are none): `expire` drops
+    nothing at any step before it, so a caller may skip those calls.
     """
 
     tick: float
@@ -100,6 +103,7 @@ class Book:
         # each side's level queues and level list
         self._sides = {BUY: (self.bids, self._bid_levels), SELL: (self.asks, self._ask_levels)}
         self._expiry_heap: list[tuple[int, int]] = []  # (expiry_step, order_id)
+        self.next_expiry: float = math.inf  # the heap's least expiry step
         self.orders: dict[int, Order] = {}  # every submitted order, by id
         # running per-side totals; volume conservation means
         # submitted == executed + expired + resting at all times
@@ -110,7 +114,7 @@ class Book:
         # level * m / den inline, as price_of does, since a call per quote
         # costs about 0.3 us against 0.06 us inline, at about 3000 quote
         # reads per trial
-        self._m, self._den = _tick_fraction(self.tick)
+        self._m, self._den = tick_fraction(self.tick)
 
     def best_bid(self) -> float | None:
         return self._bid_levels[-1] * self._m / self._den if self._bid_levels else None
@@ -188,6 +192,8 @@ class Book:
                 insort(keys, ticks)
             queue.append(order)
             heapq.heappush(self._expiry_heap, (order.expiry_step, order_id))
+            if order.expiry_step < self.next_expiry:
+                self.next_expiry = order.expiry_step
         return trades
 
     def expire(self, step: int) -> list[tuple[Order, int]] | tuple[()]:
@@ -196,9 +202,9 @@ class Book:
         Returns each dropped order with the volume it still had, in
         (expiry_step, order_id) order; the order's own volume is zeroed.
         """
-        heap = self._expiry_heap
-        if not heap or heap[0][0] > step:
+        if step < self.next_expiry:
             return ()
+        heap = self._expiry_heap
         dropped = []
         while heap and heap[0][0] <= step:
             _, order_id = heapq.heappop(heap)
@@ -214,4 +220,5 @@ class Book:
             self.expired_volume[order.side] += order.volume
             dropped.append((order, order.volume))
             order.volume = 0
+        self.next_expiry = heap[0][0] if heap else math.inf
         return dropped

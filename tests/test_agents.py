@@ -282,12 +282,35 @@ def test_target_below_half_a_tick_places_nothing(p_t, placed):
         assert order.ticks == 1 and order.side is Side.SELL
 
 
-@pytest.mark.parametrize("p_t, r_hat", [(300.0, math.nan), (math.inf, 0.01),
-                                        (1e308, 0.05), (-math.inf, 0.01)])
-def test_non_finite_target_raises(p_t, r_hat):
-    a = make_agent(alpha_j=0.1, cash=1e6, shares=10)
-    with pytest.raises(ValueError):
-        decide_order(a, p_t, r_hat, 1, 1e-4, 50, 1e-4, 1)
+@pytest.mark.parametrize("p_t, r_hat, tick", [
+    (300.0, math.nan, 1e-4), (math.inf, 0.01, 1e-4), (-math.inf, 0.01, 1e-4),
+    (1e308, 0.05, 1e-4),  # p_hat = 1e308 * e**5 is inf
+    (1e300, 0.1, 1e4),  # the clamped target e**10 * 1e300 over a 1e4 tick: finite
+])
+def test_non_finite_tick_count_places_nothing(p_t, r_hat, tick):
+    """A target whose tick count, p_hat / tick, is inf or nan places no
+    order; the last case, a finite count, shows the agent would trade."""
+    a = make_agent(alpha_j=0.1, cash=1e307, shares=10)
+    placed = decide_order(a, p_t, r_hat, 1, 1e-304, 50, tick, 1)
+    assert (placed is not None) is (tick == 1e4)
+
+
+@pytest.mark.parametrize("p_t, r_hat, sigma_sq, side", [
+    (1.7798057893024565e308, 1e-4, 1e-310, Side.BUY),
+    (np.finfo(float).max, 0.0, 1e-4, Side.SELL),
+])
+def test_limit_price_past_the_largest_float_places_nothing(p_t, r_hat, sigma_sq, side):
+    """A finite tick count whose price, ticks * tick, rounds past the largest
+    float places nothing, on either side: the book could not quote it. The
+    same target on a 1e4 tick, whose price stays finite, places an order."""
+    def decide(tick):
+        a = make_agent(alpha_j=0.1, cash=np.finfo(float).max, shares=10 if side is Side.SELL else 0)
+        return decide_order(a, p_t, r_hat, 1, sigma_sq, 50, tick, 1)
+
+    assert decide(7.0) is None
+    order = decide(1e4)
+    assert order.side is side and order.volume >= 1
+    assert math.isfinite(price_of(order.ticks, 1e4))
 
 
 @pytest.mark.parametrize("alpha_j, sigma_sq", [

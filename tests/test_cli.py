@@ -251,6 +251,20 @@ class TestBuildConfig:
         assert field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [3, 4, 5, 6])
+    def test_prices_near_the_largest_float_end_in_exit_0(self, seed, tmp_path):
+        """The config passes every check, but prices drift near 1e308: some
+        targets e**10 above the mid are inf. Such an agent places nothing,
+        and the run ends like any other."""
+        config = write_json(tmp_path / "cfg.json", {"simulation": {
+            "p0": 1e300, "fundamental_price": 1e300, "tick_size": 1e4,
+            "sigma_sq_order": 1e-304,
+            "population": {"lambda_c": 2.5, "sigma_n": 1.0, "cash": {"c_max": 1e307}}}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--seed", str(seed),
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "manifest.json").is_file()
+
     def test_run_digest_covers_config_and_input_files(self, tmp_path, monkeypatch):
         resolved = resolve_config(None, None, "experiment")
         data = tmp_path / "input.csv"

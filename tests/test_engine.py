@@ -1,5 +1,6 @@
 """Simulation loop: determinism, window gating, conservation, mood dynamics."""
 
+import gc
 import math
 from dataclasses import replace
 
@@ -195,6 +196,56 @@ class TestTickLogOff:
         assert bare.trades == logged.trades
         assert bare.mid_prices == logged.mid_prices
         assert bare.optimists_rate == logged.optimists_rate
+
+
+class TestCollectorPause:
+    """The loop runs with the cyclic collector paused; the caller's setting
+    comes back on every exit, and nothing a trial leaves needs the collector."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    ENTRIES = {"run": run, "Engine.run": lambda cfg, **kw: Engine(cfg).run(**kw)}
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_restores_the_callers_setting(self, enabled, entry):
+        (gc.enable if enabled else gc.disable)()
+        during = set()
+        self.ENTRIES[entry](small_config(), on_step=lambda engine, t: during.add(gc.isenabled()))
+        assert during == {False}
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_restores_the_callers_setting_when_a_callback_raises(self, enabled, entry):
+        (gc.enable if enabled else gc.disable)()
+
+        def fail(engine, t):
+            if t == 40:
+                raise RuntimeError("callback failed")
+
+        with pytest.raises(RuntimeError, match="callback failed"):
+            self.ENTRIES[entry](small_config(), on_step=fail)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("record_ticks", [True, False])
+    @pytest.mark.parametrize("scenario", range(8))
+    def test_trial_makes_no_reference_cycles(self, scenario, record_ticks):
+        # the pause is safe because reference counting alone frees a trial:
+        # with the collector off throughout, a collection after the trial
+        # finds nothing unreachable
+        combos = enumerate_combos(scenario, ParameterGrid(), CashSpec())
+        cfg = build_config(SimulationConfig(seed=1000), combos[-1])
+        gc.collect()
+        gc.disable()
+        out = run(cfg, record_ticks=record_ticks)
+        assert out.trades
+        del out
+        assert gc.collect() == 0
 
 
 class TestConservation:

@@ -177,5 +177,5 @@ def test_full_shape_tick_log_matches_golden_digest():
     population = dict(SCENARIO_POPULATION[7], cash=CashSpec(kind="pareto"))
     config = SimulationConfig(population=PopulationConfig(**population), seed=1000)
     out = run(config, record_ticks=True)
-    log = [astuple(record) for record in out.ticks]
+    log = [tuple(record) for record in out.ticks]
     assert hashlib.sha256(repr(log).encode()).hexdigest() == FULL_SHAPE_TICK_LOG_DIGEST

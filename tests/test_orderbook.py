@@ -4,6 +4,8 @@ The randomized stream tests check the book against a deliberately naive
 reference matcher built on linear scans over a flat order list.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -234,6 +236,31 @@ def test_random_streams_match_naive_oracle(stream):
     final = sorted(resting(b, Side.BUY) + resting(b, Side.SELL))
     ref_final = sorted((o.order_id, o.volume) for o in ref.resting)
     assert final == ref_final
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(action, st.integers(min_value=0, max_value=4)),
+                min_size=1, max_size=40))
+def test_expire_is_due_only_from_next_expiry(stream):
+    """A caller may skip expire before next_expiry, as the engine does:
+    through submits, fills and expiries, no earlier step has an order to
+    drop, and a call at or past it drops what a call on every step would."""
+    b = Book(tick=TICK)
+    ref = NaiveBook(tick=TICK)  # expires on every step
+    step = 1
+    for order_id, ((side, off, vol, life, enabled), idle) in enumerate(stream, start=1):
+        b.submit(Order(order_id, 0, side, 10_000 + off, vol, step, step + life), enabled)
+        ref.submit(Order(order_id, 0, side, 10_000 + off, vol, step, step + life), enabled)
+        for step in range(step, step + idle + 1):
+            if step < b.next_expiry:
+                assert ref.expire(step) == []
+            else:
+                assert [(o.order_id, v) for o, v in b.expire(step)] == ref.expire(step)
+            assert all(o.expiry_step >= b.next_expiry for o in ref.resting)
+        step += 1
+    last = step + 12  # past every expiry: lifetimes are at most 12 steps
+    assert sorted((o.order_id, v) for o, v in b.expire(last)) == ref.expire(last)
+    assert b.next_expiry == math.inf and not ref.resting
 
 
 @settings(max_examples=60, deadline=None)
