@@ -20,10 +20,11 @@ import numpy as np
 from .orderbook import BUY, SELL, Order, align_to_tick, price_of, tick_fraction
 
 RETURN_HORIZON_CLAMP = 10.0  # bound on tau * r_hat inside exp()
+TINY, FLOAT_MAX = math.ulp(0.0), sys.float_info.max  # the least and greatest positive floats
 # a limit's price is below 2 * p_hat * (1 + 2**-53)**2, since its tick count
 # is at most p_hat / tick + 1/2 and at least 1 (so tick <= 2 * p_hat): under
 # this target it is finite, and only above it can it pass the largest float
-_PRICE_CHECKED_ABOVE = sys.float_info.max / 4
+_PRICE_CHECKED_ABOVE = FLOAT_MAX / 4
 
 
 @dataclass
@@ -108,13 +109,11 @@ def init_population(config: PopulationConfig, rng: np.random.Generator) -> list[
 
     if config.cash.kind == "uniform":
         cash = rng.uniform(0.0, config.cash.c_max, n)
-    elif config.cash.kind == "pareto":
+    else:  # "pareto", the one other kind validate_config admits
         u = rng.random(n)
         while (zero := u == 0.0).any():  # open-interval contract
             u[zero] = rng.random(int(zero.sum()))
         cash = sample_pareto(config.cash.c_min, config.cash.beta, u)
-    else:
-        raise ValueError(f"unknown cash kind {config.cash.kind!r}")
 
     shares = rng.integers(0, config.w_max + 1, n)
     optimist = rng.random(n) < config.p_optimist_init
@@ -140,10 +139,11 @@ def predict_return(agent: Agent, p_t: float, p_f: float, p_lag: float,
     if total == 0.0:
         return None
     acc = 0.0
+    # a price ratio that underflows to 0 counts as the least positive float
     if agent.w_f > 0.0:
-        acc += agent.f_coef * math.log(p_f / p_t)
+        acc += agent.f_coef * math.log(p_f / p_t or TINY)
     if agent.w_c > 0.0:
-        acc += agent.c_coef * math.log(p_t / p_lag)
+        acc += agent.c_coef * math.log(p_t / p_lag or TINY)
     if agent.w_m > 0.0:
         acc += agent.w_m * (1.0 if agent.optimistic else -1.0)
     if agent.w_n > 0.0:

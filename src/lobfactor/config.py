@@ -12,14 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .calibration import ExperimentConfig, ParameterGrid
-from .engine import ConfigurationError, SimulationConfig, validate_config
+from .engine import (FLOAT_MAX, TINY, ConfigurationError, SimulationConfig, bounds_table,
+                     check_bounds, validate_config)
 
 
 class ConfigError(ValueError):
@@ -77,17 +78,18 @@ def config_digest(resolved: dict) -> str:
 
 
 def run_digest(resolved: dict, refs_files: list[str] | None, paths_file: str | None) -> str:
-    """sha256 of the resolved config's digest, the bytes of each input file
-    and the tool version: what a ledger line must match to be reused on
-    resume. The version bumps whenever a change alters an output byte, so a
-    resume never mixes lines of two programs."""
+    """sha256 of the resolved config's digest, the bytes of each input file,
+    the tool version and numpy's: what a ledger line must match to be reused
+    on resume. The version bumps whenever a change alters an output byte, and
+    numpy may change a Generator's stream between releases (NEP 19), so a
+    resume never mixes lines of two programs or two random streams."""
     def file_digest(file: str) -> str:
         return hashlib.sha256(Path(file).read_bytes()).hexdigest()
 
     inputs = {"config": config_digest(resolved),
               "refs": [file_digest(file) for file in refs_files or []],
               "paths": file_digest(paths_file) if paths_file else None,
-              "version": __version__}
+              "version": __version__, "numpy": np.__version__}
     return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
 
 
@@ -134,12 +136,12 @@ def _convert(default, value, path: str):
 
 
 MAX_COUNT = 10**12  # a path day's mean count, and each paths-file count: no int64 wrap
-_EXPERIMENT_BOUNDS = (  # (field, least, greatest) of each experiment number
+EXPERIMENT_BOUNDS = bounds_table(  # (field, least, greatest) of each experiment number
     ("trials", 1, math.inf), ("base_seed", 0, math.inf), ("path_seed", 0, math.inf),
     ("refs.seed", 0, math.inf), ("paths.seed", 0, math.inf),
     ("refs.count", 1, 10**3),  # each is an OT against every combo's pool: 55x the default 18
     ("refs.n_samples", 2, 10**7),  # standardizing needs 2; 10**7 draws are 80 MB per reference
-    ("refs.df", math.ulp(0.0), sys.float_info.max),  # numpy's Student-t needs a finite df > 0
+    ("refs.df", TINY, FLOAT_MAX),  # numpy's Student-t needs a finite df > 0
     ("paths.count", 1, 10**4),  # a path is 300 boxed floats, 10 kB: 10**4 paths are 100 MB
     ("paths.mean_total", 1, MAX_COUNT),  # a path day must be able to hold a transaction
 )
@@ -148,20 +150,17 @@ _EXPERIMENT_BOUNDS = (  # (field, least, greatest) of each experiment number
 def _check(doc: _Document) -> None:
     """Raise a ConfigError naming a value of `doc` out of bounds, grid axis values included."""
     sim = doc.simulation
-    configs = [("simulation config", sim)] + [
-        (f"experiment.grid.{axis.name}",
+    configs = [("invalid simulation config: ", sim)] + [
+        (f"invalid experiment.grid.{axis.name}: ",
          replace(sim, population=replace(sim.population, **{axis.name: value})))
         for axis in fields(ParameterGrid) for value in getattr(doc.experiment.grid, axis.name)]
-    for path, config in configs:
-        try:
+    try:
+        for prefix, config in configs:
             validate_config(config)
-        except ConfigurationError as exc:
-            raise ConfigError(f"invalid {path}: {exc}") from None
-    for path, low, high in _EXPERIMENT_BOUNDS:
-        value = attrgetter(path)(doc.experiment)
-        if not low <= value <= high:
-            bound = f">= {low}" if value < low else f"<= {high}"
-            raise ConfigError(f"config field experiment.{path} must be {bound}, got {value}")
+        prefix = "config field experiment."
+        check_bounds(doc.experiment, EXPERIMENT_BOUNDS)
+    except ConfigurationError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 # the section readers: plain builds of a document that resolve_config checked

@@ -34,13 +34,16 @@ from __future__ import annotations
 import gc
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .agents import (
+    FLOAT_MAX,
     RETURN_HORIZON_CLAMP,
+    TINY,
     Agent,
     PopulationConfig,
     decide_order,
@@ -56,6 +59,9 @@ MAX_T_SIM = 10**6
 MAX_AGENTS = 10**4
 # the initial share draw rng.integers(0, w_max + 1) needs an int64 high
 MAX_W_MAX = 2**63 - 1
+# weight means, noise scale and risk aversion: numpy's exponential draws stay below
+# about 45 and its normal ones below about 14, so every product of them stays finite
+MAX_SCALE = 1e100
 
 
 class ConfigurationError(ValueError):
@@ -110,44 +116,45 @@ class SimulationOutput:
     optimists_rate: list[float]  # recorded after each step's mood pass
 
 
+def bounds_table(*rows: tuple) -> tuple:
+    """Rows (field path, least, greatest), each given its getter once."""
+    return tuple((path, least, greatest, attrgetter(path)) for path, least, greatest in rows)
+
+
+def check_bounds(config, bounds: tuple) -> None:
+    """Raise a ConfigurationError naming the first field outside its row's closed range."""
+    for path, least, greatest, get in bounds:
+        value = get(config)
+        if not least <= value <= greatest:
+            raise ConfigurationError(f"{path} must lie in [{least}, {greatest}], got {value}")
+
+
+# each float row's greatest is finite, so no row admits NaN or an infinity
+SIMULATION_BOUNDS = bounds_table(
+    ("seed", 0, math.inf), ("t_sim", 1, MAX_T_SIM), ("v_max", 1, math.inf),
+    ("p0", TINY, FLOAT_MAX), ("fundamental_price", TINY, FLOAT_MAX),
+    ("tick_size", TINY, FLOAT_MAX), ("sigma_sq_order", TINY, FLOAT_MAX),
+    ("population.n_agents", 1, MAX_AGENTS), ("population.w_max", 0, MAX_W_MAX),
+    ("population.tau_f", 1, MAX_T_SIM),  # w_f / tau_f needs a tau_f a float can hold
+    ("population.lambda_f", 0.0, MAX_SCALE), ("population.lambda_c", 0.0, MAX_SCALE),
+    ("population.lambda_m", 0.0, MAX_SCALE), ("population.lambda_n", 0.0, MAX_SCALE),
+    ("population.sigma_n", 0.0, MAX_SCALE), ("population.alpha", TINY, MAX_SCALE),
+    ("population.nu", 0.0, 1.0), ("population.p_optimist_init", 0.0, 1.0),
+    ("population.cash.c_max", TINY, FLOAT_MAX), ("population.cash.c_min", TINY, FLOAT_MAX),
+    ("population.cash.beta", TINY, FLOAT_MAX),
+)
+
+
 def validate_config(config: SimulationConfig) -> None:
-    pop = config.population
-    for part in (config, pop, pop.cash):
-        for f in fields(part):
-            value = getattr(part, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
-    checks = [
-        (config.seed >= 0, "seed must be >= 0"),
-        (config.t_sim >= 1, "t_sim must be >= 1"),
-        (config.t_sim <= MAX_T_SIM, f"t_sim must be <= {MAX_T_SIM}"),
-        (config.p0 > 0, "p0 must be positive"),
-        (config.fundamental_price > 0, "fundamental_price must be positive"),
-        (config.tick_size > 0, "tick_size must be positive"),
-        (config.v_max >= 1, "v_max must be >= 1"),
-        (config.sigma_sq_order > 0, "sigma_sq_order must be positive"),
-        (pop.n_agents >= 1, "n_agents must be >= 1"),
-        (pop.n_agents <= MAX_AGENTS, f"n_agents must be <= {MAX_AGENTS}"),
-        (pop.lambda_f >= 0 and pop.lambda_c >= 0 and pop.lambda_m >= 0
-         and pop.lambda_n >= 0, "weight means must be >= 0"),
-        (pop.sigma_n >= 0, "sigma_n must be >= 0"),
-        (0.0 <= pop.nu <= 1.0, "nu must lie in [0, 1]"),
-        (pop.alpha > 0, "alpha must be positive"),
-        (0.0 <= pop.p_optimist_init <= 1.0, "p_optimist_init must lie in [0, 1]"),
-        (pop.tau_f >= 1, "tau_f must be >= 1"),
-        (pop.w_max >= 0, "w_max must be >= 0"),
-        (pop.w_max <= MAX_W_MAX, f"w_max must be <= {MAX_W_MAX}"),
-        (pop.cash.kind in ("uniform", "pareto"), f"unknown cash kind {pop.cash.kind!r}"),
-        (pop.cash.c_max > 0 and pop.cash.c_min > 0, "cash bounds must be positive"),
-        (pop.cash.beta > 0, "cash beta must be positive"),
-    ]
-    for ok, msg in checks:
-        if not ok:
-            raise ConfigurationError(msg)
+    """Check each field against SIMULATION_BOUNDS, then the rules that span fields."""
+    check_bounds(config, SIMULATION_BOUNDS)
+    cash = config.population.cash
+    if cash.kind not in ("uniform", "pareto"):
+        raise ConfigurationError(f"unknown cash kind {cash.kind!r}")
     # rng.random's least nonzero draw is 2**-53 (zeros are drawn again), so the
     # largest Pareto cash is c_min * 2**(53 / beta); checked for any kind, since
     # the Pareto scenarios take c_min and beta whatever kind the config names
-    if math.log(pop.cash.c_min) + 53 / pop.cash.beta * math.log(2) > math.log(np.finfo(float).max):
+    if math.log(cash.c_min) + 53 / cash.beta * math.log(2) > math.log(FLOAT_MAX):
         raise ConfigurationError("cash c_min * 2**(53 / beta), the largest Pareto draw, "
                                  "must be finite")
     # a first order's limit lies within e**RETURN_HORIZON_CLAMP of p0; its

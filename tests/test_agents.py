@@ -135,6 +135,15 @@ def test_all_zero_weights_abstains():
     assert predict_return(a, 300.0, 300.0, 300.0, 0.0) is None
 
 
+@pytest.mark.parametrize("w_f, w_c, p_f, p_t, p_lag", [
+    (1.0, 0.0, 5e-324, 300.0, 300.0),  # p_f / p_t underflows
+    (0.0, 1.0, 300.0, 5e-324, 300.0),  # p_t / p_lag underflows
+])
+def test_price_ratio_underflowing_to_zero_counts_as_the_least_float(w_f, w_c, p_f, p_t, p_lag):
+    a = make_agent(w_f=w_f, w_c=w_c, tau=100, tau_f=100)
+    assert predict_return(a, p_t, p_f, p_lag, 0.0) == math.log(5e-324) / 100
+
+
 @given(
     w_f=st.floats(0.01, 50), w_c=st.floats(0.01, 10), w_n=st.floats(0.01, 5),
     eps=st.floats(-0.05, 0.05), p_t=st.floats(100, 500), p_lag=st.floats(100, 500),

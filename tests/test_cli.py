@@ -42,7 +42,7 @@ from lobfactor.cli import (
     simulation_config,
 )
 from lobfactor.config import DEFAULT_CONFIG
-from lobfactor.engine import MAX_W_MAX, SimulationConfig, validate_config
+from lobfactor.engine import SimulationConfig, validate_config
 from lobfactor.metrics import DegenerateSeriesError, StylizedFactReport
 from lobfactor.orderbook import price_of
 from lobfactor.timegrid import MINUTES_PER_DAY
@@ -209,6 +209,10 @@ class TestBuildConfig:
         ('{"simulation": {"population": {"cash": {"beta": 1e-5}}}}', []),
         # positive and finite, but every draw is infinite: found only when drawn
         ('{"experiment": {"refs": {"df": 1e-300, "count": 2, "n_samples": 1000}}}', []),
+        # an infinite horizon, or a warning on an overflowing draw, before these caps
+        ('{"simulation": {"population": {"lambda_f": 1e306}}}', []),
+        ('{"simulation": {"population": {"sigma_n": 1e308}}}', []),
+        ('{"simulation": {"population": {"alpha": 1e308}}}', []),
     ])
     # a numpy warning on stderr would make the error more than one line
     @pytest.mark.filterwarnings("error")
@@ -276,20 +280,18 @@ class TestBuildConfig:
         with monkeypatch.context() as patch:
             patch.setattr(config_mod, "__version__", "0.0.0")  # another program
             assert run_digest(resolved, None, str(data)) != first
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "__version__", "1.0.0")  # another Generator stream
+            assert run_digest(resolved, None, str(data)) != first
         data.write_text("2\n")
         assert run_digest(resolved, None, str(data)) != first
 
 
 # the largest beta whose Pareto cash overflows at the default c_min
 PARETO_EDGE_BETA = 53 * math.log(2) / (math.log(np.finfo(float).max) - math.log(5000.0))
-# (field path, value at its bound, value one step past it)
+# (field path, value at its bound, value one step past it) of a bound that spans
+# fields; test_bounds.py tests the single-field rows from their tables
 BOUND_EDGES = [
-    (("experiment", "refs", "count"), 10**3, 10**3 + 1),
-    (("experiment", "refs", "n_samples"), 10**7, 10**7 + 1),
-    (("experiment", "refs", "n_samples"), 2, 1),
-    (("experiment", "refs", "df"), math.ulp(0.0), 0.0),
-    (("experiment", "paths", "count"), 10**4, 10**4 + 1),
-    (("simulation", "population", "w_max"), MAX_W_MAX, MAX_W_MAX + 1),
     (("simulation", "population", "cash", "beta"),
      PARETO_EDGE_BETA * (1 + 1e-12), PARETO_EDGE_BETA * (1 - 1e-12)),
 ]

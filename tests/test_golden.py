@@ -69,13 +69,13 @@ METRICS_DIGESTS = {
     "tail_cloud.csv": "99bd1ad6da713dbf1af3395a2f1f43e5cf9a596041d3bf2282324ad826cd0e04",
 }
 
-# ledger.jsonl moves with the tool version too, through its run_digest field
+# ledger.jsonl moves with the tool version and numpy's too, through its run_digest field
 EXPERIMENT_DIGESTS = {
     "table2.csv": "e46de78644e1cdd2f89f1d783268acc3e7641c6aff33a33ce8839c40f9a5deb6",
     "table4.csv": "00ac8773a3751a75baf0dfe5ec45c9b2f8b54a7c10306f7389547052fd5761a0",
     "fig5.csv": "0da779e71d4d90ab083c51af315d89c22f31c1d3e9586445346e14a6466f4bc8",
     "synergy.csv": "181cbec5ba23cd5785050463e0c8c31ca2512c6bad7c41de1603b7455938de75",
-    "ledger.jsonl": "2eac57faf5f61a7a52516ce17132b0e196baa777ee9f4ee8e59952dbe4f1611d",
+    "ledger.jsonl": "741d837273f19bcbf16b2591ea27aecad0dbd491c83e42b40332ba624243b5fe",
 }
 
 
