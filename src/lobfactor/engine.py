@@ -135,7 +135,7 @@ SIMULATION_BOUNDS = bounds_table(
     ("p0", TINY, FLOAT_MAX), ("fundamental_price", TINY, FLOAT_MAX),
     ("tick_size", TINY, FLOAT_MAX), ("sigma_sq_order", TINY, FLOAT_MAX),
     ("population.n_agents", 1, MAX_AGENTS), ("population.w_max", 0, MAX_W_MAX),
-    ("population.tau_f", 1, MAX_T_SIM),  # w_f / tau_f needs a tau_f a float can hold
+    ("population.tau_f", 1, int(FLOAT_MAX)),  # w_f / tau_f converts tau_f to a float
     ("population.lambda_f", 0.0, MAX_SCALE), ("population.lambda_c", 0.0, MAX_SCALE),
     ("population.lambda_m", 0.0, MAX_SCALE), ("population.lambda_n", 0.0, MAX_SCALE),
     ("population.sigma_n", 0.0, MAX_SCALE), ("population.alpha", TINY, MAX_SCALE),

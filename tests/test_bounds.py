@@ -1,5 +1,6 @@
-"""The bounds tables: every row's edges, the fields they cover, and a fuzz of
-the `simulate` front door drawn from the rows.
+"""The bounds tables: every row's edges, checked by check_bounds and through
+`experiment --print-config`, the fields the rows cover, and a fuzz of the
+`simulate` front door drawn from the rows.
 
 SIMULATION_BOUNDS and EXPERIMENT_BOUNDS each hold one row (field path,
 least, greatest) per number of their config section, and check_bounds is the
@@ -22,12 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lobfactor.calibration as calibration_mod
+import lobfactor.cli as cli_mod
+from lobfactor.agents import FLOAT_MAX, TINY
 from lobfactor.calibration import ExperimentConfig
-from lobfactor.cli import EXIT_CONFIG, EXIT_OK, ConfigError, main, resolve_config
+from lobfactor.cli import EXIT_CONFIG, EXIT_OK, main
 from lobfactor.config import EXPERIMENT_BOUNDS
 from lobfactor.engine import (
     MAX_SCALE,
-    MAX_T_SIM,
     SIMULATION_BOUNDS,
     ConfigurationError,
     SimulationConfig,
@@ -102,17 +105,63 @@ def test_row_rejects_what_lies_outside_it(case):
     assert str(exc.value) == f"{path} must lie in [{least}, {greatest}], got {value}"
 
 
-@pytest.mark.parametrize("case", [case for case in OUTSIDE_CASES
-                                  if not (isinstance(case[4], float) and math.isnan(case[4]))],
-                         ids=case_id)
-def test_front_door_rejects_one_step_past_and_infinities(case, tmp_path):
-    """resolve_config checks each section with its table. (A NaN never gets
-    this far: it is rejected as a number that does not convert unchanged.)"""
-    section, _, _, (path, *_), value = case
+# edges the row admits but a rule that spans fields rejects at the defaults
+CROSS_FIELD_EDGES = {
+    ("p0", FLOAT_MAX), ("fundamental_price", FLOAT_MAX),  # the first order's tick count
+    ("tick_size", TINY),
+    ("population.cash.c_min", FLOAT_MAX), ("population.cash.beta", TINY),  # largest Pareto draw
+}
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """The config check comes first: no trial, reference or path may be drawn."""
+    for name in ("run", "make_student_t_refs", "synthetic_reference_path"):
+        monkeypatch.setattr(cli_mod, name, None)
+    monkeypatch.setattr(calibration_mod, "evaluate_combo", None)
+
+
+def print_config(section: str, path: str, value, tmp_path, capsys) -> tuple[int, str, str]:
+    """`experiment --print-config` on a document giving only `value` at `path`:
+    its exit code, stdout and stderr; an output directory is an error."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(set_path({}, f"{section}.{path}", value)))
-    with pytest.raises(ConfigError, match=path):
-        resolve_config(str(config), None, "experiment")
+    code = main(["experiment", "--config", str(config), "--print-config",
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert not (tmp_path / "out").exists()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.usefixtures("no_draw")
+@pytest.mark.parametrize("case", EDGE_CASES, ids=case_id)
+def test_front_door_admits_and_echoes_each_edge(case, tmp_path, capsys):
+    """Each edge converts and round-trips through the document unchanged,
+    unless a rule that spans fields rejects it, in words other than the row's."""
+    section, _, _, (path, *_), edge = case
+    code, out, err = print_config(section, path, edge, tmp_path, capsys)
+    if (path, edge) in CROSS_FIELD_EDGES:
+        assert code == EXIT_CONFIG and out == "", out
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "must lie in" not in err, err
+        return
+    assert code == EXIT_OK, err
+    node = json.loads(out)[section]
+    for key in path.split("."):
+        node = node[key]
+    assert node == edge and type(node) is type(edge)
+
+
+@pytest.mark.usefixtures("no_draw")
+@pytest.mark.parametrize("case", OUTSIDE_CASES, ids=case_id)
+def test_front_door_rejects_what_lies_outside_each_row(case, tmp_path, capsys):
+    """One step past an edge, an infinity or NaN: exit 2, one line naming the
+    field, nothing written."""
+    section, _, _, (path, *_), value = case
+    code, out, err = print_config(section, path, value, tmp_path, capsys)
+    assert code == EXIT_CONFIG and out == "", out
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert path in err, err
 
 
 def number_fields(config, prefix: str = "") -> list[str]:
@@ -169,7 +218,7 @@ def test_capped_row_runs_at_its_cap_and_rejects_one_step_past(path, tmp_path):
     """The caps on weight means, noise, risk aversion and tau_f: at the cap a
     run ends in 0 with no warning; one step past, in 2 with no output."""
     cap = CAPS[path]
-    assert cap in (MAX_SCALE, MAX_T_SIM)
+    assert cap in (MAX_SCALE, int(FLOAT_MAX))
     for seed in (1, 2):
         run_dir = tmp_path / f"seed{seed}"
         run_dir.mkdir()
