@@ -50,8 +50,8 @@ def load_side(tree: str):
         del sys.modules[name]
     sys.path.insert(0, str(src.resolve()))
     try:
-        from lobfactor.agents import CashSpec, PopulationConfig
-        from lobfactor.calibration import ParameterGrid, build_config, enumerate_combos
+        from lobfactor.agents import PopulationConfig
+        from lobfactor.calibration import CashSpec, ParameterGrid, build_config, enumerate_combos
         from lobfactor.cli import load_paths, resolve_config
         from lobfactor.engine import Engine, SimulationConfig
         from lobfactor.timegrid import assign_calendar_time, bar_volumes, log_returns
@@ -87,10 +87,9 @@ def load_side(tree: str):
 
 
 def end_state(agent) -> tuple:
-    """What a trial leaves on one agent; checkouts before the single agent
-    record keep it on `agent.state`."""
-    s = getattr(agent, "state", agent)
-    return s.cash.hex(), s.shares, s.committed_ticks, s.committed_shares, s.optimistic
+    """What a trial leaves on one agent."""
+    return (agent.cash.hex(), agent.shares, agent.committed_ticks, agent.committed_shares,
+            agent.optimistic)
 
 
 def as_tuple(record) -> tuple:

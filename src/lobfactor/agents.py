@@ -6,51 +6,24 @@ market-mood bias, and idiosyncratic noise — with weights drawn once per
 agent from exponential distributions. The blended log-return forecast is
 compounded over the agent's horizon into a target price, and a constant
 absolute risk aversion rule with Gaussian beliefs turns the target into a
-desired holding, hence an order.
+desired holding, hence an order. The population's config, `PopulationConfig`
+with its `CashSpec`, and the forecast clamp are defined in `lobfactor.config`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import FLOAT_MAX, RETURN_HORIZON_CLAMP, TINY, PopulationConfig
 from .orderbook import BUY, SELL, Order, align_to_tick, price_of, tick_fraction
 
-RETURN_HORIZON_CLAMP = 10.0  # bound on tau * r_hat inside exp()
-TINY, FLOAT_MAX = math.ulp(0.0), sys.float_info.max  # the least and greatest positive floats
 # a limit's price is below 2 * p_hat * (1 + 2**-53)**2, since its tick count
 # is at most p_hat / tick + 1/2 and at least 1 (so tick <= 2 * p_hat): under
 # this target it is finite, and only above it can it pass the largest float
 _PRICE_CHECKED_ABOVE = FLOAT_MAX / 4
-
-
-@dataclass
-class CashSpec:
-    """Initial cash endowment: "uniform" on (0, c_max) or "pareto" (c_min, beta)."""
-
-    kind: str = "uniform"
-    c_max: float = 30_000.0
-    c_min: float = 5_000.0
-    beta: float = 1.5
-
-
-@dataclass
-class PopulationConfig:
-    n_agents: int = 200
-    lambda_f: float = 10.0  # mean fundamental weight
-    lambda_c: float = 0.0  # mean chartist weight; 0 disables the component
-    lambda_m: float = 0.0  # mean mood weight; 0 disables the component
-    lambda_n: float = 1.0  # mean noise weight
-    sigma_n: float = 0.01  # std of the per-decision noise draw
-    nu: float = 0.0  # mood contagion strength; 0 freezes moods
-    alpha: float = 0.1  # base risk aversion
-    cash: CashSpec = field(default_factory=CashSpec)
-    w_max: int = 50  # initial shares ~ uniform integer on [0, w_max]
-    tau_f: int = 200  # fundamentalist mean-reversion horizon, steps
-    p_optimist_init: float = 0.5
 
 
 @dataclass(slots=True)

@@ -5,6 +5,10 @@ weight, mood weight). For each scenario the searchable parameters are the
 grid dimensions whose component flag is on, plus risk aversion; the rest
 are pinned to their off values. A combo's quality is the mean OT distance
 of its pooled tail cloud to the reference clouds; calibration is argmin.
+A combo whose trials mostly fail to trade is recorded as unstable, and
+`CalibrationError` is raised only when a scenario has no stable combo. The
+experiment's config, `ExperimentConfig` with its grid, refs and paths, is
+defined in `lobfactor.config`.
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import product
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .agents import CashSpec
-from .engine import SimulationConfig, run
+from .config import CashSpec, ExperimentConfig, ParameterGrid, RefsSpec, SimulationConfig
+from .engine import run
 from .metrics import (
     DegenerateSeriesError,
     PointCloud,
@@ -46,45 +50,6 @@ class CalibrationError(RuntimeError):
 
 class LedgerError(ValueError):
     """A combo ledger line other than the last cannot be read."""
-
-
-@dataclass(frozen=True)
-class ParameterGrid:
-    lambda_c: tuple[float, ...] = (0.0, 1.5, 1.75, 2.0, 2.25, 2.5)
-    lambda_m: tuple[float, ...] = (0.0, 1e-5, 2e-5, 3e-5, 4e-5, 5e-5)
-    nu: tuple[float, ...] = (0.3, 0.5, 0.7)
-    alpha: tuple[float, ...] = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
-
-
-@dataclass(frozen=True)
-class RefsSpec:
-    """Student-t stand-ins for the reference tail clouds."""
-
-    count: int = 18
-    n_samples: int = 30_000
-    df: float = 3.0
-    seed: int = 777
-
-
-@dataclass(frozen=True)
-class PathsSpec:
-    """Seeded synthetic reference transaction paths."""
-
-    count: int = 6
-    seed: int = 4242
-    mean_total: int = 30_000
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Trials per combo, their seeds, the search grid and the references."""
-
-    trials: int = 20
-    base_seed: int = 1000  # trial i of a combo runs with seed base_seed + i
-    path_seed: int = 7701  # stream of each trial's reference path choice
-    grid: ParameterGrid = field(default_factory=ParameterGrid)
-    refs: RefsSpec = field(default_factory=RefsSpec)
-    paths: PathsSpec = field(default_factory=PathsSpec)
 
 
 @dataclass(frozen=True)
@@ -228,8 +193,6 @@ def evaluate_combo(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     returns_parts, volume_parts, n_degenerate = trial_series(build_config(base, combo), exp, paths)
-    if n_degenerate == n_trials:
-        raise CalibrationError(f"all {n_trials} trials degenerate for combo {combo.key()}")
 
     def unusable() -> ComboMetrics:
         return ComboMetrics(combo=combo, hill=None, k_used=0, mean_ot=None, ot_std=None,
@@ -261,10 +224,6 @@ def evaluate_combo(
         unstable=False,
         stylized=stylized,
     )
-
-
-def _evaluate_task(args) -> ComboMetrics:
-    return evaluate_combo(*args)
 
 
 class ComboLedger:
@@ -370,18 +329,19 @@ def calibrate(
         if rec is not None:
             results[idx] = ledger.to_metrics(rec)
         else:
-            pending.append((idx, combo))
-    tasks = [(base, combo, exp, refs, paths) for _, combo in pending]
+            pending.append(idx)
     # the pool starts every worker at once, so it gets no more than can run
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(pending), os.cpu_count() or 1)
     # each result is recorded as it arrives, in enumeration order, so an
     # interrupted run keeps every combo finished before the interruption
     if workers > 1:
         # imported here: it loads multiprocessing, which no serial run needs
         from concurrent.futures import ProcessPoolExecutor
+    args = (repeat(base), [combos[idx] for idx in pending], repeat(exp), repeat(refs),
+            repeat(paths))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        fresh = pool.map(_evaluate_task, tasks) if pool else map(_evaluate_task, tasks)
-        for (idx, _), metrics in zip(pending, fresh):
+        fresh = pool.map(evaluate_combo, *args) if pool else map(evaluate_combo, *args)
+        for idx, metrics in zip(pending, fresh):
             results[idx] = metrics
             ledger.record(scenario, exp.base_seed, metrics)
     usable = [(i, m) for i, m in enumerate(results) if not m.unstable]

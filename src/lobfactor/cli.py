@@ -3,7 +3,7 @@
 All behavior is driven by a single JSON config resolved against built-in
 defaults; `--print-config` dumps the resolved document whose sha256 digest
 goes into every run manifest. Exit codes: 0 success, 2 config error, 3 data
-error, 4 runtime degeneracy.
+error, 4 a requested scenario with no stable combo.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from types import NoneType
 import numpy as np
 
 from . import __version__
-from .calibration import (CalibrationError, ComboLedger, LedgerError, RefsSpec, calibrate,
+from .calibration import (CalibrationError, ComboLedger, LedgerError, calibrate,
                           enumerate_combos, make_student_t_refs, trial_path_index)
 # perfbench and scripts read resolve_config and parameter_grid from this module
-from .config import (MAX_COUNT, ConfigError, config_digest, experiment_config, parameter_grid,
-                     read_input, resolve_config, run_digest, simulation_config)
+from .config import (MAX_COUNT, ConfigError, RefsSpec, config_digest, experiment_config,
+                     parameter_grid, read_input, resolve_config, run_digest, simulation_config)
 from .engine import TickRecord, run
 from .metrics import (ABS_AUTOCORR_LAGS, DegenerateSeriesError, build_tail_cloud, hill_index,
                       ot_distance, standardize, stylized_facts)

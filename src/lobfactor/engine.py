@@ -1,5 +1,8 @@
 """Single-market simulation loop.
 
+An `Engine` checks its `SimulationConfig` with `config.validate_config`, so
+a config out of bounds raises `ConfigError` before anything is drawn.
+
 Each step: one uniformly chosen agent forecasts and may submit one order
 (matching suppressed inside the configured no-execution windows), stale
 orders expire, then, while moods are mixed (0 < optimists < n), every agent
@@ -32,40 +35,15 @@ with `record_ticks=False`. Skipping it changes no other output.
 from __future__ import annotations
 
 import gc
-import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .agents import (
-    FLOAT_MAX,
-    RETURN_HORIZON_CLAMP,
-    TINY,
-    Agent,
-    PopulationConfig,
-    decide_order,
-    init_population,
-    predict_return,
-)
+from .agents import Agent, decide_order, init_population, predict_return
+from .config import SimulationConfig, validate_config
 from .orderbook import BUY, Book, Trade
-
-
-# far above the 2110-step day; bounds the pre-drawn per-step arrays
-MAX_T_SIM = 10**6
-# 50 times the default population
-MAX_AGENTS = 10**4
-# the initial share draw rng.integers(0, w_max + 1) needs an int64 high
-MAX_W_MAX = 2**63 - 1
-# weight means, noise scale and risk aversion: numpy's exponential draws stay below
-# about 45 and its normal ones below about 14, so every product of them stays finite
-MAX_SCALE = 1e100
-
-
-class ConfigurationError(ValueError):
-    """A simulation config failed validation."""
 
 
 @contextmanager
@@ -79,19 +57,6 @@ def _gc_paused():
     finally:
         if enabled:
             gc.enable()
-
-
-@dataclass
-class SimulationConfig:
-    population: PopulationConfig = field(default_factory=PopulationConfig)
-    t_sim: int = 2110
-    no_exec_windows: tuple = ((1, 100), (1100, 1110))
-    p0: float = 300.0
-    fundamental_price: float = 300.0
-    tick_size: float = 1e-4
-    v_max: int = 50  # per-order volume cap
-    sigma_sq_order: float = 1e-4  # return-variance belief in the sizing rule
-    seed: int = 0
 
 
 class TickRecord(NamedTuple):
@@ -114,58 +79,6 @@ class SimulationOutput:
     trades: list[Trade]
     mid_prices: list[float]  # entry t-1 = mid after step t; p0 precedes entry 0
     optimists_rate: list[float]  # recorded after each step's mood pass
-
-
-def bounds_table(*rows: tuple) -> tuple:
-    """Rows (field path, least, greatest), each given its getter once."""
-    return tuple((path, least, greatest, attrgetter(path)) for path, least, greatest in rows)
-
-
-def check_bounds(config, bounds: tuple) -> None:
-    """Raise a ConfigurationError naming the first field outside its row's closed range."""
-    for path, least, greatest, get in bounds:
-        value = get(config)
-        if not least <= value <= greatest:
-            raise ConfigurationError(f"{path} must lie in [{least}, {greatest}], got {value}")
-
-
-# each float row's greatest is finite, so no row admits NaN or an infinity
-SIMULATION_BOUNDS = bounds_table(
-    ("seed", 0, math.inf), ("t_sim", 1, MAX_T_SIM), ("v_max", 1, math.inf),
-    ("p0", TINY, FLOAT_MAX), ("fundamental_price", TINY, FLOAT_MAX),
-    ("tick_size", TINY, FLOAT_MAX), ("sigma_sq_order", TINY, FLOAT_MAX),
-    ("population.n_agents", 1, MAX_AGENTS), ("population.w_max", 0, MAX_W_MAX),
-    ("population.tau_f", 1, int(FLOAT_MAX)),  # w_f / tau_f converts tau_f to a float
-    ("population.lambda_f", 0.0, MAX_SCALE), ("population.lambda_c", 0.0, MAX_SCALE),
-    ("population.lambda_m", 0.0, MAX_SCALE), ("population.lambda_n", 0.0, MAX_SCALE),
-    ("population.sigma_n", 0.0, MAX_SCALE), ("population.alpha", TINY, MAX_SCALE),
-    ("population.nu", 0.0, 1.0), ("population.p_optimist_init", 0.0, 1.0),
-    ("population.cash.c_max", TINY, FLOAT_MAX), ("population.cash.c_min", TINY, FLOAT_MAX),
-    ("population.cash.beta", TINY, FLOAT_MAX),
-)
-
-
-def validate_config(config: SimulationConfig) -> None:
-    """Check each field against SIMULATION_BOUNDS, then the rules that span fields."""
-    check_bounds(config, SIMULATION_BOUNDS)
-    cash = config.population.cash
-    if cash.kind not in ("uniform", "pareto"):
-        raise ConfigurationError(f"unknown cash kind {cash.kind!r}")
-    # rng.random's least nonzero draw is 2**-53 (zeros are drawn again), so the
-    # largest Pareto cash is c_min * 2**(53 / beta); checked for any kind, since
-    # the Pareto scenarios take c_min and beta whatever kind the config names
-    if math.log(cash.c_min) + 53 / cash.beta * math.log(2) > math.log(FLOAT_MAX):
-        raise ConfigurationError("cash c_min * 2**(53 / beta), the largest Pareto draw, "
-                                 "must be finite")
-    # a first order's limit lies within e**RETURN_HORIZON_CLAMP of p0; its
-    # tick count, price / tick, must be a finite float
-    if not math.isfinite(max(config.p0, config.fundamental_price)
-                         * math.exp(RETURN_HORIZON_CLAMP) / config.tick_size):
-        raise ConfigurationError(f"max(p0, fundamental_price) * e**{RETURN_HORIZON_CLAMP:g} "
-                                 "/ tick_size must be finite")
-    for window in config.no_exec_windows:
-        if len(window) != 2 or not 1 <= window[0] <= window[1]:
-            raise ConfigurationError(f"bad no-exec window {window}")
 
 
 class Engine:

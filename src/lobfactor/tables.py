@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calibration import CalibrationResult, ParameterGrid
+from .calibration import CalibrationResult
+from .config import ParameterGrid
 from .metrics import ABS_AUTOCORR_LAGS, theoretical_hill
 
 QUARTET = (0, 1, 2, 4)  # no component, Pareto cash, chartists, both

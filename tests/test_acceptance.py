@@ -19,11 +19,12 @@ import pytest
 from oracles import vertex_ot
 from schemas import MANIFEST_SCHEMA
 
-from lobfactor.agents import CashSpec, sample_pareto
-from lobfactor.calibration import Combo, ExperimentConfig, PathsSpec, evaluate_combo
+from lobfactor.agents import sample_pareto
+from lobfactor.calibration import Combo, evaluate_combo
 from lobfactor.cli import TABLE2_COLUMNS, write_ticks_csv
 from lobfactor.cli import main as cli_main
-from lobfactor.engine import SimulationConfig, run
+from lobfactor.config import CashSpec, ExperimentConfig, PathsSpec, SimulationConfig
+from lobfactor.engine import run
 from lobfactor.metrics import (
     PointCloud,
     build_tail_cloud,
@@ -40,7 +41,7 @@ from lobfactor.timegrid import (
     bar_indices,
     synthetic_reference_path,
 )
-from lobfactor.agents import PopulationConfig
+from lobfactor.config import PopulationConfig
 
 
 @pytest.fixture(scope="module")

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from lobfactor.agents import (
     Agent,
-    CashSpec,
-    PopulationConfig,
     decide_order,
     horizon,
     init_population,
     predict_return,
     sample_pareto,
 )
+from lobfactor.config import CashSpec, PopulationConfig
 from lobfactor.orderbook import Side, align_to_tick, price_of
 from oracles import predict_return_raw, update_mood
 

@@ -17,6 +17,7 @@ import pytest
 
 from lobfactor import calibration, cli, engine
 from lobfactor.agents import PopulationConfig
+from lobfactor.config import PathsSpec
 from lobfactor.timegrid import synthetic_reference_path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -48,7 +49,7 @@ def test_tracer_sees_each_trial_and_conserved_volume_without_a_tick_log():
     combo = calibration.Combo(cash=base.population.cash, lambda_c=0.0, lambda_m=0.0,
                               nu=0.0, alpha=0.1)
     paths = [synthetic_reference_path(np.random.default_rng(5), "uniform",
-                                      calibration.PathsSpec().mean_total)]
+                                      PathsSpec().mean_total)]
     tracer = load_perfbench("tracing").Tracer()
     tracer.install()
     try:

@@ -1,6 +1,6 @@
 """The bounds tables: every row's edges, checked by check_bounds and through
-`experiment --print-config`, the fields the rows cover, and a fuzz of the
-`simulate` front door drawn from the rows.
+`experiment --print-config`, the fields the rows cover, the one module that
+owns them, and a fuzz of the `simulate` front door drawn from the rows.
 
 SIMULATION_BOUNDS and EXPERIMENT_BOUNDS each hold one row (field path,
 least, greatest) per number of their config section, and check_bounds is the
@@ -8,6 +8,7 @@ one checker of both. The cases here are generated from the rows, so a row
 added to a table is tested without a new case.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -25,14 +26,16 @@ from hypothesis import strategies as st
 
 import lobfactor.calibration as calibration_mod
 import lobfactor.cli as cli_mod
-from lobfactor.agents import FLOAT_MAX, TINY
-from lobfactor.calibration import ExperimentConfig
+import lobfactor.config as config_mod
 from lobfactor.cli import EXIT_CONFIG, EXIT_OK, main
-from lobfactor.config import EXPERIMENT_BOUNDS
-from lobfactor.engine import (
+from lobfactor.config import (
+    EXPERIMENT_BOUNDS,
+    FLOAT_MAX,
     MAX_SCALE,
     SIMULATION_BOUNDS,
-    ConfigurationError,
+    TINY,
+    ConfigError,
+    ExperimentConfig,
     SimulationConfig,
     check_bounds,
 )
@@ -100,7 +103,7 @@ def test_row_admits_its_edge(case):
 @pytest.mark.parametrize("case", OUTSIDE_CASES, ids=case_id)
 def test_row_rejects_what_lies_outside_it(case):
     _, default, table, (path, least, greatest, _), value = case
-    with pytest.raises(ConfigurationError) as exc:
+    with pytest.raises(ConfigError) as exc:
         check_bounds(replaced(default, path, value), table)
     assert str(exc.value) == f"{path} must lie in [{least}, {greatest}], got {value}"
 
@@ -182,6 +185,35 @@ def test_every_number_field_has_exactly_one_row(default, table):
     # the grid's tuples are checked as simulation values, a field at a time
     rows = Counter(path for path, *_ in table)
     assert rows == Counter(number_fields(default))
+
+
+def config_types(config) -> set[type]:
+    """The type of a section's dataclass and of every dataclass under it."""
+    types = {type(config)}
+    for f in fields(config):
+        if is_dataclass(value := getattr(config, f.name)):
+            types |= config_types(value)
+    return types
+
+
+def test_config_owns_the_schema_and_imports_only_the_version():
+    """Every config type, bounds table and cap is defined in lobfactor.config,
+    which imports no other lobfactor module, so it sits at the bottom of the
+    import graph."""
+    types = config_types(SimulationConfig()) | config_types(ExperimentConfig())
+    assert len(types) == 7 and {t.__module__ for t in types} == {"lobfactor.config"}
+    package = Path(config_mod.__file__).parent
+    tree = ast.parse((package / "config.py").read_text())
+    assert [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level or node.module.startswith("lobfactor"))] == [
+        "from . import __version__"]
+    for module in sorted(package.glob("*.py")):
+        if module.name != "config.py":
+            defined = {target.id for node in ast.parse(module.read_text()).body
+                       if isinstance(node, ast.Assign) for target in node.targets
+                       if isinstance(target, ast.Name)}
+            assert not {name for name in defined
+                        if name.startswith("MAX_") or name.endswith("_BOUNDS")}, module.name
 
 
 def simulate(document: dict, out_parent: Path) -> tuple[int, str, list]:

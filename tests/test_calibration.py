@@ -7,17 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from lobfactor.agents import CashSpec, PopulationConfig
 from lobfactor.calibration import (
     CalibrationError,
     Combo,
     ComboLedger,
     ComboMetrics,
-    ExperimentConfig,
     LedgerError,
-    ParameterGrid,
-    PathsSpec,
-    RefsSpec,
     build_config,
     calibrate,
     enumerate_combos,
@@ -26,7 +21,15 @@ from lobfactor.calibration import (
     trial_path_index,
     trial_series,
 )
-from lobfactor.engine import SimulationConfig
+from lobfactor.config import (
+    CashSpec,
+    ExperimentConfig,
+    ParameterGrid,
+    PathsSpec,
+    PopulationConfig,
+    RefsSpec,
+    SimulationConfig,
+)
 from lobfactor.metrics import (
     DegenerateSeriesError,
     StylizedFactReport,
@@ -206,11 +209,13 @@ class TestEvaluateCombo:
         again = evaluate_combo(cfg, COMBO, THREE_TRIALS, refs=[own], paths=paths)
         assert again.mean_ot == 0.0
 
-    def test_all_degenerate_raises(self, paths):
+    def test_all_degenerate_marks_unstable(self, paths):
         cfg = dataclasses.replace(small_base(), no_exec_windows=((1, 250),))
-        with pytest.raises(CalibrationError):
-            evaluate_combo(cfg, COMBO, ExperimentConfig(trials=2, base_seed=50), refs=[],
+        m = evaluate_combo(cfg, COMBO, ExperimentConfig(trials=2, base_seed=50), refs=[],
                            paths=paths)
+        assert m.n_degenerate == 2
+        assert m.unstable
+        assert m.hill is None and m.mean_ot is None
 
     def test_majority_degenerate_marks_unstable(self, paths, monkeypatch):
         real_run = calibration_mod.run
@@ -252,6 +257,18 @@ def _fake_metrics(combo: Combo, mean_ot: float, hill: float, unstable: bool = Fa
     return ComboMetrics(combo=combo, hill=None if unstable else hill, k_used=10,
                         mean_ot=None if unstable else mean_ot, ot_std=0.0, n_trials=2,
                         n_degenerate=0, n_pooled=100, unstable=unstable, stylized=stylized)
+
+
+FAILING_ALPHAS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+FAILING_COMBO = 4
+
+
+def _evaluate_failing_at_k(base, combo, exp, refs, paths):
+    """Fails at combo FAILING_COMBO of an alpha grid FAILING_ALPHAS; defined at
+    module level, so a process pool can send it to its workers."""
+    if combo.alpha == FAILING_ALPHAS[FAILING_COMBO - 1]:
+        raise RuntimeError(f"combo {FAILING_COMBO} failed")
+    return _fake_metrics(combo, mean_ot=1.0, hill=3.0)
 
 
 class TestCalibrate:
@@ -310,8 +327,8 @@ class TestCalibrate:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         for cpus in (2, 64, 1, None):  # three combos are pending each time
@@ -322,16 +339,11 @@ class TestCalibrate:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_at_combo_k_keeps_the_k_minus_1_before_it(self, monkeypatch, tmp_path,
                                                                paths, workers):
-        grid = dataclasses.replace(self.EXP.grid, alpha=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3))
-        k = 4
-
-        def score(c):
-            if c.alpha == grid.alpha[k - 1]:
-                raise RuntimeError(f"combo {k} failed")
-            return _fake_metrics(c, mean_ot=1.0, hill=3.0)
-
-        # the pool forks, so its workers see the patched evaluate_combo too
-        self._patched(monkeypatch, score)
+        grid = dataclasses.replace(self.EXP.grid, alpha=FAILING_ALPHAS)
+        k = FAILING_COMBO
+        # the pool sends the function by name, and forks, so its workers find
+        # the patched evaluate_combo in this module
+        monkeypatch.setattr(calibration_mod, "evaluate_combo", _evaluate_failing_at_k)
         ledger_file = tmp_path / "ledger.jsonl"
         with pytest.raises(RuntimeError, match=f"combo {k} failed"):
             calibrate(0, dataclasses.replace(self.EXP, grid=grid), small_base(), refs=[],

@@ -3,6 +3,7 @@
 import ast
 import copy
 import csv
+import importlib
 import io
 import json
 import math
@@ -23,7 +24,7 @@ import lobfactor
 import lobfactor.calibration as calibration_mod
 import lobfactor.cli as cli_mod
 import lobfactor.config as config_mod
-from lobfactor.calibration import ComboMetrics, ExperimentConfig
+from lobfactor.calibration import ComboMetrics
 from lobfactor.cli import (
     BARS_CSV_HEADER,
     EXIT_CONFIG,
@@ -41,8 +42,7 @@ from lobfactor.cli import (
     run_digest,
     simulation_config,
 )
-from lobfactor.config import DEFAULT_CONFIG
-from lobfactor.engine import SimulationConfig, validate_config
+from lobfactor.config import DEFAULT_CONFIG, ExperimentConfig, SimulationConfig, validate_config
 from lobfactor.metrics import DegenerateSeriesError, StylizedFactReport
 from lobfactor.orderbook import price_of
 from lobfactor.timegrid import MINUTES_PER_DAY
@@ -944,6 +944,30 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg, "--scenarios", "0",
                      "--out", str(tmp_path / "x")]) == EXIT_DEGENERATE
 
+    def test_a_combo_without_trades_is_unstable_and_a_resume_evaluates_nothing(
+            self, tmp_path, monkeypatch):
+        """At alpha 1e90 no trial trades: that combo is recorded unstable, not
+        fatal, and a resume of the finished run finds both combos done."""
+        cfg = write_json(tmp_path / "cfg.json", {
+            "simulation": {"t_sim": 300, "population": {"n_agents": 20}},
+            "experiment": {"trials": 2, "grid": {"alpha": [0.1, 1e90]}},
+        })
+        out = tmp_path / "exp"
+        args = ["experiment", "--config", cfg, "--scenarios", "0", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        records = [json.loads(line) for line in (out / "ledger.jsonl").read_text().splitlines()]
+        assert [(rec["combo"]["alpha"], rec["unstable"], rec["n_degenerate"])
+                for rec in records] == [(0.1, False, 0), (1e90, True, 2)]
+        names = ("table2.csv", "table4.csv", "ledger.jsonl")
+        first = {name: (out / name).read_bytes() for name in names}
+
+        def guarded(*args):
+            raise AssertionError("combo evaluated on resume of a finished run")
+
+        monkeypatch.setattr(calibration_mod, "evaluate_combo", guarded)
+        assert main([*args, "--resume"]) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in names} == first
+
     def test_trials_flag_overrides_config(self, sim_config, tmp_path):
         out = tmp_path / "exp"
         assert main(["experiment", "--config", sim_config, "--scenarios", "0",
@@ -1047,26 +1071,35 @@ class TestConsoleScript:
         assert proc.stdout.strip() == "[]"
 
 
-def names_read_from_cli(source: str) -> set[str]:
-    """Each X of a `from lobfactor.cli import X` and of a `cli.X` read."""
-    names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.module == "lobfactor.cli":
-            names.update(alias.name for alias in node.names)
-        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id == "cli"):
-            names.add(node.attr)
+def lobfactor_names_read(source: str) -> set[tuple[str, str]]:
+    """(module, name) of each `from lobfactor.<module> import name` and
+    `from lobfactor import name`, and of each `<module>.name` read where
+    `<module>` was imported with `from lobfactor import <module>`."""
+    tree = ast.parse(source)
+    names, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lobfactor"):
+            names.update((node.module, alias.name) for alias in node.names)
+            if node.module == "lobfactor":
+                modules.update({alias.asname or alias.name: f"lobfactor.{alias.name}"
+                                for alias in node.names})
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add((modules[node.value.id], node.attr))
     return names
 
 
 def test_benchmark_and_scripts_read_only_names_the_cli_has():
-    """perfbench/ and scripts/ read config loaders from lobfactor.cli; the
-    benchmark's checks run only in benchmark runs and no test imports the
-    scripts, so a name lost from cli would show nowhere else."""
+    """Every lobfactor name that perfbench/ and scripts/ import or read off a
+    lobfactor module resolves. The benchmark's checks run only in benchmark
+    runs and no test imports the scripts, so a name moved or lost would show
+    nowhere else."""
     root = Path(__file__).resolve().parents[1]
-    names = set().union(*(names_read_from_cli(file.read_text())
+    names = set().union(*(lobfactor_names_read(file.read_text())
                           for folder in ("perfbench", "scripts")
                           for file in sorted((root / folder).glob("*.py"))))
-    assert {"resolve_config", "simulation_config", "parameter_grid", "load_paths",
-            "main"} <= names
-    assert sorted(name for name in names if not hasattr(cli_mod, name)) == []
+    assert {("lobfactor.cli", name) for name in ("resolve_config", "simulation_config",
+                                                 "parameter_grid", "load_paths", "main")} <= names
+    assert sorted(f"{module}.{name}" for module, name in names
+                  if not hasattr(importlib.import_module(module), name)) == []

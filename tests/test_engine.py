@@ -8,19 +8,21 @@ import numpy as np
 import pytest
 
 from lobfactor import engine as engine_mod
-from lobfactor.agents import CashSpec, PopulationConfig, init_population, sample_pareto
-from lobfactor.calibration import ParameterGrid, build_config, enumerate_combos
+from lobfactor.agents import init_population, sample_pareto
+from lobfactor.calibration import build_config, enumerate_combos
 from lobfactor.cli import write_ticks_csv
-from lobfactor.engine import (
+from lobfactor.config import (
     MAX_AGENTS,
     MAX_T_SIM,
     MAX_W_MAX,
-    ConfigurationError,
-    Engine,
+    CashSpec,
+    ConfigError,
+    ParameterGrid,
+    PopulationConfig,
     SimulationConfig,
-    run,
     validate_config,
 )
+from lobfactor.engine import Engine, run
 from lobfactor.orderbook import Order, Side, align_to_tick, price_of
 from oracles import daily_mood_change_rate, in_no_exec_window, update_mood
 
@@ -53,7 +55,7 @@ class TestValidation:
         dict(p0=1e305),  # a limit e**10 above p0 is no finite float
     ])
     def test_bad_engine_fields_rejected(self, patch):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             validate_config(SimulationConfig(**patch))
 
     @pytest.mark.parametrize("patch", [
@@ -63,8 +65,12 @@ class TestValidation:
         dict(cash=CashSpec(kind="pareto", c_min=1e300, beta=0.5)),
     ])
     def test_bad_population_fields_rejected(self, patch):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             validate_config(SimulationConfig(population=PopulationConfig(**patch)))
+
+    def test_engine_checks_its_config_before_drawing(self):
+        with pytest.raises(ConfigError, match="t_sim must lie in"):
+            Engine(SimulationConfig(t_sim=0))
 
     def test_largest_share_and_pareto_cash_draws_admitted(self):
         # at the edge beta, c_min * 2**(53 / beta) lies just below the largest float

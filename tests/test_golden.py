@@ -13,9 +13,9 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from lobfactor.agents import CashSpec, PopulationConfig
 from lobfactor.cli import EXIT_OK, config_digest, main, resolve_config
-from lobfactor.engine import SimulationConfig, run
+from lobfactor.config import CashSpec, PopulationConfig, SimulationConfig
+from lobfactor.engine import run
 
 # the resolved default config: manifests of default runs stay comparable
 DEFAULT_CONFIG_DIGEST = "a610a9702f42686c4e1233ff040eabe866198d3c0588b7e5b27b8f940d3879af"

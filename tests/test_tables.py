@@ -3,14 +3,13 @@ each built from fake calibration results."""
 
 import pytest
 
-from lobfactor.agents import CashSpec
 from lobfactor.calibration import (
     CalibrationResult,
     Combo,
     ComboMetrics,
-    ParameterGrid,
     enumerate_combos,
 )
+from lobfactor.config import CashSpec, ParameterGrid
 from lobfactor.metrics import StylizedFactReport
 from lobfactor.tables import (
     FIG5_COLUMNS,
