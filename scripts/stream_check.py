@@ -33,10 +33,10 @@ def trial_stats() -> dict:
     """Per-trial statistics of each scenario under the importable lobfactor."""
     import numpy as np
 
-    from lobfactor.agents import PopulationConfig
-    from lobfactor.calibration import CashSpec, ExperimentConfig, trial_path_index
+    from lobfactor.calibration import trial_path_index
     from lobfactor.cli import load_paths, resolve_config
-    from lobfactor.engine import SimulationConfig, run
+    from lobfactor.config import CashSpec, ExperimentConfig, PopulationConfig, SimulationConfig
+    from lobfactor.engine import run
     from lobfactor.metrics import build_tail_cloud, hill_index, standardize
     from lobfactor.timegrid import assign_calendar_time, log_returns
 

@@ -50,10 +50,10 @@ def load_side(tree: str):
         del sys.modules[name]
     sys.path.insert(0, str(src.resolve()))
     try:
-        from lobfactor.agents import PopulationConfig
-        from lobfactor.calibration import CashSpec, ParameterGrid, build_config, enumerate_combos
+        from lobfactor.calibration import build_config, enumerate_combos
         from lobfactor.cli import load_paths, resolve_config
-        from lobfactor.engine import Engine, SimulationConfig
+        from lobfactor.config import CashSpec, ParameterGrid, PopulationConfig, SimulationConfig
+        from lobfactor.engine import Engine
         from lobfactor.timegrid import assign_calendar_time, bar_volumes, log_returns
     finally:
         sys.path.pop(0)

@@ -27,6 +27,7 @@ import numpy as np
 from .config import CashSpec, ExperimentConfig, ParameterGrid, RefsSpec, SimulationConfig
 from .engine import run
 from .metrics import (
+    ABS_AUTOCORR_LAGS,
     DegenerateSeriesError,
     PointCloud,
     StylizedFactReport,
@@ -54,36 +55,20 @@ class LedgerError(ValueError):
 
 @dataclass(frozen=True)
 class Combo:
-    """One grid point: the population-level knobs a scenario may search."""
+    """One grid point: the population-level knobs a scenario may search, and
+    the `combo` object of a ledger line."""
 
-    cash: CashSpec
+    cash_kind: str
+    c_max: float
+    c_min: float
+    beta: float
     lambda_c: float
     lambda_m: float
     nu: float
     alpha: float
 
-    def key(self) -> dict:
-        return {
-            "cash_kind": self.cash.kind,
-            "c_max": self.cash.c_max,
-            "c_min": self.cash.c_min,
-            "beta": self.cash.beta,
-            "lambda_c": self.lambda_c,
-            "lambda_m": self.lambda_m,
-            "nu": self.nu,
-            "alpha": self.alpha,
-        }
-
-    @classmethod
-    def from_key(cls, key: dict) -> "Combo":
-        """The combo whose `key()` is `key`."""
-        cash = CashSpec(kind=key["cash_kind"], c_max=key["c_max"], c_min=key["c_min"],
-                        beta=key["beta"])
-        return cls(cash=cash, lambda_c=key["lambda_c"], lambda_m=key["lambda_m"],
-                   nu=key["nu"], alpha=key["alpha"])
-
     def digest(self) -> str:
-        blob = json.dumps(self.key(), sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -117,7 +102,7 @@ def enumerate_combos(scenario: int, grid: ParameterGrid, cash: CashSpec) -> list
     """
     if not 0 <= scenario <= 7:
         raise ValueError(f"scenario must be 0..7, got {scenario}")
-    cash = replace(cash, kind="pareto" if scenario in _PARETO_SCENARIOS else "uniform")
+    kind = "pareto" if scenario in _PARETO_SCENARIOS else "uniform"
     lc_opts = [v for v in grid.lambda_c if v > 0] if scenario in _CHARTIST_SCENARIOS else [0.0]
     if scenario in _MOOD_SCENARIOS:
         lm_opts = [v for v in grid.lambda_m if v > 0]
@@ -126,7 +111,7 @@ def enumerate_combos(scenario: int, grid: ParameterGrid, cash: CashSpec) -> list
         lm_opts = [0.0]
         nu_opts = [0.0]
     return [
-        Combo(cash=cash, lambda_c=lc, lambda_m=lm, nu=nu, alpha=a)
+        Combo(kind, cash.c_max, cash.c_min, cash.beta, lc, lm, nu, a)
         for lc, lm, nu, a in product(lc_opts, lm_opts, nu_opts, grid.alpha)
     ]
 
@@ -134,7 +119,7 @@ def enumerate_combos(scenario: int, grid: ParameterGrid, cash: CashSpec) -> list
 def build_config(base: SimulationConfig, combo: Combo) -> SimulationConfig:
     population = replace(
         base.population,
-        cash=combo.cash,
+        cash=CashSpec(combo.cash_kind, combo.c_max, combo.c_min, combo.beta),
         lambda_c=combo.lambda_c,
         lambda_m=combo.lambda_m,
         nu=combo.nu,
@@ -229,27 +214,28 @@ def evaluate_combo(
 class ComboLedger:
     """Append-only JSONL record of finished combos, keyed for safe resume.
 
-    A line counts as done only if it carries this ledger's run digest (the
-    CLI's digest of the resolved config and input files) and every
-    `ComboMetrics` field, so a line written before a field existed is
-    evaluated again.
-    On open, every other line is dropped and the file rewritten to hold only
-    the done lines. A run killed mid-append leaves a cut-off last line: it is
-    dropped too, with a warning, so its combo is evaluated again; that
-    includes a line cut just before its newline.
+    `record` writes each line: the resume key (scenario, combo digest, base
+    seed, run digest) and `asdict` of its `ComboMetrics`. On open, a line
+    counts as done only if it carries this ledger's run digest (the CLI's
+    digest of the resolved config and input files) and `_rebuild` rebuilds
+    its `ComboMetrics`, which `lookup` then returns. Every other line, such
+    as one written before a field existed, is dropped from the rewritten
+    file and its combo evaluated again. So is a run's cut-off last line,
+    with a warning; that includes a line cut just before its newline. A line
+    before the last that is no JSON object raises `LedgerError`.
     """
 
     def __init__(self, path: str | Path | None, run_digest: str = ""):
         self.path = Path(path) if path else None
         self.run_digest = run_digest
-        self._done: dict[tuple, dict] = {}
+        self._done: dict[tuple, ComboMetrics] = {}
         if self.path and self.path.exists():
             lines = self.path.read_bytes().splitlines(keepends=True)
             kept = []
             for line_no, line in enumerate(lines, start=1):
                 try:
                     rec = json.loads(line) if line.strip() else {}
-                except ValueError:
+                except (ValueError, RecursionError):
                     rec = None
                 # a line that is no JSON object is unreadable; a last line
                 # without its newline is an unfinished append
@@ -259,49 +245,60 @@ class ComboLedger:
                     print(f"warning: {self.path}: dropped cut-off line {line_no}; "
                           "its combo will be evaluated again", file=sys.stderr)
                     break
-                if (rec.get("run_digest") == run_digest
-                        and all(f.name in rec for f in fields(ComboMetrics))):
-                    self._done[self._key(rec)] = rec
+                metrics = _rebuild(rec) if rec.get("run_digest") == run_digest else None
+                if metrics is not None:
+                    self._done[rec["scenario"], rec["combo_digest"], rec["base_seed"],
+                               metrics.n_trials] = metrics
                     kept.append(line)
             if len(kept) < len(lines):
                 tmp = self.path.with_name(self.path.name + ".tmp")
                 tmp.write_bytes(b"".join(kept))
                 os.replace(tmp, self.path)
 
-    @staticmethod
-    def _key(rec: dict) -> tuple:
-        return (rec["scenario"], rec["combo_digest"], rec["base_seed"], rec["n_trials"])
-
-    def lookup(self, scenario_no: int, combo: Combo, base_seed: int, n_trials: int) -> dict | None:
+    def lookup(self, scenario_no: int, combo: Combo, base_seed: int,
+               n_trials: int) -> ComboMetrics | None:
         return self._done.get((scenario_no, combo.digest(), base_seed, n_trials))
 
     def record(self, scenario_no: int, base_seed: int, metrics: ComboMetrics) -> None:
-        """One line: the resume key, the run digest, and every `ComboMetrics`
-        field, with the combo flattened by `Combo.key()`."""
-        stylized = metrics.stylized
-        rec = {
-            "scenario": scenario_no,
-            "combo_digest": metrics.combo.digest(),
-            "base_seed": base_seed,
-            "run_digest": self.run_digest,
-            **{f.name: getattr(metrics, f.name) for f in fields(ComboMetrics)},
-            "combo": metrics.combo.key(),
-            "stylized": None if stylized is None else asdict(stylized),
-        }
-        self._done[self._key(rec)] = rec
+        """One line: the resume key and every `ComboMetrics` field."""
+        digest = metrics.combo.digest()
+        self._done[scenario_no, digest, base_seed, metrics.n_trials] = metrics
         if self.path:
+            rec = {"scenario": scenario_no, "combo_digest": digest, "base_seed": base_seed,
+                   "run_digest": self.run_digest, **asdict(metrics)}
             with open(self.path, "a") as fh:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    def to_metrics(self, rec: dict) -> ComboMetrics:
+
+def _rebuild(rec: dict) -> ComboMetrics | None:
+    """The `ComboMetrics` of a ledger record, or None unless every field is
+    there with its type (counts ints, scores floats, or None on an unstable
+    line, `unstable` a bool, stylized facts floats or None, one per lag of
+    `ABS_AUTOCORR_LAGS`) and the combo has the stored digest."""
+    try:
         values = {f.name: rec[f.name] for f in fields(ComboMetrics)}
-        values["combo"] = Combo.from_key(rec["combo"])
-        facts = rec["stylized"]
+        values["combo"] = Combo(**values["combo"])
+        facts = values["stylized"]
         if facts is not None:
             # JSON object keys are strings; the lags are ints
             values["stylized"] = StylizedFactReport(**dict(facts, abs_autocorr={
                 int(lag): v for lag, v in facts["abs_autocorr"].items()}))
-        return ComboMetrics(**values)
+        m = ComboMetrics(**values)
+        counts = (rec["scenario"], rec["base_seed"], m.k_used, m.n_trials, m.n_degenerate,
+                  m.n_pooled)
+        digest_ok = m.combo.digest() == rec["combo_digest"]
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError):
+        return None
+    facts = m.stylized
+    fact_values = () if facts is None else (facts.kurtosis, facts.vol_volume_corr,
+                                            *facts.abs_autocorr.values())
+    typed = (all(type(n) is int for n in counts)
+             and type(m.unstable) is bool
+             and all(type(v) is float or (v is None and m.unstable)
+                     for v in (m.hill, m.mean_ot, m.ot_std))
+             and all(type(v) is float or v is None for v in fact_values)
+             and (facts is None or facts.abs_autocorr.keys() == set(ABS_AUTOCORR_LAGS)))
+    return m if digest_ok and typed else None
 
 
 def calibrate(
@@ -325,10 +322,8 @@ def calibrate(
     results: list[ComboMetrics | None] = [None] * len(combos)
     pending = []
     for idx, combo in enumerate(combos):
-        rec = ledger.lookup(scenario, combo, exp.base_seed, exp.trials)
-        if rec is not None:
-            results[idx] = ledger.to_metrics(rec)
-        else:
+        results[idx] = ledger.lookup(scenario, combo, exp.base_seed, exp.trials)
+        if results[idx] is None:
             pending.append(idx)
     # the pool starts every worker at once, so it gets no more than can run
     workers = min(workers, len(pending), os.cpu_count() or 1)

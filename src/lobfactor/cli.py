@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 from types import NoneType
@@ -332,13 +333,12 @@ def cmd_experiment(args, resolved: dict) -> int:
     except OSError as exc:
         raise DataError(f"ledger {ledger_path}: {exc.strerror or exc}") from None
 
-    results = {n: calibrate(n, exp, base, refs, paths, ledger=ledger, workers=args.workers)
-               for n in scenarios}
-
-    for n, result in results.items():
-        best = result.best
+    results = {}
+    for n in scenarios:
+        results[n] = calibrate(n, exp, base, refs, paths, ledger=ledger, workers=args.workers)
+        best = results[n].best
         print(f"scenario {n}: hill={best.hill:.4f} mean_ot={best.mean_ot:.6f} "
-              f"combo={best.combo.key()}")
+              f"combo={asdict(best.combo)}", flush=True)
     tables = {"table2.csv": (TABLE2_COLUMNS, table2_rows(results)),
               "table4.csv": (TABLE4_COLUMNS, table4_rows(results))}
     if set(QUARTET) <= results.keys():

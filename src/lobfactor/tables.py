@@ -32,7 +32,7 @@ def table2_rows(results: dict[int, CalibrationResult]) -> list[tuple]:
     for n, result in results.items():
         best = result.best
         c = best.combo
-        rows.append((n, c.cash.kind, c.lambda_c, c.lambda_m, c.nu, c.alpha, best.hill,
+        rows.append((n, c.cash_kind, c.lambda_c, c.lambda_m, c.nu, c.alpha, best.hill,
                      best.k_used, best.mean_ot, best.ot_std, best.n_trials,
                      best.n_degenerate, best.n_pooled))
     return rows
@@ -70,7 +70,7 @@ def sweep_lambda_c(grid: ParameterGrid, results: dict[int, CalibrationResult]) -
     """
     # these scenarios pin lambda_m and nu to 0, so cash kind, lambda_c and
     # alpha pick out a combo; its Hill index is None when unstable
-    hill_of = {(m.combo.cash.kind, m.combo.lambda_c, m.combo.alpha): m.hill
+    hill_of = {(m.combo.cash_kind, m.combo.lambda_c, m.combo.alpha): m.hill
                for n in QUARTET for m in results[n].per_combo}
 
     def hills(cash_kind: str, lambda_c: float) -> dict[float, float | None]:

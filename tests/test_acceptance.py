@@ -55,8 +55,9 @@ def reference_paths() -> list[TransactionPath]:
 
 
 def pooled_metrics(cash_kind: str, lambda_c: float, alpha: float, paths):
-    combo = Combo(cash=CashSpec(kind=cash_kind), lambda_c=lambda_c, lambda_m=0.0,
-                  nu=0.0, alpha=alpha)
+    cash = CashSpec()
+    combo = Combo(cash_kind=cash_kind, c_max=cash.c_max, c_min=cash.c_min, beta=cash.beta,
+                  lambda_c=lambda_c, lambda_m=0.0, nu=0.0, alpha=alpha)
     exp = ExperimentConfig(trials=20, base_seed=1000)
     return evaluate_combo(SimulationConfig(), combo, exp, refs=[], paths=paths)
 

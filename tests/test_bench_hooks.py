@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from lobfactor import calibration, cli, engine
-from lobfactor.agents import PopulationConfig
-from lobfactor.config import PathsSpec
+from lobfactor.config import (ExperimentConfig, ParameterGrid, PathsSpec, PopulationConfig,
+                              SimulationConfig)
 from lobfactor.timegrid import synthetic_reference_path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -44,16 +44,15 @@ def test_tracer_finds_every_name_it_wraps_and_restores_them():
 
 
 def test_tracer_sees_each_trial_and_conserved_volume_without_a_tick_log():
-    base = engine.SimulationConfig(population=PopulationConfig(n_agents=30), t_sim=250,
-                                   no_exec_windows=((1, 20), (120, 130)))
-    combo = calibration.Combo(cash=base.population.cash, lambda_c=0.0, lambda_m=0.0,
-                              nu=0.0, alpha=0.1)
+    base = SimulationConfig(population=PopulationConfig(n_agents=30), t_sim=250,
+                            no_exec_windows=((1, 20), (120, 130)))
+    (combo,) = calibration.enumerate_combos(0, ParameterGrid(alpha=(0.1,)), base.population.cash)
     paths = [synthetic_reference_path(np.random.default_rng(5), "uniform",
                                       PathsSpec().mean_total)]
     tracer = load_perfbench("tracing").Tracer()
     tracer.install()
     try:
-        calibration.evaluate_combo(base, combo, calibration.ExperimentConfig(trials=2),
+        calibration.evaluate_combo(base, combo, ExperimentConfig(trials=2),
                                    refs=[], paths=paths)
     finally:
         tracer.uninstall()

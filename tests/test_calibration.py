@@ -31,6 +31,7 @@ from lobfactor.config import (
     SimulationConfig,
 )
 from lobfactor.metrics import (
+    ABS_AUTOCORR_LAGS,
     DegenerateSeriesError,
     StylizedFactReport,
     build_tail_cloud,
@@ -52,7 +53,7 @@ def small_base() -> SimulationConfig:
 
 
 # the searched fields of small_base(): build_config(small_base(), COMBO) changes nothing
-COMBO = Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0, nu=0.0, alpha=0.1)
+(COMBO,) = enumerate_combos(0, ParameterGrid(alpha=(0.1,)), CashSpec())
 # three trials of each evaluated combo, seeds 50, 51 and 52
 THREE_TRIALS = ExperimentConfig(trials=3, base_seed=50)
 SMALL_REFS = RefsSpec(count=2, n_samples=2000)
@@ -81,7 +82,7 @@ class TestScenarioSpec:
         }
         for n, (p, c, m) in expected.items():
             for combo in enumerate_combos(n, ParameterGrid(), CashSpec()):
-                assert (combo.cash.kind == "pareto", combo.lambda_c > 0, combo.lambda_m > 0) \
+                assert (combo.cash_kind == "pareto", combo.lambda_c > 0, combo.lambda_m > 0) \
                     == (p, c, m)
 
     @pytest.mark.parametrize("bad", [-1, 8, 100])
@@ -98,20 +99,20 @@ class TestEnumerateCombos:
 
     def test_scenario_0_pins_everything_but_alpha(self):
         combos = enumerate_combos(0, ParameterGrid(), CashSpec())
-        assert all(c.cash.kind == "uniform" for c in combos)
+        assert all(c.cash_kind == "uniform" for c in combos)
         assert all(c.lambda_c == 0.0 and c.lambda_m == 0.0 and c.nu == 0.0 for c in combos)
         assert [c.alpha for c in combos] == [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 
     def test_scenario_7_searches_everything_nonzero(self):
         combos = enumerate_combos(7, ParameterGrid(), CashSpec())
-        assert all(c.cash.kind == "pareto" for c in combos)
+        assert all(c.cash_kind == "pareto" for c in combos)
         assert all(c.lambda_c > 0 and c.lambda_m > 0 and c.nu > 0 for c in combos)
         assert {c.lambda_c for c in combos} == {1.5, 1.75, 2.0, 2.25, 2.5}
         assert {c.nu for c in combos} == {0.3, 0.5, 0.7}
 
     def test_mood_only_scenario_keeps_chartist_off(self):
         combos = enumerate_combos(3, ParameterGrid(), CashSpec())
-        assert all(c.lambda_c == 0.0 and c.cash.kind == "uniform" for c in combos)
+        assert all(c.lambda_c == 0.0 and c.cash_kind == "uniform" for c in combos)
         assert {c.lambda_m for c in combos} == {1e-5, 2e-5, 3e-5, 4e-5, 5e-5}
 
     def test_enumeration_order_is_stable(self):
@@ -122,7 +123,8 @@ class TestEnumerateCombos:
         base = CashSpec(kind="uniform", c_max=9_000.0, c_min=7_000.0, beta=2.0)
         for n, kind in ((0, "uniform"), (1, "pareto")):
             combos = enumerate_combos(n, ParameterGrid(), base)
-            assert all(c.cash == dataclasses.replace(base, kind=kind) for c in combos)
+            assert all((c.cash_kind, c.c_max, c.c_min, c.beta) == (kind, 9_000.0, 7_000.0, 2.0)
+                       for c in combos)
 
     def test_combo_digest_distinguishes_combos(self):
         combos = enumerate_combos(7, ParameterGrid(), CashSpec())
@@ -133,10 +135,11 @@ class TestEnumerateCombos:
 class TestBuildConfig:
     def test_population_fields_updated(self):
         base = small_base()
-        combo = Combo(cash=CashSpec(kind="pareto"), lambda_c=2.5, lambda_m=3e-5,
-                      nu=0.7, alpha=0.15)
+        combo = Combo(cash_kind="pareto", c_max=9_000.0, c_min=7_000.0, beta=2.0,
+                      lambda_c=2.5, lambda_m=3e-5, nu=0.7, alpha=0.15)
         cfg = build_config(base, combo)
-        assert cfg.population.cash.kind == "pareto"
+        assert cfg.population.cash == CashSpec(kind="pareto", c_max=9_000.0, c_min=7_000.0,
+                                               beta=2.0)
         assert cfg.population.lambda_c == 2.5
         assert cfg.population.lambda_m == 3e-5
         assert cfg.population.nu == 0.7
@@ -144,9 +147,7 @@ class TestBuildConfig:
 
     def test_other_fields_preserved(self):
         base = small_base()
-        combo = Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0,
-                      nu=0.0, alpha=0.3)
-        cfg = build_config(base, combo)
+        cfg = build_config(base, dataclasses.replace(COMBO, alpha=0.3))
         assert cfg.t_sim == base.t_sim
         assert cfg.no_exec_windows == base.no_exec_windows
         assert cfg.population.n_agents == base.population.n_agents
@@ -253,7 +254,7 @@ class TestEvaluateCombo:
 
 def _fake_metrics(combo: Combo, mean_ot: float, hill: float, unstable: bool = False):
     stylized = None if unstable else StylizedFactReport(
-        kurtosis=hill, vol_volume_corr=0.1, abs_autocorr={1: 0.2, 10: 0.1})
+        kurtosis=hill, vol_volume_corr=0.1, abs_autocorr=dict.fromkeys(ABS_AUTOCORR_LAGS, 0.1))
     return ComboMetrics(combo=combo, hill=None if unstable else hill, k_used=10,
                         mean_ot=None if unstable else mean_ot, ot_std=0.0, n_trials=2,
                         n_degenerate=0, n_pooled=100, unstable=unstable, stylized=stylized)
@@ -408,8 +409,7 @@ class TestLedger:
                           ledger=ComboLedger(ledger_file))
         reloaded = ComboLedger(ledger_file)
         for m in fresh.per_combo:
-            rec = reloaded.lookup(0, m.combo, 1000, 2)
-            assert reloaded.to_metrics(rec) == m
+            assert reloaded.lookup(0, m.combo, 1000, 2) == m
 
     def test_line_without_stylized_facts_is_evaluated_again(self, tmp_path, paths):
         refs = make_student_t_refs(SMALL_REFS)
@@ -427,18 +427,16 @@ class TestLedger:
 
     def test_line_of_another_run_digest_is_evaluated_again(self, tmp_path):
         ledger_file = tmp_path / "ledger.jsonl"
-        combo = Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0, nu=0.0,
-                      alpha=0.1)
-        ComboLedger(ledger_file, "run-a").record(0, 1000, _fake_metrics(combo, 1.0, 3.0))
+        ComboLedger(ledger_file, "run-a").record(0, 1000, _fake_metrics(COMBO, 1.0, 3.0))
         line = ledger_file.read_text()
-        assert ComboLedger(ledger_file, "run-a").lookup(0, combo, 1000, 2) is not None
+        assert ComboLedger(ledger_file, "run-a").lookup(0, COMBO, 1000, 2) is not None
         assert ledger_file.read_text() == line
-        assert ComboLedger(ledger_file, "run-b").lookup(0, combo, 1000, 2) is None
+        assert ComboLedger(ledger_file, "run-b").lookup(0, COMBO, 1000, 2) is None
         assert ledger_file.read_text() == ""  # rewritten without run-a's line
         record = json.loads(line)
         del record["run_digest"]  # a line written before the ledger held run digests
         ledger_file.write_text(json.dumps(record) + "\n")
-        assert ComboLedger(ledger_file).lookup(0, combo, 1000, 2) is None
+        assert ComboLedger(ledger_file).lookup(0, COMBO, 1000, 2) is None
         assert ledger_file.read_text() == ""
 
     def test_unreadable_line_before_the_last_raises(self, tmp_path):
@@ -455,20 +453,17 @@ class TestLedger:
 
     def test_json_last_line_that_is_not_an_object_is_dropped(self, tmp_path, capsys):
         ledger_file = tmp_path / "ledger.jsonl"
-        combo = Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0, nu=0.0,
-                      alpha=0.1)
-        ComboLedger(ledger_file, "x").record(0, 1000, _fake_metrics(combo, 1.0, 3.0))
+        ComboLedger(ledger_file, "x").record(0, 1000, _fake_metrics(COMBO, 1.0, 3.0))
         line = ledger_file.read_text()
         ledger_file.write_text(line + '["scenario", 0]\n')
         ledger = ComboLedger(ledger_file, "x")
-        assert ledger.lookup(0, combo, 1000, 2) is not None
+        assert ledger.lookup(0, COMBO, 1000, 2) is not None
         assert ledger_file.read_text() == line
         assert "cut-off line 2" in capsys.readouterr().err
 
     def test_cut_off_last_line_is_dropped_from_the_file(self, tmp_path, capsys):
         ledger_file = tmp_path / "ledger.jsonl"
-        combos = [Combo(cash=CashSpec(kind="uniform"), lambda_c=0.0, lambda_m=0.0, nu=0.0,
-                        alpha=a) for a in (0.1, 0.2)]
+        combos = [dataclasses.replace(COMBO, alpha=a) for a in (0.1, 0.2)]
         writer = ComboLedger(ledger_file)
         for combo in combos:
             writer.record(0, 1000, _fake_metrics(combo, mean_ot=1.0, hill=3.0))

@@ -834,19 +834,62 @@ class TestExperiment:
         assert "cut-off line 1" in capsys.readouterr().err
         assert (out / "ledger.jsonl").read_bytes() == whole
 
-    def test_resume_evaluates_a_line_missing_a_field_again(self, sim_config, tmp_path):
+    @pytest.mark.parametrize("edit", [
+        lambda record: record.pop("k_used"),  # a line written before the field existed
+        lambda record: record.update(combo={"cash_kind": "uniform"}),
+        lambda record: record.update(stylized={"kurtosis": 1.0}),
+        lambda record: record.pop("combo_digest"),
+        lambda record: record.update(mean_ot=str(record["mean_ot"])),
+        lambda record: record.update(hill=None),  # on a stable line
+        lambda record: record["stylized"].update(kurtosis=str(record["stylized"]["kurtosis"])),
+        lambda record: record["stylized"]["abs_autocorr"].pop("1"),
+        lambda record: record["combo"].update(alpha=json.loads("[" * 500 + "0.1" + "]" * 500)),
+        # no grid value, under the digest of alpha 0.1
+        lambda record: record["combo"].update(alpha=0.9),
+    ], ids=["no_k_used", "combo_without_amounts", "stylized_without_lags", "no_combo_digest",
+            "mean_ot_a_string", "hill_null", "kurtosis_a_string", "no_lag_1",
+            "alpha_nested_500_deep", "combo_not_its_digest"])
+    def test_resume_evaluates_a_line_missing_a_field_again(self, edit, sim_config, tmp_path,
+                                                           monkeypatch):
         out = tmp_path / "exp"
-        main(["experiment", "--config", sim_config, "--scenarios", "0", "--out", str(out)])
+        args = ["experiment", "--config", sim_config, "--scenarios", "0", "--out", str(out)]
+        assert main(args) == EXIT_OK
         first = (out / "table2.csv").read_bytes()
         ledger = out / "ledger.jsonl"
         lines = ledger.read_text().splitlines()
         record = json.loads(lines[0])
-        del record["k_used"]  # a line written before the field existed
+        assert record["combo"]["alpha"] == 0.1
+        edit(record)
         ledger.write_text("\n".join([json.dumps(record, sort_keys=True), *lines[1:]]) + "\n")
-        assert main(["experiment", "--config", sim_config, "--scenarios", "0",
-                     "--out", str(out), "--resume"]) == EXIT_OK
+        evaluated = []
+        real_evaluate = calibration_mod.evaluate_combo
+
+        def counted(base, combo, *rest):
+            evaluated.append(combo.alpha)
+            return real_evaluate(base, combo, *rest)
+
+        monkeypatch.setattr(calibration_mod, "evaluate_combo", counted)
+        assert main([*args, "--resume"]) == EXIT_OK
+        assert evaluated == [0.1]
         assert (out / "table2.csv").read_bytes() == first
         assert sorted(ledger.read_text().splitlines()) == sorted(lines)
+
+    def test_each_scenario_line_is_printed_when_its_calibration_ends(
+            self, sim_config, tmp_path, monkeypatch, capsys):
+        printed_before = []
+        real_calibrate = cli_mod.calibrate
+
+        def spy(n, *args, **kwargs):
+            printed_before.append(capsys.readouterr().out)
+            return real_calibrate(n, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "calibrate", spy)
+        assert main(["experiment", "--config", sim_config, "--scenarios", "0,1",
+                     "--out", str(tmp_path / "exp")]) == EXIT_OK
+        assert printed_before[0] == ""
+        assert printed_before[1].startswith("scenario 0: hill=")
+        assert printed_before[1].count("\n") == 1
+        assert capsys.readouterr().out.startswith("scenario 1: hill=")
 
     @pytest.mark.parametrize("extra", [[], ["--resume"]])
     def test_ledger_that_is_a_directory_is_data_error(self, extra, sim_config, tmp_path,
@@ -1023,7 +1066,7 @@ class TestExperimentTables:
     def test_synergy_block_present_when_quartet_requested(self, tmp_path, monkeypatch):
         hills = {(False, 0.0): 4.0, (True, 0.0): 3.8, (False, 2.5): 3.1, (True, 2.5): 2.8}
         out = self.run_experiment(tmp_path, monkeypatch, "0,1,2,4",
-                                  lambda c: hills[(c.cash.kind == "pareto", c.lambda_c)])
+                                  lambda c: hills[(c.cash_kind == "pareto", c.lambda_c)])
         ((observed, theoretical, lower),) = self.rows(out / "synergy.csv")
         assert float(observed) == 2.8
         assert float(theoretical) == pytest.approx(3.8 + 3.1 - 4.0)

@@ -99,7 +99,7 @@ class TestSweepLambdaC:
     @staticmethod
     def _hill_falls_with_lambda_c(combo):
         # hill falls with lambda_c, offset by cash kind and alpha
-        base = 4.0 - 0.4 * combo.lambda_c - (0.5 if combo.cash.kind == "pareto" else 0.0)
+        base = 4.0 - 0.4 * combo.lambda_c - (0.5 if combo.cash_kind == "pareto" else 0.0)
         return fake_metrics(combo, mean_ot=1.0, hill=base + combo.alpha)
 
     @staticmethod
@@ -124,7 +124,7 @@ class TestSweepLambdaC:
 
     def test_unstable_points_drop_from_aggregate(self):
         def score(combo):
-            if combo.cash.kind == "uniform" and combo.lambda_c > 0 and combo.alpha == 0.1:
+            if combo.cash_kind == "uniform" and combo.lambda_c > 0 and combo.alpha == 0.1:
                 return fake_metrics(combo, 0.0, 0.0, unstable=True)
             return fake_metrics(combo, mean_ot=1.0, hill=3.0)
 
