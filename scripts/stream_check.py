@@ -38,7 +38,7 @@ def trial_stats() -> dict:
     from lobfactor.config import CashSpec, ExperimentConfig, PopulationConfig, SimulationConfig
     from lobfactor.engine import run
     from lobfactor.metrics import build_tail_cloud, hill_index, standardize
-    from lobfactor.timegrid import assign_calendar_time, log_returns
+    from lobfactor.timegrid import assign_calendar_time
 
     paths = load_paths(resolve_config(None, None, "experiment"), None)
     path_seed = ExperimentConfig().path_seed
@@ -56,7 +56,7 @@ def trial_stats() -> dict:
             stats["trades"].append(len(out.trades))
             try:
                 path = paths[trial_path_index(path_seed, i, len(paths))]
-                returns = log_returns(assign_calendar_time(out, path, cfg.p0))
+                returns = np.diff(np.log(assign_calendar_time(out, path, cfg.p0).mid_prices))
                 stats["hill"].append(hill_index(build_tail_cloud(np.abs(standardize(returns)))))
             except ValueError:  # no trade, or a degenerate return series
                 pass

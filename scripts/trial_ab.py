@@ -17,13 +17,17 @@ equal calendar output on the first default synthetic path: its bar log
 returns and per-minute volumes, compared as plain lists outside the timed
 section, so tuple and array forms compare alike. Prints, per rep and per
 set, the CPU ratio OLD / NEW (above 1: NEW is faster), then each set's
-median ratio over the reps, with its least and greatest. Trades and tick
+median ratio over the reps, with its least and greatest; the mood set is
+also split by its nu (0.3, 0.5, 0.7), since a change to the mood pass can
+gain at one nu and lose at another. The cyclic garbage collector is off for
+each whole rep and runs once after it, outside the timing. Trades and tick
 rows compare as plain tuples, whether their record types are dataclasses or
 NamedTuples. One process sees less noise than separate benchmark processes do, but
 it times trials only, not a whole command.
 """
 
 import argparse
+import gc
 import statistics
 import sys
 import time
@@ -54,7 +58,7 @@ def load_side(tree: str):
         from lobfactor.cli import load_paths, resolve_config
         from lobfactor.config import CashSpec, ParameterGrid, PopulationConfig, SimulationConfig
         from lobfactor.engine import Engine
-        from lobfactor.timegrid import assign_calendar_time, bar_volumes, log_returns
+        from lobfactor.timegrid import assign_calendar_time, bar_volumes
     finally:
         sys.path.pop(0)
 
@@ -64,8 +68,8 @@ def load_side(tree: str):
         """Bar log returns and per-minute volumes on `path`, or None without trades."""
         if not out.trades:
             return None
-        returns = log_returns(assign_calendar_time(out, path, p0))
-        return np.asarray(returns).tolist(), np.asarray(bar_volumes(out, path)).tolist()
+        returns = np.diff(np.log(assign_calendar_time(out, path, p0).mid_prices))
+        return returns.tolist(), np.asarray(bar_volumes(out, path)).tolist()
 
     base = SimulationConfig()
     trials = [
@@ -116,19 +120,25 @@ def main() -> None:
     parser.add_argument("--reps", type=int, default=5)
     args = parser.parse_args()
     sides = [load_side(args.old_src), load_side(args.new_src)]
-    names = sorted({name for name, _, _ in sides[0][2]}) + ["all"]
+    # the sets each trial counts toward: its own, a mood trial's nu, and all
+    sets = [[name, f"mood nu {config.population.nu}"] if name == "mood" else [name]
+            for name, config, _ in sides[0][2]]
+    names = sorted({name for trial_sets in sets for name in trial_sets}) + ["all"]
     ratios = {name: [] for name in names}
     for rep in range(1, args.reps + 1):
         cpu = {name: [0.0, 0.0] for name in names}
-        for i, (name, _, record_ticks) in enumerate(sides[0][2]):
+        gc.disable()  # no collection lands inside a timed trial; one runs after the rep
+        for i, (_, _, record_ticks) in enumerate(sides[0][2]):
             order = (0, 1) if (rep + i) % 2 else (1, 0)
             results = [None, None]
             for side in order:
                 engine_cls, calendar, trials = sides[side]
                 seconds, results[side] = timed(engine_cls, calendar, trials[i][1], record_ticks)
-                cpu[name][side] += seconds
-                cpu["all"][side] += seconds
-            assert results[0] == results[1], f"trial {i} ({name}) differs"
+                for name in sets[i] + ["all"]:
+                    cpu[name][side] += seconds
+            assert results[0] == results[1], f"trial {i} ({sets[i][0]}) differs"
+        gc.collect()
+        gc.enable()
         line = []
         for name in names:
             old, new = cpu[name]

@@ -152,8 +152,7 @@ def trial_series(
             n_degenerate += 1
             continue
         path = paths[trial_path_index(exp.path_seed, i, len(paths))]
-        bars = assign_calendar_time(out, path, cfg.p0, day_id=f"seed{cfg.seed}")
-        returns_parts.append(log_returns(bars))
+        returns_parts.append(log_returns(assign_calendar_time(out, path, cfg.p0).mid_prices))
         volume_parts.append(bar_volumes(out, path)[1:])
     return returns_parts, volume_parts, n_degenerate
 

@@ -33,7 +33,7 @@ from .metrics import (ABS_AUTOCORR_LAGS, DegenerateSeriesError, build_tail_cloud
 from .tables import (FIG5_COLUMNS, QUARTET, SYNERGY_COLUMNS, TABLE2_COLUMNS, TABLE4_COLUMNS,
                      sweep_lambda_c, synergy_rows, table2_rows, table4_rows)
 from .timegrid import (MINUTES_PER_DAY, BarSeries, DegenerateDayError, TransactionPath,
-                       assign_calendar_time, price_log_returns, scaled_path_from_counts,
+                       assign_calendar_time, log_returns, scaled_path_from_counts,
                        synthetic_reference_path)
 
 EXIT_OK = 0
@@ -112,7 +112,7 @@ def read_bar_price_rows(file, what: str = "bars") -> list[np.ndarray]:
 
 
 def pooled_bar_returns(files: list[str], what: str = "bars") -> np.ndarray:
-    return np.concatenate([price_log_returns(prices) for file in files
+    return np.concatenate([log_returns(prices) for file in files
                            for prices in read_bar_price_rows(file, what)])
 
 

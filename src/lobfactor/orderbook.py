@@ -88,7 +88,8 @@ class Book:
     Every price it reports, quote or trade, is price_of(level, tick).
     `next_expiry` is the least expiry step of the orders that have rested
     and not yet been expired (inf when there are none): `expire` drops
-    nothing at any step before it, so a caller may skip those calls.
+    nothing at any step before it, so the caller owns the due rule (the
+    engine calls `expire` only from `next_expiry` on).
     """
 
     tick: float
@@ -196,14 +197,12 @@ class Book:
                 self.next_expiry = order.expiry_step
         return trades
 
-    def expire(self, step: int) -> list[tuple[Order, int]] | tuple[()]:
+    def expire(self, step: int) -> list[tuple[Order, int]]:
         """Drop every resting order whose expiry_step is <= step.
 
         Returns each dropped order with the volume it still had, in
         (expiry_step, order_id) order; the order's own volume is zeroed.
         """
-        if step < self.next_expiry:
-            return ()
         heap = self._expiry_heap
         dropped = []
         while heap and heap[0][0] <= step:

@@ -113,13 +113,9 @@ def bar_volumes(sim, path: TransactionPath) -> np.ndarray:
     return volumes
 
 
-def price_log_returns(prices) -> np.ndarray:
+def log_returns(prices) -> np.ndarray:
     """The log return of each price over the one before it."""
     return np.diff(np.log(prices))
-
-
-def log_returns(bars: BarSeries) -> np.ndarray:
-    return price_log_returns(bars.mid_prices)
 
 
 def synthetic_reference_path(rng: np.random.Generator, shape: str,

@@ -244,7 +244,8 @@ def test_random_streams_match_naive_oracle(stream):
 def test_expire_is_due_only_from_next_expiry(stream):
     """A caller may skip expire before next_expiry, as the engine does:
     through submits, fills and expiries, no earlier step has an order to
-    drop, and a call at or past it drops what a call on every step would."""
+    drop, a call there returns [] and keeps next_expiry, and a call at or
+    past it drops what a call on every step would."""
     b = Book(tick=TICK)
     ref = NaiveBook(tick=TICK)  # expires on every step
     step = 1
@@ -253,6 +254,8 @@ def test_expire_is_due_only_from_next_expiry(stream):
         ref.submit(Order(order_id, 0, side, 10_000 + off, vol, step, step + life), enabled)
         for step in range(step, step + idle + 1):
             if step < b.next_expiry:
+                due = b.next_expiry
+                assert b.expire(step) == [] and b.next_expiry == due
                 assert ref.expire(step) == []
             else:
                 assert [(o.order_id, v) for o, v in b.expire(step)] == ref.expire(step)

@@ -236,11 +236,11 @@ class TestAssignCalendarTime:
 class TestLogReturns:
     def test_constant_bars_zero(self):
         bars = BarSeries(tuple([42.0] * MINUTES_PER_DAY), "d")
-        assert np.all(log_returns(bars) == 0.0)
+        assert np.all(log_returns(bars.mid_prices) == 0.0)
 
     def test_known_ratio(self):
         prices = [100.0, 110.0] + [110.0] * (MINUTES_PER_DAY - 2)
-        r = log_returns(BarSeries(tuple(prices), "d"))
+        r = log_returns(BarSeries(tuple(prices), "d").mid_prices)
         assert r[0] == pytest.approx(np.log(1.1))
         assert len(r) == MINUTES_PER_DAY - 1
 
@@ -248,7 +248,7 @@ class TestLogReturns:
                     max_size=MINUTES_PER_DAY))
     @settings(max_examples=30, deadline=None)
     def test_matches_elementwise_oracle(self, prices):
-        r = log_returns(BarSeries(tuple(prices), "d"))
+        r = log_returns(BarSeries(tuple(prices), "d").mid_prices)
         for m in range(MINUTES_PER_DAY - 1):
             assert r[m] == pytest.approx(np.log(prices[m + 1] / prices[m]), abs=1e-12)
 
