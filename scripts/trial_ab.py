@@ -24,6 +24,13 @@ each whole rep and runs once after it, outside the timing. Trades and tick
 rows compare as plain tuples, whether their record types are dataclasses or
 NamedTuples. One process sees less noise than separate benchmark processes do, but
 it times trials only, not a whole command.
+
+Noise floor: with one tree on both sides (three runs of --reps 3 on a shared
+2-core host), one rep's ratio read 0.97-1.04 for quartet and for all
+trials, 0.94-1.03 for mood, 0.86-1.06 for simulate and 0.87-1.21 for one
+nu's mood subset; each set's median over the three reps read 0.98-1.05. So a
+median ratio between 0.95 and 1.05 is noise, and one rep of one nu's subset
+can stray by 20% on its own.
 """
 
 import argparse

@@ -19,6 +19,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from itertools import product, repeat
 from pathlib import Path
 
@@ -67,7 +68,9 @@ class Combo:
     nu: float
     alpha: float
 
+    @cached_property
     def digest(self) -> str:
+        """The combo's ledger key, hashed once per object."""
         blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -256,11 +259,11 @@ class ComboLedger:
 
     def lookup(self, scenario_no: int, combo: Combo, base_seed: int,
                n_trials: int) -> ComboMetrics | None:
-        return self._done.get((scenario_no, combo.digest(), base_seed, n_trials))
+        return self._done.get((scenario_no, combo.digest, base_seed, n_trials))
 
     def record(self, scenario_no: int, base_seed: int, metrics: ComboMetrics) -> None:
         """One line: the resume key and every `ComboMetrics` field."""
-        digest = metrics.combo.digest()
+        digest = metrics.combo.digest
         self._done[scenario_no, digest, base_seed, metrics.n_trials] = metrics
         if self.path:
             rec = {"scenario": scenario_no, "combo_digest": digest, "base_seed": base_seed,
@@ -285,7 +288,7 @@ def _rebuild(rec: dict) -> ComboMetrics | None:
         m = ComboMetrics(**values)
         counts = (rec["scenario"], rec["base_seed"], m.k_used, m.n_trials, m.n_degenerate,
                   m.n_pooled)
-        digest_ok = m.combo.digest() == rec["combo_digest"]
+        digest_ok = m.combo.digest == rec["combo_digest"]
     except (KeyError, TypeError, ValueError, AttributeError, RecursionError):
         return None
     facts = m.stylized

@@ -168,14 +168,6 @@ BARS_CSV_HEADER = ("day_id",) + tuple(f"m{m:03d}" for m in range(1, MINUTES_PER_
 _BLOCK_ROWS = 256  # rows formatted per write, so a file's text never sits whole in memory
 
 
-class _Texts(dict):
-    """The text of each distinct cell, made at its first lookup."""
-
-    def __missing__(self, cell):
-        text = self[cell] = str(cell)
-        return text
-
-
 def _cell_text(cell) -> str:
     return "" if cell is None else str(cell)
 
@@ -190,7 +182,7 @@ def _column_texts(column: tuple):
     kinds.discard(NoneType)
     if len(kinds) != 1 or not kinds <= {float, int, str}:
         return map(_cell_text, column)
-    memo = _Texts({None: ""})
+    memo = {cell: _cell_text(cell) for cell in set(column)}
     if float in kinds and 0.0 in column:
         return [memo[cell] if cell else _cell_text(cell) for cell in column]
     return map(memo.__getitem__, column)

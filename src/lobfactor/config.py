@@ -184,20 +184,12 @@ def validate_config(config: SimulationConfig) -> None:
             raise ConfigError(f"bad no-exec window {window}")
 
 
-def _json(value):
-    """A dataclass default as a JSON value: tuples become lists."""
-    return json.loads(json.dumps(value))
-
-
 @dataclass(frozen=True)
 class _Document:
     """A whole config document: one section per typed config."""
 
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-
-
-DEFAULT_CONFIG: dict = _json(asdict(_Document()))
 
 
 def read_input(file, what: str, error: type[ValueError]) -> str:
@@ -226,7 +218,7 @@ def resolve_config(config_path: str | None, seed_flag: int | None, command: str,
         if flag is not None:
             doc = replace(doc, **{section: replace(getattr(doc, section), **{name: flag})})
     _check(doc)
-    return _json(asdict(doc))
+    return json.loads(json.dumps(asdict(doc)))  # tuples become lists
 
 
 def config_digest(resolved: dict) -> str:

@@ -84,11 +84,10 @@ def tail_log_ratios(abs_returns, k: int) -> np.ndarray:
     return np.log(top[:k] / pivot)
 
 
-def build_tail_cloud(abs_returns, k: int | None = None) -> PointCloud:
+def build_tail_cloud(abs_returns) -> PointCloud:
+    """The tail cloud of the upper 5% (`default_tail_k`)."""
     x = np.asarray(abs_returns, dtype=float)
-    if k is None:
-        k = default_tail_k(x.size)
-    return PointCloud(tail_log_ratios(x, k))
+    return PointCloud(tail_log_ratios(x, default_tail_k(x.size)))
 
 
 def hill_index(cloud: PointCloud) -> float:

@@ -12,7 +12,7 @@ import heapq
 import math
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from functools import lru_cache
@@ -28,10 +28,6 @@ class Side(Enum):
 
 
 BUY, SELL = Side.BUY, Side.SELL
-
-
-class DuplicateOrderError(ValueError):
-    """An order_id was submitted twice to the same book."""
 
 
 @lru_cache(maxsize=None)
@@ -81,9 +77,11 @@ class Trade:
     step: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Book:
-    """Two-sided book; price levels keyed by integer tick counts.
+    """Two-sided book; price levels keyed by integer tick counts. It is built
+    from its tick alone: every other attribute is state that `__post_init__`
+    makes (perfbench/tracing.py wraps it to find each trial's book).
 
     Every price it reports, quote or trade, is price_of(level, tick).
     `next_expiry` is the least expiry step of the orders that have rested
@@ -93,11 +91,11 @@ class Book:
     """
 
     tick: float
-    bids: dict[int, deque[Order]] = field(default_factory=dict)
-    asks: dict[int, deque[Order]] = field(default_factory=dict)
-    last_trade_price: float | None = None
 
     def __post_init__(self) -> None:
+        self.bids: dict[int, deque[Order]] = {}
+        self.asks: dict[int, deque[Order]] = {}
+        self.last_trade_price: float | None = None
         # live levels' tick counts, ascending; exact as levels open and empty
         self._bid_levels: list[int] = []  # best bid last
         self._ask_levels: list[int] = []  # best ask first
@@ -144,7 +142,7 @@ class Book:
         """
         order_id, side, volume, ticks = order.order_id, order.side, order.volume, order.ticks
         if order_id in self.orders:
-            raise DuplicateOrderError(f"order_id {order_id} already submitted")
+            raise ValueError(f"order_id {order_id} already submitted")
         if volume < 1:
             raise ValueError(f"order volume must be >= 1, got {volume}")
         self.orders[order_id] = order

@@ -21,10 +21,6 @@ class DegenerateDayError(ValueError):
     """A reference day carries no transactions."""
 
 
-class DegenerateTrialError(ValueError):
-    """A trial produced no trades and cannot be resampled."""
-
-
 def _minute_array(values, what: str) -> np.ndarray:
     """`values` copied into a read-only float array of one entry per minute."""
     array = np.array(values, dtype=float)
@@ -82,7 +78,7 @@ def scaled_path_from_counts(counts) -> TransactionPath:
 def bar_indices(path: TransactionPath, t_total: int) -> np.ndarray:
     """Trade index targeted by each minute: round-half-up of fraction*t_total."""
     if t_total < 1:
-        raise DegenerateTrialError("no trades to index")
+        raise ValueError("no trades to index")
     return np.floor(path.fractions * t_total + 0.5).astype(np.int64)
 
 
@@ -93,7 +89,7 @@ def assign_calendar_time(sim, path: TransactionPath, p0: float,
     Minute m's bar is the mid price recorded at the step of trade number
     i_m = round(fractions[m] * t_total) (1-based trade numbering). Minutes
     before the first targeted trade take p0; repeated indices carry the
-    last price forward. A trial without trades raises DegenerateTrialError.
+    last price forward. A trial without trades raises ValueError.
     """
     trades = sim.trades
     steps = [0] + [t.step for t in trades]  # trade number 0 is the open, at step 0

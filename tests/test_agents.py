@@ -62,16 +62,22 @@ def test_pareto_sample_mean_and_ks():
 
 @pytest.mark.parametrize("kind", ["uniform", "pareto"])
 @pytest.mark.parametrize("n_agents", [1, 7, 200])
-def test_horizon_and_risk_aversion_scaling(kind, n_agents):
+@pytest.mark.parametrize("lambda_f, lambda_c, tau_holds", [
+    (10.0, 2.0, lambda tau: tau >= 1),
+    (1e100, 2.0, lambda tau: tau > 2**63),  # past any int64: the horizon stays a Python int
+    (10.0, 1e100, lambda tau: tau == 1),  # the floor at one step
+], ids=["default", "huge-fundamental", "huge-chartist"])
+def test_horizon_and_risk_aversion_scaling(kind, n_agents, lambda_f, lambda_c, tau_holds):
     """The population's horizons, risk aversions and derived forecast
     coefficients are bit-equal to their scalar rules on each agent's own
     draws, and every value is a Python scalar, never a numpy one."""
-    cfg = PopulationConfig(n_agents=n_agents, lambda_f=10.0, lambda_c=2.0, alpha=0.2,
+    cfg = PopulationConfig(n_agents=n_agents, lambda_f=lambda_f, lambda_c=lambda_c, alpha=0.2,
                            cash=CashSpec(kind=kind))
     agents = init_population(cfg, np.random.default_rng(7))
     assert [a.agent_id for a in agents] == list(range(n_agents))
     for a in agents:
         assert a.tau == horizon(a.w_f, a.w_c)
+        assert tau_holds(a.tau)
         assert a.alpha_j.hex() == (0.2 * (1.0 + a.w_f) / (1.0 + a.w_c)).hex()
         assert a.tau_f == 200
         assert a.f_coef.hex() == (a.w_f / a.tau_f).hex()

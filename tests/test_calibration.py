@@ -2,7 +2,9 @@
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -128,7 +130,7 @@ class TestEnumerateCombos:
 
     def test_combo_digest_distinguishes_combos(self):
         combos = enumerate_combos(7, ParameterGrid(), CashSpec())
-        digests = {c.digest() for c in combos}
+        digests = {c.digest for c in combos}
         assert len(digests) == len(combos)
 
 
@@ -385,6 +387,19 @@ class TestLedger:
         records = [json.loads(line) for line in open(ledger_file)]
         assert len(records) == 3
         assert {(r["base_seed"], r["n_trials"]) for r in records} == {(50, 2), (60, 2), (50, 3)}
+
+    def test_each_combo_is_hashed_once(self, tmp_path, monkeypatch, paths):
+        calls = []
+
+        def sha256(blob):
+            calls.append(blob)
+            return hashlib.sha256(blob)
+
+        monkeypatch.setattr(calibration_mod, "hashlib", types.SimpleNamespace(sha256=sha256))
+        grid = ParameterGrid(lambda_c=(0.0,), lambda_m=(0.0,), nu=(0.0,), alpha=(0.1, 0.3))
+        calibrate(0, ExperimentConfig(trials=2, grid=grid), small_base(), refs=[], paths=paths,
+                  ledger=ComboLedger(tmp_path / "ledger.jsonl"))
+        assert len(calls) == len(set(calls)) == 2  # the lookup's hash serves the record
 
     def test_partial_ledger_resumes_remaining(self, tmp_path, paths):
         refs = make_student_t_refs(SMALL_REFS)

@@ -42,10 +42,12 @@ from lobfactor.cli import (
     run_digest,
     simulation_config,
 )
-from lobfactor.config import DEFAULT_CONFIG, ExperimentConfig, SimulationConfig, validate_config
+from lobfactor.config import ExperimentConfig, SimulationConfig, validate_config
 from lobfactor.metrics import DegenerateSeriesError, StylizedFactReport
 from lobfactor.orderbook import price_of
 from lobfactor.timegrid import MINUTES_PER_DAY
+
+DEFAULTS = resolve_config(None, None, "simulate")  # the default document
 
 
 def write_json(path, payload) -> str:
@@ -93,7 +95,7 @@ class TestConfigResolution:
         path = write_json(tmp_path / "c.json", {"simulation": {"seed": 9}})
         resolved = resolve_config(path, None, "simulate")
         assert resolved["simulation"]["seed"] == 9
-        assert resolved["simulation"]["t_sim"] == DEFAULT_CONFIG["simulation"]["t_sim"]
+        assert resolved["simulation"]["t_sim"] == DEFAULTS["simulation"]["t_sim"]
 
     def test_unknown_field_diagnostic_names_field(self, tmp_path, capsys):
         path = write_json(tmp_path / "c.json", {"simulation": {"populaton": {}}})
@@ -117,7 +119,7 @@ class TestConfigResolution:
     def test_experiment_seed_lands_on_base_seed(self):
         resolved = resolve_config(None, 7, "experiment")
         assert resolved["experiment"]["base_seed"] == 7
-        assert resolved["simulation"]["seed"] == DEFAULT_CONFIG["simulation"]["seed"]
+        assert resolved["simulation"]["seed"] == DEFAULTS["simulation"]["seed"]
 
     def test_digest_is_stable_and_sensitive(self):
         a = resolve_config(None, None, "simulate")
@@ -135,7 +137,7 @@ def _replaceable_nodes(doc, path=()):
     return nodes + [p for key, value in items for p in _replaceable_nodes(value, (*path, key))]
 
 
-BUILT_NODES = _replaceable_nodes(DEFAULT_CONFIG)
+BUILT_NODES = _replaceable_nodes(DEFAULTS)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -149,7 +151,7 @@ class TestBuildConfig:
     @given(mutations=st.lists(st.tuples(st.sampled_from(BUILT_NODES), JSON_VALUES),
                               min_size=1, max_size=3))
     def test_mutated_default_builds_or_raises_config_error(self, mutations, tmp_path_factory):
-        doc = copy.deepcopy(DEFAULT_CONFIG)
+        doc = copy.deepcopy(DEFAULTS)
         for path, value in sorted(mutations, key=lambda m: -len(m[0])):  # children first
             node = doc
             for key in path[:-1]:
@@ -713,7 +715,7 @@ class TestBadInputs:
         labelled.write_text(f"{header}\n\nd1," + count_row(5, 0, 2) + "d2," + count_row(1))
 
         def fractions(file):
-            return [p.fractions.tolist() for p in cli_mod.load_paths(DEFAULT_CONFIG, str(file))]
+            return [p.fractions.tolist() for p in cli_mod.load_paths(DEFAULTS, str(file))]
 
         assert fractions(labelled) == fractions(plain)
 
@@ -721,7 +723,7 @@ class TestBadInputs:
         zero = tmp_path / "zero.csv"
         zero.write_text(count_row() + ",".join(["0"] * MINUTES_PER_DAY) + "\n")
         with pytest.raises(cli_mod.DataError, match="zero transactions"):
-            cli_mod.load_paths(DEFAULT_CONFIG, str(zero))
+            cli_mod.load_paths(DEFAULTS, str(zero))
 
     @pytest.mark.parametrize("command", ["simulate", "metrics", "experiment"])
     @pytest.mark.parametrize("kind", ["existing_file", "under_a_file"])

@@ -78,14 +78,14 @@ class TestTailLogRatios:
 class TestHillIndex:
     def test_constructed_unit_ratios(self):
         sample = [2.0 * np.e] * 4 + [2.0] + [0.5] * 5
-        cloud = build_tail_cloud(sample, k=4)
+        cloud = PointCloud(tail_log_ratios(sample, 4))
         assert hill_index(cloud) == pytest.approx(1.0)
         assert cloud.size == 4
 
     @pytest.mark.parametrize("zeta", [2.0, 3.0, 4.0])
     def test_recovers_pareto_exponent(self, zeta):
         x = pareto_grid(zeta, 100_000)
-        assert abs(hill_index(build_tail_cloud(x, k=5000)) - zeta) < 0.15
+        assert abs(hill_index(PointCloud(tail_log_ratios(x, 5000))) - zeta) < 0.15
 
     def test_default_k_is_five_percent(self):
         assert default_tail_k(100_000) == 5000
@@ -95,32 +95,32 @@ class TestHillIndex:
 
     def test_all_ties_rejected(self):
         with pytest.raises(DegenerateSeriesError):
-            hill_index(build_tail_cloud([5.0] * 10, k=3))
+            hill_index(PointCloud(tail_log_ratios([5.0] * 10, 3)))
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=30, deadline=None)
     def test_scale_invariance(self, c):
         x = pareto_grid(3.0, 500)
-        assert hill_index(build_tail_cloud(c * x, k=25)) == pytest.approx(
-            hill_index(build_tail_cloud(x, k=25)), rel=1e-9)
+        assert hill_index(PointCloud(tail_log_ratios(c * x, 25))) == pytest.approx(
+            hill_index(PointCloud(tail_log_ratios(x, 25))), rel=1e-9)
 
 
 class TestTailCloud:
     def test_cloud_size_and_sign(self):
-        cloud = build_tail_cloud(pareto_grid(3.0, 400), k=20)
+        cloud = PointCloud(tail_log_ratios(pareto_grid(3.0, 400), 20))
         assert cloud.size == 20
         assert np.all(cloud.points >= 0)
 
     def test_scale_invariance(self):
         x = pareto_grid(2.5, 300)
-        a = build_tail_cloud(x, k=15)
-        b = build_tail_cloud(7.0 * x, k=15)
+        a = PointCloud(tail_log_ratios(x, 15))
+        b = PointCloud(tail_log_ratios(7.0 * x, 15))
         assert b.points == pytest.approx(a.points, abs=1e-12)
 
     def test_shift_sensitivity(self):
         x = pareto_grid(2.5, 300)
-        a = build_tail_cloud(x, k=15)
-        b = build_tail_cloud(x + 1.0, k=15)
+        a = PointCloud(tail_log_ratios(x, 15))
+        b = PointCloud(tail_log_ratios(x + 1.0, 15))
         assert not np.allclose(a.points, b.points)
 
 

@@ -4,6 +4,7 @@ The randomized stream tests check the book against a deliberately naive
 reference matcher built on linear scans over a flat order list.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lobfactor.orderbook import Book, DuplicateOrderError, Order, Side, align_to_tick, price_of
+from lobfactor.orderbook import Book, Order, Side, align_to_tick, price_of
 from oracles import price_of_exact
 
 TICK = 0.01
@@ -120,6 +121,13 @@ def test_price_of_matches_rational_oracle(n, tick):
     assert price_of(n, np.float64(tick)) == price_of_exact(n, tick)
 
 
+def test_a_book_is_built_from_its_tick_alone_and_compares_by_identity():
+    assert [f.name for f in dataclasses.fields(Book)] == ["tick"]
+    a, b = Book(tick=TICK), Book(tick=TICK)
+    assert (a.bids, a.asks, a.last_trade_price) == ({}, {}, None)
+    assert a == a and a != b
+
+
 def test_fifo_partial_fills():
     b = Book(tick=TICK)
     b.submit(mk(1, Side.SELL, 299.99, 2))
@@ -168,7 +176,7 @@ def test_duplicate_order_id_rejected_book_unchanged():
     b = Book(tick=TICK)
     b.submit(mk(7, Side.BUY, 299.0, 5))
     before = resting(b, Side.BUY)
-    with pytest.raises(DuplicateOrderError):
+    with pytest.raises(ValueError, match="order_id 7 already submitted"):
         b.submit(mk(7, Side.SELL, 300.0, 1))
     assert resting(b, Side.BUY) == before == [(7, 5)]
     assert b.submitted_volume[Side.SELL] == 0

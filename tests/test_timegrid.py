@@ -16,13 +16,12 @@ from lobfactor.cli import (
     read_bar_price_rows,
     write_bars_csv,
 )
-from lobfactor.config import DEFAULT_CONFIG
+from lobfactor.config import resolve_config
 from lobfactor.orderbook import Trade
 from lobfactor.timegrid import (
     MINUTES_PER_DAY,
     BarSeries,
     DegenerateDayError,
-    DegenerateTrialError,
     TransactionPath,
     assign_calendar_time,
     bar_indices,
@@ -177,7 +176,7 @@ class TestAssignCalendarTime:
     def test_no_trades_rejected(self, resample):
         sim = FakeSim([], [300.0])
         path = scaled_path_from_counts([1] * MINUTES_PER_DAY)
-        with pytest.raises(DegenerateTrialError):
+        with pytest.raises(ValueError, match="no trades to index"):
             resample(sim, path)
 
     @given(st.integers(min_value=1, max_value=40), st.data())
@@ -308,7 +307,7 @@ class TestCsvIO:
             writer = csv.writer(fh)
             writer.writerow([1] * MINUTES_PER_DAY)
             writer.writerow([2] * MINUTES_PER_DAY)
-        paths = load_paths(DEFAULT_CONFIG, str(out))
+        paths = load_paths(resolve_config(None, None, "simulate"), str(out))
         assert len(paths) == 2
         assert np.array_equal(paths[0].fractions, paths[1].fractions)  # same shape after scaling
 
@@ -318,4 +317,4 @@ class TestCsvIO:
         row[3] = "x"
         out.write_text(",".join(["1"] * MINUTES_PER_DAY) + "\n" + ",".join(row) + "\n")
         with pytest.raises(DataError, match="row 2, column 4"):
-            load_paths(DEFAULT_CONFIG, str(out))
+            load_paths(resolve_config(None, None, "simulate"), str(out))
